@@ -138,9 +138,13 @@ class Communicator:
     def sendrecv(self, dst: int, obj: Any, src: int) -> Any:
         """Combined exchange: send to ``dst``, receive from ``src``.
 
-        Both backends have non-blocking sends (queue-buffered), so
-        send-first guarantees progress for any exchange pattern — rings,
-        pairs, recursive doubling — with no parity assumptions.
+        Send-first guarantees progress for any exchange pattern — rings,
+        pairs, recursive doubling — with no parity assumptions: thread
+        and ``"queue"``-transport sends are buffered without bound, and
+        an shm-transport send that finds the peer's control channel full
+        keeps ingesting its own inbox while it waits (bounded by
+        ``timeout``), so two ranks sending at each other cannot
+        deadlock.
         """
         self.send(dst, obj)
         return self.recv(src)

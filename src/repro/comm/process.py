@@ -7,17 +7,54 @@ transports move messages between them:
   payloads are decomposed by :mod:`repro.comm.frames` into a small
   template plus raw buffers, the buffers travel through pooled
   ``multiprocessing.shared_memory`` segments (:mod:`repro.comm.shm`),
-  and only the template goes through the control queue.  Two memcpys
-  per frame, independent of payload size.
+  and the template travels as one binary *control record* the sending
+  thread writes itself.  Two memcpys per frame, independent of payload
+  size; no pickle, no queue and no feeder thread on the message path.
 * ``"queue"`` — the legacy path: whole objects pickled through
   ``multiprocessing.Queue`` (kept as the comparison baseline for
   ``benchmarks/bench_comm_transport.py`` and as a fallback).
 
-Link topology is N inboxes (one control queue per *destination*) with
-receiver-side demultiplexing by source, not N² per-pair queues; the
-per-link state that is actually expensive — shared-memory segment pools
-— is built lazily by the first send that needs it and reused for the
-lifetime of the worker.
+**Control channel (shm transport).**  Every rank owns one inbox: an
+``os.pipe`` created before the fork, both ends non-blocking, written by
+all of its peers and read only by its owner — N inboxes with
+receiver-side demultiplexing by source, not N² per-pair links.  A record
+is::
+
+    header  <HBHIII  length, kind, src rank, run epoch, segment id, frames
+    table   <2nQ     (offset, nbytes) of each frame in the segment
+    body             frames.pack_template(template)
+
+``kind`` is *message*, *ack* (header only: ``segment id`` may be
+recycled by its owner) or *spilled message*.  A record never exceeds
+``PIPE_BUF``, so the kernel writes it atomically: the caller's thread,
+the scheduler's comm thread and the fault injector's timer threads of
+every peer write to the same inbox with no cross-process lock.
+
+* **Spill rule.**  When table + body would push a record past
+  ``PIPE_BUF`` (a template of hundreds of arrays, a large pickled
+  object) they are written into the message's segment as one more frame
+  and the record carries only that frame's ``(offset, nbytes)``.
+* **Ack path.**  A receiver that has copied (or finished viewing) a
+  payload writes an ack record into the *owner's* inbox; the owner's
+  ``_ingest`` returns the segment to its pool whenever it reads its
+  inbox — while waiting for a message, or, for a rank that only sends
+  (a broadcast root), when its pool has no free segment of the needed
+  size class and it drains the inbox before allocating.
+* **Back-pressure rule.**  The pipe is the only buffer (64 KiB, ~1000
+  records).  A sender that finds the destination's inbox full keeps
+  ingesting its *own* inbox into the stash — so an all-send-then-
+  all-receive pattern cannot deadlock — and blocks in ``poll`` for
+  either end until the write fits or ``timeout`` expires, then raises
+  the ``TimeoutError`` a blocked receive raises.
+* **Epochs.**  The worker's current run epoch and its stash of
+  received messages belong to the per-process runtime, not to a
+  communicator: whichever thread reads the inbox — a delayed
+  (fault-injected) send of the *previous* run included — files records
+  by the current epoch.  Stale records are dropped and their segments
+  acked; an earlier run's communicator may send but no longer receive.
+* **Waiting.**  ``_wait`` blocks in the kernel (one persistent ``poll``
+  object per worker) and wakes on the record's arrival; nothing spins
+  or sleeps.
 
 :class:`ProcessGroup` is context-managed and persistent; open one
 through the :func:`repro.comm.open_group` factory::
@@ -46,6 +83,9 @@ import multiprocessing as mp
 import os
 import pickle
 import queue
+import select
+import struct
+import threading
 import time
 import warnings
 from collections import deque
@@ -54,20 +94,39 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.comm.backend import Communicator
-from repro.comm.frames import decode_frames, encode_frames, ndarray_template
-from repro.comm.shm import AttachmentCache, SegmentPool
+from repro.comm.frames import (
+    decode_frames,
+    encode_frames,
+    ndarray_template,
+    pack_template,
+    unpack_template,
+)
+from repro.comm.shm import (
+    AttachmentCache,
+    SegmentPool,
+    fill_frames,
+    frame_layout,
+)
 from repro.utils.validation import check_in, check_positive
 
 DEFAULT_TIMEOUT = 120.0
 
 TRANSPORTS = ("shm", "queue")
 
-#: Wire tags on the control queues.  A shared-memory message packs every
-#: frame into ONE pooled segment at aligned offsets (one acquire + one
-#: ack per message, however many arrays the payload holds):
-_SHM_MSG = "s"  # (_SHM_MSG, src, epoch, template, segment | None,
-#                 [(offset, nbytes) | None per frame])
-_RAW_MSG = "r"  # (_RAW_MSG, src, epoch, obj)
+#: Control-record header: total length, kind, source rank, run epoch,
+#: segment id (0 = the message has no non-empty frame), frame count.
+_HEADER = struct.Struct("<HBHIII")
+#: One ``(offset, nbytes)`` table entry: where a frame — or a spilled
+#: table + body — sits inside the segment.
+_ENTRY = struct.Struct("<QQ")
+_MSG, _ACK, _SPILLED = 0, 1, 2
+
+#: Largest record written in one piece.  POSIX makes pipe writes of up
+#: to ``PIPE_BUF`` bytes atomic — all or nothing, never interleaved.
+RECORD_MAX = select.PIPE_BUF
+
+#: Bytes asked of one inbox read: the default capacity of a Linux pipe.
+_READ_CHUNK = 65536
 
 _group_counter = itertools.count()
 
@@ -76,39 +135,126 @@ class _WorkerRuntime:
     """Per-process link state that persists across ``run()`` dispatches.
 
     Owns the lazily-created sender segment pool, the receiver attachment
-    cache, and the inbox/ack queues.  Reused by every communicator the
-    worker constructs, so warm segments and attachments amortize across
-    runs.
+    cache, and this rank's ends of the control links.  Reused by every
+    communicator the worker constructs, so warm segments and attachments
+    amortize across runs.
+
+    ``inboxes[dst]`` is the link into rank ``dst``: a
+    ``multiprocessing.Queue`` on the ``"queue"`` transport, a ``(read
+    fd, write fd)`` pipe on ``"shm"``.
+
+    The current run ``epoch`` and the per-source ``stash`` of received,
+    not yet consumed messages live here, not on the communicator: any
+    thread that reads the inbox — a timer thread of an *earlier* run's
+    communicator included — files records by the worker's current
+    epoch, never by the epoch of the communicator it happens to hold.
     """
 
-    def __init__(self, rank, world_size, inboxes, acks, transport, owner_tag):
+    def __init__(self, rank, world_size, inboxes, transport, owner_tag):
         self.rank = rank
         self.world_size = world_size
-        self.inboxes = inboxes  # inboxes[dst]: control queue into rank dst
-        self.acks = acks  # acks[src]: recycled segment names back to rank src
         self.transport = transport
-        self._owner_tag = owner_tag
+        self.peer_tags = [f"{owner_tag}r{r}" for r in range(world_size)]
         self._pool: SegmentPool | None = None
         self.attachments = AttachmentCache()
+        self.epoch = 0
+        # Messages already received but not yet consumed, per source.
+        # Shared-memory payloads are stashed *undecoded* — the record's
+        # bytes and where its table starts — and only touched when the
+        # caller consumes them, so demultiplexing never copies bytes it
+        # does not need yet.
+        self.stash: list[deque] = [deque() for _ in range(world_size)]
+        # Acks owed for segments of dropped (stale-epoch) messages; any
+        # thread that ingests appends, the next send or receive flushes.
+        self.stale_acks: list[tuple[int, int]] = []
+        # Orders ``begin_run`` against a late thread's ``_ingest``.
+        self.epoch_lock = threading.Lock()
+        if transport == "queue":
+            self.inboxes = inboxes
+            return
+        self.rx = inboxes[rank][0]
+        self.tx = [write_fd for _, write_fd in inboxes]
+        # Reading the inbox (and the partial record a read may end on) is
+        # serialized: the receiving thread holds the lock while it waits,
+        # a sending thread borrows it only when nobody is receiving.
+        self.rx_lock = threading.Lock()
+        self.rx_tail = b""
+        self.poller = select.poll()
+        self.poller.register(self.rx, select.POLLIN)
+        # ctrl.* counters: records/spills count what this rank ingested
+        # (under rx_lock); back-pressure waits count its blocked writes.
+        self.records = 0
+        self.spills = 0
+        self.backpressure_waits = 0
+        self.stats_lock = threading.Lock()
 
     @property
     def pool(self) -> SegmentPool:
         if self._pool is None:
-            self._pool = SegmentPool(f"{self._owner_tag}r{self.rank}")
+            self._pool = SegmentPool(self.peer_tags[self.rank])
         return self._pool
 
-    def drain_acks(self) -> None:
-        """Recycle every segment the peers have finished reading."""
-        if self._pool is None:
-            return
-        while True:
+    def begin_run(self, epoch: int) -> None:
+        """Enter run ``epoch``: what an abandoned run left unconsumed is
+        dropped, its segments owed back to their owners."""
+        with self.epoch_lock:
+            for src, stash in enumerate(self.stash):
+                if self.transport == "shm":
+                    self.stale_acks.extend((src, e[2]) for e in stash if e[2])
+                stash.clear()
+            self.epoch = epoch
+
+    def try_drain_inbox(self) -> None:
+        """Ingest what is readable now, unless another thread of this
+        rank is already reading (it does the ingesting then)."""
+        if self.rx_lock.acquire(blocking=False):
             try:
-                self._pool.release(self.acks[self.rank].get_nowait())
-            except queue.Empty:
-                return
+                self.drain_inbox()
+            finally:
+                self.rx_lock.release()
+
+    def drain_inbox(self) -> bool:
+        """Ingest what one read of the inbox returns (caller holds
+        ``rx_lock``); False when there was nothing to read."""
+        try:
+            data = os.read(self.rx, _READ_CHUNK)
+        except BlockingIOError:
+            return False
+        if self.rx_tail:
+            data = self.rx_tail + data
+        pos, end = 0, len(data)
+        while end - pos >= _HEADER.size:
+            length = data[pos] | data[pos + 1] << 8
+            if pos + length > end:
+                break
+            self._ingest(data, pos)
+            pos += length
+        self.rx_tail = data[pos:]  # a read may end inside a record
+        return True
+
+    def _ingest(self, data: bytes, pos: int) -> None:
+        """Take in the record at ``data[pos:]``: an ack recycles its
+        segment, a message is stashed, a stale epoch is dropped and its
+        segment owed back."""
+        _, kind, sender, epoch, seg_id, nframes = _HEADER.unpack_from(data, pos)
+        self.records += 1
+        if kind == _ACK:
+            if self._pool is not None:
+                self._pool.release(seg_id)
+            return
+        if kind == _SPILLED:
+            self.spills += 1
+        with self.epoch_lock:
+            if epoch == self.epoch:
+                # Lazy: bytes are only touched when the caller consumes them.
+                self.stash[sender].append(
+                    (data, pos + _HEADER.size, seg_id, nframes, kind == _SPILLED)
+                )
+            elif seg_id:  # stale — recycle the segment at the next flush
+                self.stale_acks.append((sender, seg_id))
 
     def segment_names(self) -> list[str]:
-        return [] if self._pool is None else list(self._pool.names())
+        return [] if self._pool is None else self._pool.names()
 
     def close(self, unlink_pool: bool) -> None:
         self.attachments.close()
@@ -122,7 +268,10 @@ class ProcessCommunicator(Communicator):
     Messages are tagged with the run ``epoch``; leftovers from an
     earlier, failed run (including fault-injected delayed deliveries)
     are discarded — and their segments acked — instead of corrupting
-    the current run.
+    the current run.  Constructing the communicator starts its run on
+    the runtime; an earlier run's communicator may still *send* (its
+    records carry its own epoch and are dropped on arrival) but can no
+    longer receive.
     """
 
     def __init__(self, runtime: _WorkerRuntime, barrier, timeout: float, epoch: int):
@@ -131,17 +280,15 @@ class ProcessCommunicator(Communicator):
         self._barrier = barrier
         self.timeout = timeout
         self._epoch = epoch
-        # Messages already received but not yet consumed, per source.
-        # Shared-memory payloads are stashed *undecoded* — (template,
-        # descriptors) — and only touched when the caller consumes them,
-        # so demultiplexing never copies bytes it does not need yet.
-        self._stash: list[deque] = [deque() for _ in range(runtime.world_size)]
+        runtime.begin_run(epoch)
         # Acks owed for segments whose views are still live (recv_view);
-        # flushed once the view has provably been consumed.
-        self._pending_acks: list[tuple[int, str]] = []
+        # flushed once the view has provably been consumed.  A timer
+        # thread's send may flush while the caller appends: hence the lock.
+        self._pending_acks: list[tuple[int, int]] = []
+        self._ack_lock = threading.Lock()
         # Acks held by recv_view_pinned: survive further communication
         # calls, released only by an explicit release_views().
-        self._pinned_acks: list[tuple[int, str]] = []
+        self._pinned_acks: list[tuple[int, int]] = []
 
     # ``_send`` captures payload bytes before returning (shm transport
     # copies into the segment synchronously), so collectives may pass
@@ -150,25 +297,36 @@ class ProcessCommunicator(Communicator):
     def SEND_SNAPSHOTS(self) -> bool:  # noqa: N802 - constant-style API
         return self._rt.transport == "shm"
 
+    # -- sending --------------------------------------------------------- #
     def _send(self, dst: int, obj: Any) -> None:
         rt = self._rt
         if rt.transport == "queue":
-            rt.inboxes[dst].put((_RAW_MSG, self.rank, self._epoch, obj))
+            rt.inboxes[dst].put((self.rank, self._epoch, obj))
             return
-        rt.drain_acks()
         template, frames = encode_frames(obj)
-        try:
-            segment, offsets = rt.pool.write_frames(frames)
-        except RuntimeError:
-            if rt.pool.closed:
-                return  # teardown: a delayed (fault-injected) send fired late
-            raise
+        table, total = frame_layout(frames)
+        kind, nframes = _MSG, len(frames)
+        body = struct.pack(f"<{len(table)}Q", *table) + pack_template(template)
+        if _HEADER.size + len(body) > RECORD_MAX:
+            # Spill: table + body ride in the segment as one more frame,
+            # and the record carries only that frame's table entry.
+            kind = _SPILLED
+            frames.append(np.frombuffer(body, dtype=np.uint8))
+            table, total = frame_layout(frames)
+            body = _ENTRY.pack(*table[-2:])
+        seg_id = 0
+        if total:
+            try:
+                seg_id, seg = self._acquire(total)
+            except RuntimeError:
+                if rt.pool.closed:
+                    return  # teardown: a delayed (fault-injected) send fired late
+                raise
+            fill_frames(seg, frames, table)
         # The frames are captured; any live recv_view the caller passed
         # in has been consumed, so its segments can go back to the peer.
         self._flush_acks()
-        rt.inboxes[dst].put(
-            (_SHM_MSG, self.rank, self._epoch, template, segment, offsets)
-        )
+        self._write(dst, self._record(kind, seg_id, nframes, body))
 
     def send_sum(self, dst: int, x: Any, y: Any) -> None:
         """Reduce ``x + y`` directly into a pooled segment (zero-copy path).
@@ -195,9 +353,8 @@ class ProcessCommunicator(Communicator):
         self.messages_sent += 1
         obs = self.obs
         t0 = obs.t() if obs.enabled else 0.0
-        rt.drain_acks()
         try:
-            seg = rt.pool.acquire(x.nbytes)
+            seg_id, seg = self._acquire(x.nbytes)
         except RuntimeError:
             if rt.pool.closed:
                 return  # teardown: a delayed (fault-injected) send fired late
@@ -205,20 +362,73 @@ class ProcessCommunicator(Communicator):
         target = np.frombuffer(seg.buf, dtype=x.dtype, count=x.size)
         np.add(x.reshape(-1), y.reshape(-1), out=target)
         self._flush_acks()  # x (a possible recv_view) is consumed now
-        rt.inboxes[dst].put(
-            (
-                _SHM_MSG,
-                self.rank,
-                self._epoch,
-                ndarray_template(x.dtype, x.shape),
-                seg.name,
-                [(0, x.nbytes)],
-            )
+        body = _ENTRY.pack(0, x.nbytes) + pack_template(
+            ndarray_template(x.dtype, x.shape)
         )
+        self._write(dst, self._record(_MSG, seg_id, 1, body))
         if obs.enabled:
             obs.count(f"wire_bytes.{x.dtype.name}", x.nbytes)
             obs.rec_phase("send_sum", t0)
 
+    def _record(self, kind: int, seg_id: int, nframes: int, body: bytes = b"") -> bytes:
+        return (
+            _HEADER.pack(
+                _HEADER.size + len(body), kind, self.rank, self._epoch, seg_id, nframes
+            )
+            + body
+        )
+
+    def _acquire(self, nbytes: int):
+        """A pool segment for ``nbytes``, collecting acks before growing.
+
+        A rank that only sends never reads its inbox in ``_wait``; its
+        acks are ingested here, when the pool would otherwise allocate.
+        """
+        pool = self._rt.pool
+        if not pool.has_free(nbytes):
+            self._rt.try_drain_inbox()
+        return pool.acquire(nbytes)
+
+    def _write(self, dst: int, record: bytes) -> None:
+        """Put one record into rank ``dst``'s inbox (atomic: <= PIPE_BUF)."""
+        fd = self._rt.tx[dst]
+        try:
+            os.write(fd, record)
+        except BlockingIOError:
+            self._write_blocked(dst, fd, record)
+
+    def _write_blocked(self, dst: int, fd: int, record: bytes) -> None:
+        """Back-pressure: ``dst``'s inbox is full.
+
+        Keep ingesting our own inbox while waiting — when every rank
+        sends before any receives, that is what empties the pipes — and
+        sleep in ``poll`` on both ends between attempts.  ``rx_lock`` is
+        held only for each read, never across the sleep, so a receiving
+        thread of this rank is not kept from the inbox (or from what
+        this thread stashed) while the destination stays full.
+        """
+        rt = self._rt
+        with rt.stats_lock:
+            rt.backpressure_waits += 1
+        deadline = time.monotonic() + self.timeout
+        poller = select.poll()
+        poller.register(fd, select.POLLOUT)
+        poller.register(rt.rx, select.POLLIN)
+        while True:
+            rt.try_drain_inbox()
+            try:
+                os.write(fd, record)
+                return
+            except BlockingIOError:
+                pass
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not poller.poll(remaining * 1e3):
+                raise TimeoutError(
+                    f"rank {self.rank}: rank {dst}'s control channel stayed "
+                    f"full for {self.timeout}s (peer dead or deadlocked?)"
+                )
+
+    # -- receiving ------------------------------------------------------- #
     def _recv(self, src: int) -> Any:
         return self._decode_entry(src, self._wait(src), copy=True)
 
@@ -233,26 +443,24 @@ class ProcessCommunicator(Communicator):
             self._emit_acks(self._pinned_acks)
             self._pinned_acks.clear()
 
-    def _wait(self, src: int) -> tuple:
+    def _wait(self, src: int) -> Any:
         """Block until a current-epoch message from ``src`` is stashed."""
         self._flush_acks()  # any prior recv_view is dead by contract
-        stash = self._stash[src]
+        rt = self._rt
+        self._check_current()
+        stash = rt.stash[src]
         if stash:
             return stash.popleft()
         obs = self.obs
         t0 = obs.t() if obs.enabled else 0.0
         deadline = time.monotonic() + self.timeout
-        while not stash:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            try:
-                msg = self._rt.inboxes[self.rank].get(timeout=remaining)
-            except queue.Empty:
-                break
-            self._ingest(msg)
+        if rt.transport == "queue":
+            self._pump_queue(stash, deadline)
+        else:
+            self._pump_channel(stash, deadline)
         if obs.enabled:  # blocking portion of the receive: segment wait
             obs.rec_phase("segment_wait", t0)
+        self._check_current()
         if not stash:
             raise TimeoutError(
                 f"rank {self.rank}: no message from rank {src} within "
@@ -260,49 +468,88 @@ class ProcessCommunicator(Communicator):
             )
         return stash.popleft()
 
-    def _ingest(self, msg: tuple) -> None:
-        """Stash one inbox message; stale epochs are acked and dropped."""
-        tag, sender, epoch = msg[0], msg[1], msg[2]
-        if tag == _RAW_MSG:
-            if epoch == self._epoch:
-                self._stash[sender].append((_RAW_MSG, msg[3]))
+    def _check_current(self) -> None:
+        """The stash belongs to the worker's current run: an earlier
+        run's communicator must not consume from it."""
+        if self._epoch != self._rt.epoch:
+            raise RuntimeError(
+                f"rank {self.rank}: receive on the communicator of run "
+                f"{self._epoch}, but run {self._rt.epoch} has started"
+            )
+
+    def _pump_queue(self, stash: deque, deadline: float) -> None:
+        inbox = self._rt.inboxes[self.rank]
+        while not stash:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return
+            try:
+                sender, epoch, obj = inbox.get(timeout=remaining)
+            except queue.Empty:
+                return
+            if epoch == self._epoch:  # stale epochs are dropped
+                self._rt.stash[sender].append(obj)
+
+    def _pump_channel(self, stash: deque, deadline: float) -> None:
+        rt = self._rt
+        # The lock wait counts against the deadline too: another thread
+        # of this rank may be receiving (and stashing for us) meanwhile.
+        if not rt.rx_lock.acquire(timeout=max(0.0, deadline - time.monotonic())):
             return
-        _, _, _, template, segment, offsets = msg
-        if epoch == self._epoch:
-            # Lazy: bytes are only touched when the caller consumes them.
-            self._stash[sender].append((_SHM_MSG, template, segment, offsets))
-            return
-        if segment is not None:  # stale — recycle the segment immediately
-            self._rt.acks[sender].put(segment)
+        try:
+            while not stash and self._epoch == rt.epoch:
+                if rt.drain_inbox():
+                    continue
+                remaining = deadline - time.monotonic()
+                if remaining <= 0 or not rt.poller.poll(remaining * 1e3):
+                    return
+        finally:
+            rt.rx_lock.release()
 
     def _decode_entry(
-        self, src: int, entry: tuple, copy: bool, pin: bool = False
+        self, src: int, entry: Any, copy: bool, pin: bool = False
     ) -> Any:
-        if entry[0] == _RAW_MSG:
-            return entry[1]
-        _, template, segment, offsets = entry
+        rt = self._rt
+        if rt.transport == "queue":
+            return entry
+        data, pos, seg_id, nframes, spilled = entry
+        tag = rt.peer_tags[src]
+        view = rt.attachments.view
+        if spilled:
+            offset, nbytes = _ENTRY.unpack_from(data, pos)
+            data, pos = bytes(view(tag, seg_id, nbytes, offset)), 0
+        table = struct.unpack_from(f"<{2 * nframes}Q", data, pos)
+        template = unpack_template(data, pos + 16 * nframes)
         buffers = [
-            self._rt.attachments.view(segment, desc[1], desc[0]) if desc else b""
-            for desc in offsets
+            view(tag, seg_id, table[i + 1], table[i]) if table[i + 1] else b""
+            for i in range(0, 2 * nframes, 2)
         ]
         payload = decode_frames(template, buffers, copy=copy)
-        acks = [(src, segment)] if segment is not None else []
+        if not seg_id:
+            return payload
         if copy:
-            self._emit_acks(acks)  # bytes owned — recycle right away
+            self._emit_acks([(src, seg_id)])  # bytes owned — recycle right away
         elif pin:
-            self._pinned_acks.extend(acks)  # held until release_views()
+            self._pinned_acks.append((src, seg_id))  # held until release_views()
         else:
-            self._pending_acks.extend(acks)  # view live — ack on consume
+            with self._ack_lock:  # view live — ack on consume
+                self._pending_acks.append((src, seg_id))
         return payload
 
-    def _emit_acks(self, acks: list[tuple[int, str]]) -> None:
-        for sender, name in acks:
-            self._rt.acks[sender].put(name)
+    def _emit_acks(self, acks: list[tuple[int, int]]) -> None:
+        for owner, seg_id in acks:
+            self._write(owner, self._record(_ACK, seg_id, 0))
 
     def _flush_acks(self) -> None:
+        rt = self._rt
+        if rt.stale_acks:
+            with rt.epoch_lock:
+                acks, rt.stale_acks = rt.stale_acks, []
+            self._emit_acks(acks)
         if self._pending_acks:
-            self._emit_acks(self._pending_acks)
-            self._pending_acks.clear()
+            with self._ack_lock:
+                acks, self._pending_acks = self._pending_acks, []
+            self._emit_acks(acks)
 
     def barrier(self) -> None:
         self._flush_acks()
@@ -315,7 +562,8 @@ class ProcessCommunicator(Communicator):
         obs.rec_phase("barrier", t0)
 
     def transport_counters(self) -> dict[str, float]:
-        """Segment-pool and attachment statistics (see :mod:`repro.obs`)."""
+        """Segment-pool, attachment and control-channel statistics (see
+        :mod:`repro.obs`)."""
         rt = self._rt
         out: dict[str, float] = {"shm.attachments": float(len(rt.attachments))}
         if rt._pool is not None:
@@ -324,18 +572,17 @@ class ProcessCommunicator(Communicator):
             out["segpool.misses"] = float(pool.misses)
             out["segpool.segments"] = float(len(pool))
             out["segpool.bytes"] = float(pool.pooled_bytes)
+        if rt.transport == "shm":
+            out["ctrl.records"] = float(rt.records)
+            out["ctrl.backpressure_waits"] = float(rt.backpressure_waits)
+            out["ctrl.spills"] = float(rt.spills)
         return out
-
-
-class _STALE:
-    """Sentinel: message belonged to a previous run epoch."""
 
 
 def _service_loop(
     rank,
     world_size,
     inboxes,
-    acks,
     barrier,
     timeout,
     transport,
@@ -351,7 +598,7 @@ def _service_loop(
     ``initial`` — captured at fork, so it needs no pickling — and exits
     after reporting.  Persistent mode loops on ``cmd_queue``.
     """
-    runtime = _WorkerRuntime(rank, world_size, inboxes, acks, transport, owner_tag)
+    runtime = _WorkerRuntime(rank, world_size, inboxes, transport, owner_tag)
     try:
         epoch = 0
         while True:
@@ -369,8 +616,11 @@ def _service_loop(
                 status, payload = "ok", fn(comm, *args, **kwargs)
             except BaseException as exc:  # noqa: BLE001 - reported to parent
                 status, payload = "error", repr(exc)
-            comm._flush_acks()  # release any segments held by a recv_view
-            comm.release_views()  # ... and any a collective left pinned
+            try:
+                comm._flush_acks()  # release any segments held by a recv_view
+                comm.release_views()  # ... and any a collective left pinned
+            except TimeoutError:
+                pass  # the owner is gone; close() sweeps its segments
             names = runtime.segment_names()
             try:
                 blob = pickle.dumps((status, payload, names))
@@ -388,16 +638,35 @@ def _service_loop(
 
 
 class _GroupResources:
-    """Queues and barrier shared by the parent and its workers."""
+    """Links, barrier and dispatch queues shared by the parent and its
+    workers.  Everything here is created before the fork and inherited."""
 
-    def __init__(self, ctx, world_size: int, persistent: bool):
-        self.inboxes = [ctx.Queue() for _ in range(world_size)]
-        self.acks = [ctx.Queue() for _ in range(world_size)]
+    def __init__(self, ctx, world_size: int, persistent: bool, transport: str):
+        if transport == "queue":
+            self.inboxes = [ctx.Queue() for _ in range(world_size)]
+        else:
+            # One control channel per destination rank.  Both ends are
+            # non-blocking: a full inbox is the sender's cue to ingest
+            # its own (see ``_write_blocked``), never a blocked write.
+            self.inboxes = [os.pipe() for _ in range(world_size)]
+            for fds in self.inboxes:
+                for fd in fds:
+                    os.set_blocking(fd, False)
+        self.transport = transport
         self.barrier = ctx.Barrier(world_size)
         self.result_queue = ctx.Queue()
         self.cmd_queues = (
             [ctx.Queue() for _ in range(world_size)] if persistent else None
         )
+
+    def close(self) -> None:
+        """Close the parent's copies of the channel ends (the workers'
+        copies die with them)."""
+        if self.transport == "shm":
+            for fds in self.inboxes:
+                for fd in fds:
+                    os.close(fd)
+        self.inboxes = []
 
 
 class ProcessGroup:
@@ -472,7 +741,9 @@ class ProcessGroup:
             raise RuntimeError("process group is broken (a worker died)")
         if self._procs is not None:
             return self
-        self._res = _GroupResources(self._ctx, self.world_size, persistent=True)
+        self._res = _GroupResources(
+            self._ctx, self.world_size, persistent=True, transport=self.transport
+        )
         self._procs = [
             self._ctx.Process(
                 target=_service_loop,
@@ -480,7 +751,6 @@ class ProcessGroup:
                     r,
                     self.world_size,
                     self._res.inboxes,
-                    self._res.acks,
                     self._res.barrier,
                     self.timeout,
                     self.transport,
@@ -523,6 +793,7 @@ class ProcessGroup:
                 p.terminate()
                 p.join(timeout=1.0)
         self._procs = None
+        self._res.close()
         self._res = None
         self._sweep_segments()
 
@@ -565,7 +836,9 @@ class ProcessGroup:
         return self._collect(self._epoch, self._procs)
 
     def _run_once(self, fn, args, kwargs) -> list[Any]:
-        res = _GroupResources(self._ctx, self.world_size, persistent=False)
+        res = _GroupResources(
+            self._ctx, self.world_size, persistent=False, transport=self.transport
+        )
         procs = [
             self._ctx.Process(
                 target=_service_loop,
@@ -573,7 +846,6 @@ class ProcessGroup:
                     r,
                     self.world_size,
                     res.inboxes,
-                    res.acks,
                     res.barrier,
                     self.timeout,
                     self.transport,
@@ -596,6 +868,7 @@ class ProcessGroup:
                 p.join(timeout=self.timeout)
                 if p.is_alive():  # pragma: no cover - defensive cleanup
                     p.terminate()
+            res.close()
             self._sweep_segments()
 
     def _collect(self, epoch: int, procs, result_queue=None) -> list[Any]:

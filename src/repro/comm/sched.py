@@ -63,6 +63,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.comm.backend import Communicator, ring_chunk_bounds
+from repro.comm.frames import own_payload
 
 #: Control channel carrying scheduler run/stop tokens (item ids are >= 0).
 CTRL = -1
@@ -333,11 +334,19 @@ class _WorkItem:
 class _ChannelComm(Communicator):
     """Channel-isolated view of the engine's base communicator.
 
-    ``_send`` envelopes every message with the item's channel id;
-    ``_recv`` demultiplexes, stashing messages destined for other
+    ``_send`` envelopes every message with the item's channel id; the
+    receive primitives demultiplex, stashing messages destined for other
     channels in the scheduler-owned stash (keyed ``(src, channel)``)
     until their item runs.  Only the comm thread touches the base
     communicator's primitives, so single-threaded transports are safe.
+
+    The zero-copy hooks (``recv_view`` / ``recv_view_pinned`` /
+    ``release_views``, and ``recv_into`` built on them) forward to the
+    base communicator, so a scheduled collective reduces out of
+    transport-owned memory exactly as an inline one does.  A message
+    for *another* channel received that way is copied to owned memory
+    before it is stashed — its view dies with the next base call; only
+    a match is handed out live.
 
     Byte accounting accumulates locally and is folded into the base
     communicator after the item completes; ``obs`` is copied from the
@@ -361,16 +370,31 @@ class _ChannelComm(Communicator):
     def _send(self, dst: int, obj: Any) -> None:
         self._base._send(dst, (self._channel, obj))
 
-    def _recv(self, src: int) -> Any:
-        key = (src, self._channel)
-        pending = self._stash.get(key)
+    def _demux(self, src: int, recv: Callable[[int], Any], live: bool) -> Any:
+        """Next message of this channel from ``src`` through the base
+        primitive ``recv``; ``live`` says its results may be views."""
+        pending = self._stash.get((src, self._channel))
         if pending:
             return pending.popleft()
         while True:
-            channel, obj = self._base._recv(src)
+            channel, obj = recv(src)
             if channel == self._channel:
                 return obj
-            self._stash.setdefault((src, channel), deque()).append(obj)
+            self._stash.setdefault((src, channel), deque()).append(
+                own_payload(obj) if live else obj
+            )
+
+    def _recv(self, src: int) -> Any:
+        return self._demux(src, self._base._recv, live=False)
+
+    def _recv_view(self, src: int) -> Any:
+        return self._demux(src, self._base._recv_view, live=True)
+
+    def _recv_view_pinned(self, src: int) -> Any:
+        return self._demux(src, self._base._recv_view_pinned, live=True)
+
+    def release_views(self) -> None:
+        self._base.release_views()
 
     def barrier(self) -> None:
         self._base.barrier()

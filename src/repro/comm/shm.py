@@ -5,11 +5,15 @@ The sender side of every worker owns a :class:`SegmentPool` of
 size class.  Sending a frame copies its bytes straight into a pooled
 segment (one memcpy); the receiver attaches by name (cached — segments
 are recycled, so each is attached at most once per peer), copies the
-payload out, and returns the segment's name through an *ack queue* so
-the sender can reuse it.  Compared with pickling through an OS pipe —
-serialize, chunked 64 KiB pipe writes with a context switch each, read,
-deserialize — the wire cost drops to two memcpys plus one tiny control
-message.
+payload out, and returns the segment's id in an *ack record* on the
+owner's control channel so the sender can reuse it.  Compared with
+pickling through an OS pipe — serialize, chunked 64 KiB pipe writes with
+a context switch each, read, deserialize — the wire cost drops to two
+memcpys plus one tiny control record.
+
+A segment is identified on the wire by ``(owner rank, id)``: ids count
+up from 1 per pool (0 means "no segment"), and every process derives
+the OS name from the owner's tag with :func:`segment_name`.
 
 Lifecycle: segments are created lazily by the first send that needs
 their size class, recycled via acks, and unlinked by the owning worker
@@ -20,7 +24,6 @@ removed while a peer might still read it.
 
 from __future__ import annotations
 
-import os
 import threading
 from multiprocessing import shared_memory
 
@@ -35,6 +38,11 @@ FRAME_ALIGN = 64
 
 #: Every pool segment name starts with this (also the cleanup-sweep key).
 SEGMENT_PREFIX = "repro-"
+
+
+def segment_name(owner_tag: str, seg_id: int) -> str:
+    """OS name of segment ``seg_id`` of the pool tagged ``owner_tag``."""
+    return f"{SEGMENT_PREFIX}{owner_tag}-{seg_id}"
 
 
 def _size_class(nbytes: int) -> int:
@@ -95,8 +103,8 @@ class SegmentPool:
         bypass_resource_tracker()
         self._owner_tag = owner_tag
         self._seq = 0
-        self._segments: dict[str, shared_memory.SharedMemory] = {}
-        self._free: dict[int, list[str]] = {}
+        self._segments: dict[int, shared_memory.SharedMemory] = {}
+        self._free: dict[int, list[int]] = {}
         self._lock = threading.Lock()
         self._closed = False
         # Recycling effectiveness (hit = reused segment, miss = fresh
@@ -119,10 +127,15 @@ class SegmentPool:
         """Names of every segment this pool has created (for the parent's
         cleanup sweep when the worker itself must not unlink)."""
         with self._lock:
-            return list(self._segments)
+            return [s.name for s in self._segments.values()]
 
-    def acquire(self, nbytes: int) -> shared_memory.SharedMemory:
-        """A segment of at least ``nbytes`` (recycled when possible)."""
+    def has_free(self, nbytes: int) -> bool:
+        """Whether :meth:`acquire` would recycle rather than allocate."""
+        with self._lock:
+            return bool(self._free.get(_size_class(nbytes)))
+
+    def acquire(self, nbytes: int) -> tuple[int, shared_memory.SharedMemory]:
+        """``(id, segment)`` of at least ``nbytes`` (recycled when possible)."""
         cls = _size_class(nbytes)
         with self._lock:
             if self._closed:
@@ -130,58 +143,23 @@ class SegmentPool:
             bucket = self._free.get(cls)
             if bucket:
                 self.hits += 1
-                return self._segments[bucket.pop()]
+                seg_id = bucket.pop()
+                return seg_id, self._segments[seg_id]
             self.misses += 1
             self._seq += 1
-            name = f"{SEGMENT_PREFIX}{self._owner_tag}-{os.getpid()}-{self._seq}"
-            seg = shared_memory.SharedMemory(name=name, create=True, size=cls)
-            self._segments[seg.name] = seg
-            return seg
+            seg = shared_memory.SharedMemory(
+                name=segment_name(self._owner_tag, self._seq), create=True, size=cls
+            )
+            self._segments[self._seq] = seg
+            return self._seq, seg
 
-    def release(self, name: str) -> None:
+    def release(self, seg_id: int) -> None:
         """Return an acked segment to its size-class free list."""
         with self._lock:
-            seg = self._segments.get(name)
+            seg = self._segments.get(seg_id)
             if seg is None or self._closed:
                 return
-            self._free.setdefault(seg.size, []).append(name)
-
-    def write_frames(
-        self, frames: list[np.ndarray]
-    ) -> tuple[str | None, list[tuple[int, int] | None]]:
-        """Pack every frame of one message into a single pooled segment.
-
-        Frames are laid out back to back at :data:`FRAME_ALIGN`-aligned
-        offsets, so a sparse tuple message — indices, values, masks —
-        costs one ``acquire`` and one ack instead of one per frame.
-        Returns ``(segment name, [(offset, nbytes) | None per frame])``;
-        the name is ``None`` when every frame is empty (nothing to
-        ship).  Alignment keeps every ``np.frombuffer`` view on the
-        receiver aligned for any element type.
-        """
-        offsets: list[tuple[int, int] | None] = []
-        total = 0
-        for frame in frames:
-            if not frame.nbytes:
-                offsets.append(None)
-                continue
-            offsets.append((total, frame.nbytes))
-            total += -(-frame.nbytes // FRAME_ALIGN) * FRAME_ALIGN
-        if total == 0:
-            return None, offsets
-        seg = self.acquire(total)
-        for frame, desc in zip(frames, offsets):
-            if desc is None:
-                continue
-            offset, _ = desc
-            # Element-typed destination view: a strided frame (a column
-            # slice sent without packing) gathers straight into the
-            # segment — one copy where pack-then-memcpy would be two.
-            target = np.frombuffer(
-                seg.buf, dtype=frame.dtype, count=frame.size, offset=offset
-            )
-            target.reshape(frame.shape)[...] = frame
-        return seg.name, offsets
+            self._free.setdefault(seg.size, []).append(seg_id)
 
     def close(self, unlink: bool = True) -> None:
         """Release every segment this pool ever created (in-flight included).
@@ -206,21 +184,60 @@ class SegmentPool:
             self._free.clear()
 
 
+def frame_layout(frames: list[np.ndarray]) -> tuple[list[int], int]:
+    """Where each frame of one message sits in its single segment.
+
+    Frames are laid out back to back at :data:`FRAME_ALIGN`-aligned
+    offsets, so a sparse tuple message — indices, values, masks — costs
+    one ``acquire`` and one ack instead of one per frame.  Returns the
+    flat table ``[offset0, nbytes0, offset1, nbytes1, ...]`` (an empty
+    frame is ``0, 0``: nothing to ship) and the total bytes needed.
+    Alignment keeps every ``np.frombuffer`` view on the receiver aligned
+    for any element type.
+    """
+    table: list[int] = []
+    total = 0
+    for frame in frames:
+        nbytes = frame.nbytes
+        if not nbytes:
+            table += (0, 0)
+            continue
+        table += (total, nbytes)
+        total += -(-nbytes // FRAME_ALIGN) * FRAME_ALIGN
+    return table, total
+
+
+def fill_frames(
+    seg: shared_memory.SharedMemory, frames: list[np.ndarray], table: list[int]
+) -> None:
+    """Copy every non-empty frame to its :func:`frame_layout` offset."""
+    for i, frame in enumerate(frames):
+        if not table[2 * i + 1]:
+            continue
+        # Element-typed destination view: a strided frame (a column
+        # slice sent without packing) gathers straight into the
+        # segment — one copy where pack-then-memcpy would be two.
+        target = np.frombuffer(
+            seg.buf, dtype=frame.dtype, count=frame.size, offset=table[2 * i]
+        )
+        target.reshape(frame.shape)[...] = frame
+
+
 class AttachmentCache:
     """Receiver-side cache of attached peer segments (attach once, reuse)."""
 
     def __init__(self):
         bypass_resource_tracker()
-        self._attached: dict[str, shared_memory.SharedMemory] = {}
+        self._attached: dict[tuple[str, int], shared_memory.SharedMemory] = {}
 
     def __len__(self) -> int:
         return len(self._attached)
 
-    def view(self, name: str, nbytes: int, offset: int = 0) -> memoryview:
-        seg = self._attached.get(name)
+    def view(self, owner_tag: str, seg_id: int, nbytes: int, offset: int = 0) -> memoryview:
+        seg = self._attached.get((owner_tag, seg_id))
         if seg is None:
-            seg = shared_memory.SharedMemory(name=name)
-            self._attached[name] = seg
+            seg = shared_memory.SharedMemory(name=segment_name(owner_tag, seg_id))
+            self._attached[owner_tag, seg_id] = seg
         return seg.buf[offset : offset + nbytes]
 
     def close(self) -> None:

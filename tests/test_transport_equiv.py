@@ -204,6 +204,33 @@ def test_collective_identical_across_transports(
             assert_bit_identical(reference[rank], got[rank])
 
 
+#: PR 8's ulp bug sat latent because every case here ran at one world
+#: size; rings, trees and the sparse merges take different paths at 2,
+#: at an odd world, and past a power of two.
+OTHER_WORLDS = (2, 3, 5)
+
+
+@pytest.fixture(scope="module", params=OTHER_WORLDS)
+def shm_group_of(request):
+    with open_group(
+        request.param, backend="process", timeout=60.0, transport="shm"
+    ) as group:
+        yield group
+
+
+@pytest.mark.parametrize(
+    "name,fn,args", RUNNERS, ids=[name for name, _, _ in RUNNERS]
+)
+def test_shm_matches_threads_at_other_worlds(name, fn, args, shm_group_of):
+    world = shm_group_of.world_size
+    if name == "hierarchical" and world % 2:
+        pytest.skip("gpus_per_node=2 needs an even world")
+    reference = run_threaded(world, fn, *args)
+    got = shm_group_of.run(fn, *args)
+    for rank in range(world):
+        assert_bit_identical(reference[rank], got[rank])
+
+
 def test_allreduce_out_returns_buffer(shm_group):
     for _, used_out in shm_group.run(run_allreduce_out):
         assert used_out
