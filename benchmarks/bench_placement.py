@@ -96,7 +96,6 @@ def measure(
         dim=dim,
         world_size=world,
         backend=backend,
-        transport="shm" if backend == "process" else None,
         clients=clients,
         requests_per_client=requests_per_client,
         zipf_exponent=ZIPF_EXPONENT,
@@ -108,7 +107,6 @@ def measure(
         world,
         backend=backend,
         trace=TraceConfig(row_topk=ROW_TOPK),
-        **({"transport": "shm"} if backend == "process" else {}),
     ) as group:
         # Phase A: traced uniform run — the learning trace AND the
         # wire-bytes baseline in one pass (counters are deterministic).

@@ -48,7 +48,6 @@ def measure(
     steps: int = STEPS,
     seed: int = SEED,
     backend: str = "process",
-    transport: str | None = "shm",
     sim_world=None,
     probe: str = "full",
 ) -> dict:
@@ -59,7 +58,6 @@ def measure(
         steps=steps,
         seed=seed,
         backend=backend,
-        transport=None if backend == "thread" else transport,
         sim_world=tuple(sim_world) if sim_world else None,
     )
     sizes, iters = (
@@ -76,7 +74,6 @@ def measure(
             "steps": steps,
             "seed": seed,
             "backend": backend,
-            "transport": config.transport,
             "sim_world": list(sim_world) if sim_world else None,
             "probe": probe,
             "model": config.model.name,
@@ -110,7 +107,7 @@ def render(results: dict) -> str:
     report = results["report"]
     lines = [
         f"{meta['world']}-rank hybrid scaling benchmark "
-        f"({meta['backend']}/{meta['transport']}, {meta['steps']} steps, "
+        f"({meta['backend']}, {meta['steps']} steps, "
         f"{meta['cpus']} cpus)",
         "",
         f"real twins: losses bit-identical = {results['losses_identical']}, "

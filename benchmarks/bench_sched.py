@@ -39,7 +39,7 @@ DIM_DIVISOR = 16
 
 def _train_once(config, world: int, steps: int, overlap: bool) -> dict:
     """One traced training run; returns stall fractions + loss curve."""
-    with open_group(world, backend="process", transport="shm", trace=True) as g:
+    with open_group(world, backend="process", trace=True) as g:
         result = RealTrainer(
             config,
             strategy="embrace",

@@ -78,7 +78,6 @@ def measure(
             dim=dim,
             world_size=world,
             backend=backend,
-            transport="shm" if backend == "process" else None,
             clients=clients,
             requests_per_client=requests_per_client,
             train_steps=train_steps,
@@ -100,11 +99,7 @@ def measure(
     }
     losses_identical = True
     torn = 0
-    with open_group(
-        world,
-        backend=backend,
-        **({"transport": "shm"} if backend == "process" else {}),
-    ) as group:
+    with open_group(world, backend=backend) as group:
         # Steady state first: fork the pool, warm the segment pools.
         _serve_once(group, config(client_levels[0]))
         per_level: dict[int, list[dict]] = {c: [] for c in client_levels}

@@ -56,7 +56,6 @@ def measure(
     dim_divisor: int = DIM_DIVISOR,
     seed: int = SEED,
     backend: str = "process",
-    transport: str | None = "shm",
     top_k: int = TOP_K,
 ) -> dict:
     config = GNMT8.scaled(vocab=vocab, dim_divisor=dim_divisor)
@@ -64,7 +63,6 @@ def measure(
         config,
         world_size=world,
         backend=backend,
-        transport=None if backend == "thread" else transport,
         steps=steps,
         seed=seed,
         space=BENCH_SPACE,
@@ -78,7 +76,6 @@ def measure(
             "steps": steps,
             "seed": seed,
             "backend": backend,
-            "transport": transport,
             "top_k": top_k,
             "config": {"vocab": vocab, "dim_divisor": dim_divisor},
             "cpus": os.cpu_count(),
@@ -131,7 +128,7 @@ def render(results: dict) -> str:
         f"{meta['world']}-rank auto-tuning benchmark "
         f"(GNMT8 vocab={meta['config']['vocab']}"
         f"/{meta['config']['dim_divisor']}, {meta['steps']} steps, "
-        f"{meta['backend']}/{meta['transport']}, {meta['cpus']} cpus)",
+        f"{meta['backend']}, {meta['cpus']} cpus)",
         "",
         f"{'fitted links':>24}:",
     ]

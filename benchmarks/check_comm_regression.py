@@ -2,9 +2,9 @@
 
 Re-runs each benchmark with the parameters recorded in its committed
 baseline's ``meta`` block and compares the fresh ``guarded`` ratios
-against the baseline — ratios (shm-over-queue, persistent-over-one-shot,
-sync-over-overlap stall, tuning's step-time accuracy and
-default-over-tuned stall) instead of absolute numbers, because they
+against the baseline — ratios (persistent-over-one-shot dispatch,
+adaptive-over-allgather, sync-over-overlap stall, tuning's step-time
+accuracy and default-over-tuned stall) instead of absolute numbers, because they
 cancel most host-speed variance.  A ratio falling more than
 ``--tolerance`` (default 30%) below baseline fails the build, as do the
 benches' own absolute criteria: loss-curve divergence anywhere, a tuned
@@ -190,7 +190,6 @@ def check_tune(baseline_path: str, tolerance: float) -> list[str]:
             dim_divisor=meta["config"]["dim_divisor"],
             seed=meta["seed"],
             backend=meta["backend"],
-            transport=meta["transport"],
             top_k=meta["top_k"],
         )
 
@@ -269,7 +268,6 @@ def check_scale(baseline_path: str, tolerance: float) -> list[str]:
             steps=meta["steps"],
             seed=meta["seed"],
             backend=meta["backend"],
-            transport=meta["transport"],
             sim_world=meta["sim_world"],
             probe=meta["probe"],
         )
@@ -354,8 +352,7 @@ def main() -> int:
     )
     parser.add_argument(
         "--payload-mb", type=float, default=None,
-        help="default: same as the baseline run (the shm-over-queue "
-        "ratio grows with payload, so fresh and baseline must match)",
+        help="default: same as the baseline run",
     )
     parser.add_argument("--iters", type=int, default=None)
     args = parser.parse_args()

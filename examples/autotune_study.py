@@ -49,7 +49,6 @@ def main() -> None:
         config,
         world_size=args.world,
         backend=args.backend,
-        transport="shm" if args.backend == "process" else None,
         steps=args.steps,
         seed=args.seed,
         space=space,

@@ -53,7 +53,6 @@ def main() -> None:
     base = dict(
         vocab=args.vocab, dim=args.dim, world_size=args.world,
         backend=args.backend,
-        transport="shm" if args.backend == "process" else None,
         clients=args.clients, requests_per_client=args.requests,
         zipf_exponent=args.zipf, train_steps=args.steps, seed=args.seed,
     )
@@ -63,7 +62,6 @@ def main() -> None:
         args.world,
         backend=args.backend,
         trace=TraceConfig(row_topk=256),
-        **({"transport": "shm"} if args.backend == "process" else {}),
     ) as group:
         # 1. Uniform run, traced: the learning data AND the baseline.
         print(f"[1/4] uniform column sharding, traced "

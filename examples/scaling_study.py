@@ -50,7 +50,6 @@ def main() -> None:
             world_size=args.world,
             steps=args.steps,
             backend=args.backend,
-            transport="shm" if args.backend == "process" else None,
             sim_world=args.max_world,
         ),
         probe_sizes_bytes=sizes,

@@ -43,7 +43,6 @@ def main() -> None:
             dim=args.dim,
             world_size=args.world,
             backend=args.backend,
-            transport="shm" if args.backend == "process" else None,
             clients=clients,
             requests_per_client=args.requests,
             train_steps=args.steps,
@@ -61,11 +60,7 @@ def main() -> None:
     identical = True
     torn = 0
     # One warm pool serves every concurrency level (forked once).
-    with open_group(
-        args.world,
-        backend=args.backend,
-        **({"transport": "shm"} if args.backend == "process" else {}),
-    ) as group:
+    with open_group(args.world, backend=args.backend) as group:
         for clients in args.clients:
             cfg = config(clients)
             report = ShardedEmbeddingService(cfg, group=group).run()

@@ -192,23 +192,20 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         # CI pipeline exercise: thread backend, tiny probes, <= 4-candidate
         # grid, short runs — every stage of probe -> fit -> search ->
         # validate runs, in seconds.
-        backend, transport = "thread", None
+        backend = "thread"
         world = min(args.world, 2)
         steps = min(args.steps, 3)
         sizes, iters = SMOKE_SIZES_BYTES, 3
         space, rungs, top_k = SearchSpace.smoke(), (2,), 1
     else:
-        backend, transport = args.backend, args.transport
+        backend = args.backend
         world, steps = args.world, args.steps
         sizes, iters = PROBE_SIZES_BYTES, DEFAULT_PROBE_ITERS
         space, rungs, top_k = SearchSpace(), (2, 4), args.top_k
-    if backend == "thread":
-        transport = None
     report = autotune(
         get_config(args.model).tiny(),
         world_size=world,
         backend=backend,
-        transport=transport,
         steps=steps,
         seed=args.seed,
         space=space,
@@ -248,7 +245,7 @@ def _cmd_scale(args: argparse.Namespace) -> int:
         # ranks, tiny probes, a short ladder — real twins, per-level
         # fit and replay all run in a couple of seconds.
         model = scale_bench_model()
-        world, steps, backend, transport = 4, 2, "thread", None
+        world, steps, backend = 4, 2, "thread"
         sim_world: tuple[int, ...] | int | None = (16, 64)
         sizes, iters = SMOKE_SIZES_BYTES, 3
     else:
@@ -259,7 +256,6 @@ def _cmd_scale(args: argparse.Namespace) -> int:
         )
         world, steps = args.world, args.steps
         backend = args.backend
-        transport = None if backend == "thread" else args.transport
         sim_world = args.max_world
         sizes, iters = PROBE_SIZES_BYTES, DEFAULT_PROBE_ITERS
     res = run_hybrid(
@@ -270,7 +266,6 @@ def _cmd_scale(args: argparse.Namespace) -> int:
             steps=steps,
             seed=args.seed,
             backend=backend,
-            transport=transport,
             sim_world=sim_world,
         ),
         probe_sizes_bytes=sizes,
@@ -337,7 +332,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cfg = ServeConfig(
             world_size=args.world,
             backend=args.backend,
-            transport=None if args.backend == "thread" else args.transport,
             clients=args.clients,
             requests_per_client=args.requests,
             ids_per_request=args.ids_per_request,
@@ -473,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=5)
     p.add_argument("--seed", type=int, default=11)
     p.add_argument("--backend", default="process", choices=("thread", "process"))
-    p.add_argument("--transport", default="shm", choices=("shm", "queue"))
     p.add_argument("--top-k", type=int, default=2,
                    help="candidates replayed on the real backend")
     p.add_argument("-o", "--output", default=None,
@@ -499,7 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=3)
     p.add_argument("--seed", type=int, default=11)
     p.add_argument("--backend", default="process", choices=("thread", "process"))
-    p.add_argument("--transport", default="shm", choices=("shm", "queue"))
     p.add_argument("--max-world", type=int, default=None,
                    help="top rung of the replay ladder (doubling from "
                         "64); default: the 64..1024 ladder")
@@ -517,7 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--world", type=int, default=2)
     p.add_argument("--backend", default="thread", choices=("thread", "process"))
-    p.add_argument("--transport", default="shm", choices=("shm", "queue"))
     p.add_argument("--clients", type=int, default=4,
                    help="closed-loop lookup clients")
     p.add_argument("--requests", type=int, default=100,

@@ -95,26 +95,17 @@ class CostModel:
         self.half_utilization_bytes = half_utilization_bytes
 
     @classmethod
-    def from_profile(cls, profile, transport: str | None = None) -> "CostModel":
+    def from_profile(cls, profile) -> "CostModel":
         """Cost model calibrated from a measured :class:`~repro.tune.TunedProfile`.
 
-        The profile's fitted alpha-beta link parameters become a
-        single-node :func:`~repro.cluster.tuned_cluster`.  The
+        The profile's fitted alpha-beta link parameters become its
+        :meth:`~repro.tune.TunedProfile.to_cluster` spec.  The
         half-utilization penalty is disabled (set to 0): the linear fit
         already absorbs any size-dependent efficiency of the real
         transport into its latency/bandwidth pair, and re-applying the
         hand-calibrated curve on top would double-count it.
         """
-        link = profile.link(transport)
-        from repro.cluster.topology import tuned_cluster
-
-        cluster = tuned_cluster(
-            profile.world_size,
-            bandwidth=link.bandwidth_Bps,
-            latency=link.latency_s,
-            name=f"tuned-{link.transport}",
-        )
-        return cls(cluster, half_utilization_bytes=0.0)
+        return cls(profile.to_cluster(), half_utilization_bytes=0.0)
 
     # ------------------------------------------------------------------ #
     def _transfer(self, msg_bytes: float, bandwidth: float | None = None) -> float:

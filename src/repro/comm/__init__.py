@@ -11,13 +11,12 @@ Two interchangeable backends expose the same :class:`Communicator` API:
 
 * :class:`ThreadGroup` — N worker threads with queue links (fast; used
   by tests and the convergence experiments);
-* :class:`ProcessGroup` — N spawned processes with OS pipes (true
-  parallelism; used by the examples).
+* :class:`ProcessGroup` — N forked processes over shared-memory
+  segments (true parallelism; used by the examples).
 
 :func:`open_group` is the preferred entry point: one context-manager
 factory covering both backends plus fault injection (``faults=``) and
-span tracing (``trace=``).  Direct ``ThreadGroup`` / ``ProcessGroup``
-construction still works but is deprecated.
+span tracing (``trace=``).
 
 Collective algorithms are implemented once, against the primitive
 ``send``/``recv``/``barrier`` surface, in :mod:`primitives`.
@@ -34,7 +33,7 @@ from repro.comm.hierarchy import (
     two_level_alltoall_shards,
 )
 from repro.comm.local import ThreadGroup, run_threaded
-from repro.comm.process import TRANSPORTS, ProcessGroup, run_multiprocess
+from repro.comm.process import ProcessGroup, run_multiprocess
 from repro.comm.sched import (
     PRIORITY_SERVE,
     PRIORITY_URGENT,
@@ -80,7 +79,6 @@ __all__ = [
     "run_threaded",
     "ProcessGroup",
     "run_multiprocess",
-    "TRANSPORTS",
     "CommScheduler",
     "CommHandle",
     "SchedComm",

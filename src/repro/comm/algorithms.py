@@ -7,9 +7,6 @@ discusses, usable with any backend:
 * :func:`reduce_scatter` — the first half of ring AllReduce;
 * :func:`tree_allreduce` — recursive halving/doubling (latency-optimal
   for small tensors, the regime where ring's 2(N-1) steps lose);
-* :func:`hierarchical_allreduce` — deprecated shim over
-  :func:`~repro.comm.two_level_allreduce` (the topology-aware two-level
-  path in :mod:`repro.comm.hierarchy`, bit-identical to the flat ring);
 * :func:`alltoallv` — personalized exchange with per-peer row counts
   (what EmbRace's sparse exchanges actually need);
 * :func:`gather` / :func:`scatter` — rooted collectives used by the
@@ -108,40 +105,6 @@ def tree_allreduce(comm: Communicator, array: np.ndarray) -> np.ndarray:
         else:
             comm.send(rank + 1, array)
     return array
-
-
-def hierarchical_allreduce(
-    comm: Communicator, array: np.ndarray, gpus_per_node: int
-) -> np.ndarray:
-    """Deprecated shim over :func:`~repro.comm.two_level_allreduce`.
-
-    The original BlueConnect-style implementation predates the shm and
-    framed transports and was only ``allclose``-equal to the flat ring;
-    the replacement executes the flat ring's exact fold order on node
-    leaders (bit-identical) and accepts any
-    :class:`~repro.comm.NodeTopology`, including asymmetric nodes.  This
-    signature survives one release: build a topology and call
-    ``two_level_allreduce(comm, array, topology)`` instead.
-    """
-    import warnings
-
-    warnings.warn(
-        "hierarchical_allreduce(comm, array, gpus_per_node) is deprecated; "
-        "use repro.comm.two_level_allreduce(comm, array, topology) with a "
-        "NodeTopology (e.g. NodeTopology.symmetric(nodes, gpus_per_node))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.comm.hierarchy import two_level_allreduce
-    from repro.comm.topology import NodeTopology
-
-    size = comm.world_size
-    if size % gpus_per_node != 0:
-        raise ValueError(
-            f"world size {size} not divisible by gpus_per_node {gpus_per_node}"
-        )
-    topology = NodeTopology.symmetric(size // gpus_per_node, gpus_per_node)
-    return two_level_allreduce(comm, np.asarray(array), topology)
 
 
 @traced_collective("alltoallv")

@@ -67,10 +67,9 @@ class Communicator:
 
     #: True when ``_send`` captures the payload's bytes before returning,
     #: so callers may send live views of buffers they mutate afterwards
-    #: (the shared-memory transport copies into its segment inside
-    #: ``_send``).  False for reference-passing backends (threads) and
-    #: deferred-pickling queues — there the collectives snapshot views
-    #: before sending.
+    #: (the process backend copies into its segment inside ``_send``).
+    #: False for reference-passing backends (threads) — there the
+    #: collectives snapshot views before sending.
     SEND_SNAPSHOTS = False
 
     #: Span recorder (:mod:`repro.obs`).  The class-level default is the
@@ -140,11 +139,10 @@ class Communicator:
 
         Send-first guarantees progress for any exchange pattern — rings,
         pairs, recursive doubling — with no parity assumptions: thread
-        and ``"queue"``-transport sends are buffered without bound, and
-        an shm-transport send that finds the peer's control channel full
-        keeps ingesting its own inbox while it waits (bounded by
-        ``timeout``), so two ranks sending at each other cannot
-        deadlock.
+        sends are buffered without bound, and a process-backend send
+        that finds the peer's control channel full keeps ingesting its
+        own inbox while it waits (bounded by ``timeout``), so two ranks
+        sending at each other cannot deadlock.
         """
         self.send(dst, obj)
         return self.recv(src)
@@ -164,8 +162,8 @@ class Communicator:
     # payload as a view of transport-owned memory, reduce straight into
     # the outgoing wire buffer, or land a received chunk directly in its
     # final position.  The defaults below are plain compositions of
-    # ``send``/``recv`` — every backend (threads, queue pickling, fault
-    # injection wrappers) works unchanged; the shared-memory transport
+    # ``send``/``recv`` — every backend (threads, fault injection
+    # wrappers) works unchanged; the shared-memory transport
     # overrides them with genuinely copy-free implementations.
 
     def recv_view(self, src: int) -> Any:

@@ -19,8 +19,7 @@ all ranks share a time origin.  Traced runs ship their spans to rank 0
 over the group's own wire and the merged
 :class:`~repro.obs.TraceBundle` lands on :attr:`CommGroup.last_trace`.
 
-The old constructors still work but emit ``DeprecationWarning``; the
-``run_threaded`` / ``run_multiprocess`` helpers remain as thin
+The ``run_threaded`` / ``run_multiprocess`` helpers remain as thin
 single-shot conveniences.
 """
 
@@ -30,7 +29,7 @@ import pickle
 from typing import Any, Callable
 
 from repro.comm.local import ThreadGroup, run_threaded
-from repro.comm.process import DEFAULT_TIMEOUT, TRANSPORTS, ProcessGroup
+from repro.comm.process import DEFAULT_TIMEOUT, ProcessGroup
 from repro.obs.merge import TraceBundle, gather_spans, install_recorder, scrape_counters
 from repro.obs.recorder import SpanRecorder, TraceConfig, as_trace_config
 from repro.utils.validation import check_in, check_positive
@@ -115,7 +114,10 @@ class CommGroup:
     Process-backed groups keep a persistent worker pool: it is forked on
     the first :meth:`run` whose callable is picklable (closures fall
     back to one-shot forking, preserving the historical semantics) and
-    released by :meth:`close` / context-manager exit.
+    released by :meth:`close` / context-manager exit.  A pool that lost
+    a worker is replaced on the next :meth:`run`, so a caller that
+    retries (:meth:`~repro.engine.RealTrainer.train_resilient`) keeps
+    the same group.
     """
 
     def __init__(
@@ -127,7 +129,6 @@ class CommGroup:
         faults=None,
         timeout: float | None = None,
         trace=None,
-        profile=None,
         topology=None,
     ):
         check_positive("world_size", world_size)
@@ -140,9 +141,8 @@ class CommGroup:
                 f"topology covers {topology.world_size} ranks but "
                 f"world_size is {world_size}"
             )
-        if transport is None:
-            transport = getattr(profile, "transport", None) or "shm"
-        check_in("transport", transport, set(TRANSPORTS))
+        # Validated and forwarded nowhere: the process backend has one wire.
+        check_in("transport", transport, {None, "shm"})
         if timeout is None:
             if faults is not None:
                 timeout = faults.recv_deadline
@@ -151,7 +151,6 @@ class CommGroup:
         check_positive("timeout", timeout)
         self.world_size = world_size
         self.backend = backend
-        self.transport = transport
         self.faults = faults
         self.timeout = timeout
         self.topology = topology
@@ -160,7 +159,7 @@ class CommGroup:
         #: ``None`` when tracing is off.
         self.last_trace: TraceBundle | None = None
         self._pgroup: ProcessGroup | None = (
-            ProcessGroup._create(world_size, timeout=timeout, transport=transport)
+            ProcessGroup(world_size, timeout=timeout)
             if backend == "process"
             else None
         )
@@ -185,11 +184,12 @@ class CommGroup:
                 self.world_size, entry, *args, timeout=self.timeout, **kwargs
             )
         else:
-            if (
-                not self._pgroup.started
-                and not self._pgroup.broken
-                and _picklable(entry, args, kwargs)
-            ):
+            if self._pgroup.broken:
+                # A worker died during an earlier run (injected crash
+                # escaping the service loop, OOM kill...).
+                self._pgroup.close()
+                self._pgroup = ProcessGroup(self.world_size, timeout=self.timeout)
+            if not self._pgroup.started and _picklable(entry, args, kwargs):
                 self._pgroup.start()
             outs = self._pgroup.run(entry, *args, **kwargs)
         self.last_trace = outs[0][1] if self.trace is not None else None
@@ -204,7 +204,6 @@ def open_group(
     faults=None,
     timeout: float | None = None,
     trace=None,
-    profile=None,
     topology=None,
 ) -> CommGroup:
     """Open a communicator group: the one factory for backends, fault
@@ -218,9 +217,8 @@ def open_group(
         ``"thread"`` (deterministic, cheap — the test default) or
         ``"process"`` (real OS processes with the zero-copy wire).
     transport:
-        Process-backend wire: ``"shm"`` (framed zero-copy segments,
-        default) or ``"queue"`` (legacy pickle path).  Ignored by the
-        thread backend, whose links are in-process queues.
+        ``None`` or ``"shm"``, the one process-backend wire; anything
+        else raises ``ValueError``.  Selects nothing.
     faults:
         Optional :class:`~repro.faults.plan.FaultPlan`; every rank's
         communicator is wrapped in a fault injector driven by it.
@@ -231,10 +229,6 @@ def open_group(
         ``True`` / :class:`~repro.obs.TraceConfig` to record per-rank
         span timelines; merged results appear on
         :attr:`CommGroup.last_trace` after each :meth:`CommGroup.run`.
-    profile:
-        Optional :class:`~repro.tune.TunedProfile`.  Supplies the
-        default ``transport`` (an explicit ``transport=`` argument
-        wins); when neither is given the default stays ``"shm"``.
     topology:
         Optional node structure: a
         :class:`~repro.comm.NodeTopology`, a ``to_dict`` payload, or a
@@ -250,7 +244,6 @@ def open_group(
         faults=faults,
         timeout=timeout,
         trace=trace,
-        profile=profile,
         topology=topology,
     )
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import queue
 import threading
 import time
-import warnings
 from typing import Any, Callable
 
 from repro.comm.backend import Communicator
@@ -28,25 +27,6 @@ class ThreadGroup:
     """
 
     def __init__(self, world_size: int, timeout: float = 60.0):
-        warnings.warn(
-            "constructing ThreadGroup directly is deprecated; use "
-            "repro.comm.open_group(world_size, backend='thread', ...) — "
-            "one factory covers threads, processes, fault injection, and "
-            "tracing",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._init(world_size, timeout)
-
-    @classmethod
-    def _create(cls, world_size: int, timeout: float = 60.0) -> "ThreadGroup":
-        """Internal constructor (no deprecation warning) for the
-        :func:`repro.comm.open_group` factory and legacy helpers."""
-        self = cls.__new__(cls)
-        self._init(world_size, timeout)
-        return self
-
-    def _init(self, world_size: int, timeout: float) -> None:
         check_positive("world_size", world_size)
         check_positive("timeout", timeout)
         self.world_size = world_size
@@ -100,7 +80,7 @@ def run_threaded(
     Returns per-rank results in rank order.  A failure on any rank is
     re-raised in the caller (with all workers joined first).
     """
-    group = ThreadGroup._create(world_size, timeout=timeout)
+    group = ThreadGroup(world_size, timeout=timeout)
     results: list[Any] = [None] * world_size
     errors: list[tuple[int, BaseException]] = []
 

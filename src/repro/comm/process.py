@@ -1,20 +1,16 @@
 """Process-based backend: a persistent worker pool with zero-copy links.
 
-Workers are real OS processes (fork start method).  Two interchangeable
-transports move messages between them:
+Workers are real OS processes (fork start method).  One wire moves
+messages between them, the framed zero-copy protocol: ndarray payloads
+are decomposed by :mod:`repro.comm.frames` into a small template plus
+raw buffers, the buffers travel through pooled
+``multiprocessing.shared_memory`` segments (:mod:`repro.comm.shm`), and
+the template travels as one binary *control record* the sending thread
+writes itself.  Two memcpys per frame, independent of payload size; no
+pickle, no queue and no feeder thread on the message path
+(``multiprocessing.Queue`` carries only command dispatch and results).
 
-* ``"shm"`` (default) — the framed zero-copy wire protocol: ndarray
-  payloads are decomposed by :mod:`repro.comm.frames` into a small
-  template plus raw buffers, the buffers travel through pooled
-  ``multiprocessing.shared_memory`` segments (:mod:`repro.comm.shm`),
-  and the template travels as one binary *control record* the sending
-  thread writes itself.  Two memcpys per frame, independent of payload
-  size; no pickle, no queue and no feeder thread on the message path.
-* ``"queue"`` — the legacy path: whole objects pickled through
-  ``multiprocessing.Queue`` (kept as the comparison baseline for
-  ``benchmarks/bench_comm_transport.py`` and as a fallback).
-
-**Control channel (shm transport).**  Every rank owns one inbox: an
+**Control channel.**  Every rank owns one inbox: an
 ``os.pipe`` created before the fork, both ends non-blocking, written by
 all of its peers and read only by its owner — N inboxes with
 receiver-side demultiplexing by source, not N² per-pair links.  A record
@@ -87,7 +83,6 @@ import select
 import struct
 import threading
 import time
-import warnings
 from collections import deque
 from typing import Any, Callable
 
@@ -107,11 +102,9 @@ from repro.comm.shm import (
     fill_frames,
     frame_layout,
 )
-from repro.utils.validation import check_in, check_positive
+from repro.utils.validation import check_positive
 
 DEFAULT_TIMEOUT = 120.0
-
-TRANSPORTS = ("shm", "queue")
 
 #: Control-record header: total length, kind, source rank, run epoch,
 #: segment id (0 = the message has no non-empty frame), frame count.
@@ -139,9 +132,8 @@ class _WorkerRuntime:
     communicator the worker constructs, so warm segments and attachments
     amortize across runs.
 
-    ``inboxes[dst]`` is the link into rank ``dst``: a
-    ``multiprocessing.Queue`` on the ``"queue"`` transport, a ``(read
-    fd, write fd)`` pipe on ``"shm"``.
+    ``inboxes[dst]`` is the link into rank ``dst``: a ``(read fd,
+    write fd)`` pipe.
 
     The current run ``epoch`` and the per-source ``stash`` of received,
     not yet consumed messages live here, not on the communicator: any
@@ -150,10 +142,9 @@ class _WorkerRuntime:
     epoch, never by the epoch of the communicator it happens to hold.
     """
 
-    def __init__(self, rank, world_size, inboxes, transport, owner_tag):
+    def __init__(self, rank, world_size, inboxes, owner_tag):
         self.rank = rank
         self.world_size = world_size
-        self.transport = transport
         self.peer_tags = [f"{owner_tag}r{r}" for r in range(world_size)]
         self._pool: SegmentPool | None = None
         self.attachments = AttachmentCache()
@@ -169,9 +160,6 @@ class _WorkerRuntime:
         self.stale_acks: list[tuple[int, int]] = []
         # Orders ``begin_run`` against a late thread's ``_ingest``.
         self.epoch_lock = threading.Lock()
-        if transport == "queue":
-            self.inboxes = inboxes
-            return
         self.rx = inboxes[rank][0]
         self.tx = [write_fd for _, write_fd in inboxes]
         # Reading the inbox (and the partial record a read may end on) is
@@ -199,8 +187,7 @@ class _WorkerRuntime:
         dropped, its segments owed back to their owners."""
         with self.epoch_lock:
             for src, stash in enumerate(self.stash):
-                if self.transport == "shm":
-                    self.stale_acks.extend((src, e[2]) for e in stash if e[2])
+                self.stale_acks.extend((src, e[2]) for e in stash if e[2])
                 stash.clear()
             self.epoch = epoch
 
@@ -290,19 +277,14 @@ class ProcessCommunicator(Communicator):
         # calls, released only by an explicit release_views().
         self._pinned_acks: list[tuple[int, int]] = []
 
-    # ``_send`` captures payload bytes before returning (shm transport
-    # copies into the segment synchronously), so collectives may pass
-    # live views of buffers they mutate afterwards.
-    @property
-    def SEND_SNAPSHOTS(self) -> bool:  # noqa: N802 - constant-style API
-        return self._rt.transport == "shm"
+    # ``_send`` captures payload bytes before returning (it copies into
+    # the segment synchronously), so collectives may pass live views of
+    # buffers they mutate afterwards.
+    SEND_SNAPSHOTS = True
 
     # -- sending --------------------------------------------------------- #
     def _send(self, dst: int, obj: Any) -> None:
         rt = self._rt
-        if rt.transport == "queue":
-            rt.inboxes[dst].put((self.rank, self._epoch, obj))
-            return
         template, frames = encode_frames(obj)
         table, total = frame_layout(frames)
         kind, nframes = _MSG, len(frames)
@@ -337,12 +319,7 @@ class ProcessCommunicator(Communicator):
         """
         rt = self._rt
         x, y = np.asarray(x), np.asarray(y)
-        if (
-            rt.transport != "shm"
-            or x.shape != y.shape
-            or x.dtype != y.dtype
-            or x.size == 0
-        ):
+        if x.shape != y.shape or x.dtype != y.dtype or x.size == 0:
             super().send_sum(dst, x, y)
             return
         if dst == self.rank:
@@ -454,10 +431,7 @@ class ProcessCommunicator(Communicator):
         obs = self.obs
         t0 = obs.t() if obs.enabled else 0.0
         deadline = time.monotonic() + self.timeout
-        if rt.transport == "queue":
-            self._pump_queue(stash, deadline)
-        else:
-            self._pump_channel(stash, deadline)
+        self._pump_channel(stash, deadline)
         if obs.enabled:  # blocking portion of the receive: segment wait
             obs.rec_phase("segment_wait", t0)
         self._check_current()
@@ -476,19 +450,6 @@ class ProcessCommunicator(Communicator):
                 f"rank {self.rank}: receive on the communicator of run "
                 f"{self._epoch}, but run {self._rt.epoch} has started"
             )
-
-    def _pump_queue(self, stash: deque, deadline: float) -> None:
-        inbox = self._rt.inboxes[self.rank]
-        while not stash:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return
-            try:
-                sender, epoch, obj = inbox.get(timeout=remaining)
-            except queue.Empty:
-                return
-            if epoch == self._epoch:  # stale epochs are dropped
-                self._rt.stash[sender].append(obj)
 
     def _pump_channel(self, stash: deque, deadline: float) -> None:
         rt = self._rt
@@ -510,8 +471,6 @@ class ProcessCommunicator(Communicator):
         self, src: int, entry: Any, copy: bool, pin: bool = False
     ) -> Any:
         rt = self._rt
-        if rt.transport == "queue":
-            return entry
         data, pos, seg_id, nframes, spilled = entry
         tag = rt.peer_tags[src]
         view = rt.attachments.view
@@ -572,10 +531,9 @@ class ProcessCommunicator(Communicator):
             out["segpool.misses"] = float(pool.misses)
             out["segpool.segments"] = float(len(pool))
             out["segpool.bytes"] = float(pool.pooled_bytes)
-        if rt.transport == "shm":
-            out["ctrl.records"] = float(rt.records)
-            out["ctrl.backpressure_waits"] = float(rt.backpressure_waits)
-            out["ctrl.spills"] = float(rt.spills)
+        out["ctrl.records"] = float(rt.records)
+        out["ctrl.backpressure_waits"] = float(rt.backpressure_waits)
+        out["ctrl.spills"] = float(rt.spills)
         return out
 
 
@@ -585,7 +543,6 @@ def _service_loop(
     inboxes,
     barrier,
     timeout,
-    transport,
     owner_tag,
     cmd_queue,
     result_queue,
@@ -598,7 +555,7 @@ def _service_loop(
     ``initial`` — captured at fork, so it needs no pickling — and exits
     after reporting.  Persistent mode loops on ``cmd_queue``.
     """
-    runtime = _WorkerRuntime(rank, world_size, inboxes, transport, owner_tag)
+    runtime = _WorkerRuntime(rank, world_size, inboxes, owner_tag)
     try:
         epoch = 0
         while True:
@@ -641,18 +598,14 @@ class _GroupResources:
     """Links, barrier and dispatch queues shared by the parent and its
     workers.  Everything here is created before the fork and inherited."""
 
-    def __init__(self, ctx, world_size: int, persistent: bool, transport: str):
-        if transport == "queue":
-            self.inboxes = [ctx.Queue() for _ in range(world_size)]
-        else:
-            # One control channel per destination rank.  Both ends are
-            # non-blocking: a full inbox is the sender's cue to ingest
-            # its own (see ``_write_blocked``), never a blocked write.
-            self.inboxes = [os.pipe() for _ in range(world_size)]
-            for fds in self.inboxes:
-                for fd in fds:
-                    os.set_blocking(fd, False)
-        self.transport = transport
+    def __init__(self, ctx, world_size: int, persistent: bool):
+        # One control channel per destination rank.  Both ends are
+        # non-blocking: a full inbox is the sender's cue to ingest its
+        # own (see ``_write_blocked``), never a blocked write.
+        self.inboxes = [os.pipe() for _ in range(world_size)]
+        for fds in self.inboxes:
+            for fd in fds:
+                os.set_blocking(fd, False)
         self.barrier = ctx.Barrier(world_size)
         self.result_queue = ctx.Queue()
         self.cmd_queues = (
@@ -662,10 +615,9 @@ class _GroupResources:
     def close(self) -> None:
         """Close the parent's copies of the channel ends (the workers'
         copies die with them)."""
-        if self.transport == "shm":
-            for fds in self.inboxes:
-                for fd in fds:
-                    os.close(fd)
+        for fds in self.inboxes:
+            for fd in fds:
+                os.close(fd)
         self.inboxes = []
 
 
@@ -679,42 +631,11 @@ class ProcessGroup:
     allowed).
     """
 
-    def __init__(
-        self,
-        world_size: int,
-        timeout: float = DEFAULT_TIMEOUT,
-        transport: str = "shm",
-    ):
-        warnings.warn(
-            "constructing ProcessGroup directly is deprecated; use "
-            "repro.comm.open_group(world_size, backend='process', ...) — "
-            "one factory covers threads, processes, fault injection, and "
-            "tracing",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._init(world_size, timeout, transport)
-
-    @classmethod
-    def _create(
-        cls,
-        world_size: int,
-        timeout: float = DEFAULT_TIMEOUT,
-        transport: str = "shm",
-    ) -> "ProcessGroup":
-        """Internal constructor (no deprecation warning) for the
-        :func:`repro.comm.open_group` factory and legacy helpers."""
-        self = cls.__new__(cls)
-        self._init(world_size, timeout, transport)
-        return self
-
-    def _init(self, world_size: int, timeout: float, transport: str) -> None:
+    def __init__(self, world_size: int, timeout: float = DEFAULT_TIMEOUT):
         check_positive("world_size", world_size)
         check_positive("timeout", timeout)
-        check_in("transport", transport, set(TRANSPORTS))
         self.world_size = world_size
         self.timeout = timeout
-        self.transport = transport
         self._ctx = mp.get_context("fork")
         self._owner_tag = f"{os.getpid()}g{next(_group_counter)}"
         self._res: _GroupResources | None = None
@@ -741,9 +662,7 @@ class ProcessGroup:
             raise RuntimeError("process group is broken (a worker died)")
         if self._procs is not None:
             return self
-        self._res = _GroupResources(
-            self._ctx, self.world_size, persistent=True, transport=self.transport
-        )
+        self._res = _GroupResources(self._ctx, self.world_size, persistent=True)
         self._procs = [
             self._ctx.Process(
                 target=_service_loop,
@@ -753,7 +672,6 @@ class ProcessGroup:
                     self._res.inboxes,
                     self._res.barrier,
                     self.timeout,
-                    self.transport,
                     self._owner_tag,
                     self._res.cmd_queues[r],
                     self._res.result_queue,
@@ -836,9 +754,7 @@ class ProcessGroup:
         return self._collect(self._epoch, self._procs)
 
     def _run_once(self, fn, args, kwargs) -> list[Any]:
-        res = _GroupResources(
-            self._ctx, self.world_size, persistent=False, transport=self.transport
-        )
+        res = _GroupResources(self._ctx, self.world_size, persistent=False)
         procs = [
             self._ctx.Process(
                 target=_service_loop,
@@ -848,7 +764,6 @@ class ProcessGroup:
                     res.inboxes,
                     res.barrier,
                     self.timeout,
-                    self.transport,
                     self._owner_tag,
                     None,
                     res.result_queue,
@@ -967,10 +882,7 @@ def run_multiprocess(
     fn: Callable[[Communicator], Any],
     *args,
     timeout: float = DEFAULT_TIMEOUT,
-    transport: str = "shm",
     **kwargs,
 ) -> list[Any]:
     """Run ``fn(comm, *args)`` on ``world_size`` processes; results in rank order."""
-    return ProcessGroup._create(world_size, timeout=timeout, transport=transport).run(
-        fn, *args, **kwargs
-    )
+    return ProcessGroup(world_size, timeout=timeout).run(fn, *args, **kwargs)

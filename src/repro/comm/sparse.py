@@ -39,8 +39,6 @@ compute, not wire, and allocates normally.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from repro.comm.arena import BufferArena, default_arena
@@ -329,7 +327,6 @@ def alltoall_column_shards(
     dense_switch: float = 1.0,
     arena: BufferArena | None = None,
     table: str | None = None,
-    shards: list[slice] | None = None,
     fold_groups: tuple[int, ...] | None = None,
 ) -> SparseRows:
     """EmbRace gradient exchange: return this rank's column shard of the
@@ -359,11 +356,7 @@ def alltoall_column_shards(
     ``table`` (optional) labels this exchange's sent bytes with the
     owning table (``wire_bytes.alltoall_sparse`` and
     ``wire_bytes.table.<name>`` counters) so placement studies can
-    attribute traffic per table.  ``shards`` — an explicit per-call
-    column partition — is a deprecated shim: the partition is a
-    property of the table's :class:`~repro.placement.TablePlacement`
-    now, and only the uniform :func:`column_slices` partition was ever
-    supported.
+    attribute traffic per table.
 
     ``fold_groups`` (a topology's node sizes) switches the receive
     merge to the node-grouped fold of :func:`merge_grouped`, matching
@@ -382,19 +375,6 @@ def alltoall_column_shards(
         )
     grad = grad.coalesce()
     world, rank = comm.world_size, comm.rank
-    if shards is not None:
-        warnings.warn(
-            "alltoall_column_shards(shards=...) is deprecated; the column "
-            "partition comes from the table's placement "
-            "(repro.placement.uniform_column_sharding by default)",
-            DeprecationWarning,
-            stacklevel=3,  # through the traced_collective wrapper
-        )
-        if list(shards) != column_slices(grad.dim, world):
-            raise ValueError(
-                "non-uniform explicit shards are not supported; express row "
-                "skew as a hot set via repro.placement.PlacementPlan instead"
-            )
     if world == 1:
         return grad
     if arena is None:
@@ -429,10 +409,9 @@ def alltoall_column_shards(
         own_block[...] = grad.values[:, slices[rank]]
     else:
         # Column slices go out as strided views: the frame layer packs
-        # them at byte capture (shm gathers straight into the segment;
-        # the queue path packs while pickling), so there is no separate
-        # pack copy.  ``snapshot`` is the identity there; transports
-        # that defer capture copy here instead.
+        # them at byte capture (shm gathers straight into the segment),
+        # so there is no separate pack copy.  ``snapshot`` is the identity
+        # there; transports that defer capture copy here instead.
         for dst in range(world):
             if dst == rank:
                 continue

@@ -32,8 +32,6 @@ optimizer moments, never values.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from repro.comm import (
@@ -64,7 +62,6 @@ class EmbraceTableRuntime:
         lr: float = 1e-3,
         betas: tuple[float, float] = (0.9, 0.999),
         placement: TablePlacement | PlacementPlan | None = None,
-        columns: slice | None = None,
         topology=None,
         hier_sparse: bool | None = None,
         hier_hot: bool | None = None,
@@ -92,20 +89,6 @@ class EmbraceTableRuntime:
         self.hier_hot = multi if hier_hot is None else bool(hier_hot) and multi
         self.name = table.weight.name.rsplit(".weight", 1)[0]
         cols = column_slices(table.embedding_dim, comm.world_size)
-        if columns is not None:
-            warnings.warn(
-                "EmbraceTableRuntime(columns=...) is deprecated; the column "
-                "partition is derived from the placement "
-                "(repro.placement.uniform_column_sharding by default)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if columns != cols[comm.rank]:
-                raise ValueError(
-                    f"explicit columns {columns} != uniform shard "
-                    f"{cols[comm.rank]}; non-uniform column partitions are "
-                    f"not supported — express skew via a hot set instead"
-                )
         self.my_columns = cols[comm.rank]
         # A writable view of this rank's authoritative columns.
         self.shard = Parameter(

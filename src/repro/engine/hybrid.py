@@ -370,7 +370,6 @@ def run_hybrid(
     profile = probe_two_level(
         topology,
         backend=config.backend,
-        transport=config.transport,
         sizes_bytes=probe_sizes_bytes,
         iters=probe_iters,
     )

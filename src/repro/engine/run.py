@@ -78,9 +78,7 @@ class RunConfig:
     ``knobs`` (a :class:`~repro.comm.SchedKnobs` or dict) and
     ``profile`` (a :class:`~repro.tune.TunedProfile` from ``repro
     tune``) configure the real trainer's scheduler: explicit ``knobs``
-    win, then the profile's, then the historical defaults.  The
-    profile's ``transport`` is used when ``transport`` is left at its
-    ``None`` default (falling back to ``"shm"``).
+    win, then the profile's, then the historical defaults.
     """
 
     model: ModelConfig
@@ -92,7 +90,6 @@ class RunConfig:
     lr: float = 1e-3
     seed: int = 0
     backend: str = "thread"  # real mode: "thread" | "process"
-    transport: str | None = None  # real mode, process backend
     trace: Any = None  # None/bool/TraceConfig (real mode)
     faults: Any = None  # FaultPlan (real mode)
     knobs: Any = None  # SchedKnobs / dict (real mode)
@@ -195,8 +192,6 @@ def _run_real(config: RunConfig) -> RunResult:
         group = open_group(
             config.world_size,
             backend=config.backend,
-            transport=config.transport,
-            profile=config.profile,
             topology=config.topology,
         )
     try:

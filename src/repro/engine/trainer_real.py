@@ -36,20 +36,17 @@ from __future__ import annotations
 import os
 import tempfile
 import time
-import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.comm import (
-    TRANSPORTS,
     CommGroup,
     CommHandle,
     CommScheduler,
     Communicator,
     InterNodeMeter,
-    ProcessGroup,
     SchedComm,
     allreduce_sparse_adaptive,
     alltoall_column_shards,
@@ -158,8 +155,6 @@ class RealTrainer:
         checkpoint_every: int = 0,
         checkpoint_dir: str | None = None,
         max_restarts: int = 4,
-        backend: str | None = None,
-        transport: str | None = None,
         trace=None,
         group: CommGroup | None = None,
         overlap: bool = True,
@@ -183,15 +178,12 @@ class RealTrainer:
         checkpoints, at most ``max_restarts`` recoveries), which
         survives them; plain :meth:`train` lets the failure propagate.
 
-        ``group`` (preferred) is a :class:`~repro.comm.CommGroup` from
+        ``group`` is a :class:`~repro.comm.CommGroup` from
         :func:`repro.comm.open_group` — it decides where the workers
-        live; passing ``backend=``/``transport=`` directly still works
-        but is deprecated.  ``"thread"`` (the default) runs in-process
-        with reference-passing links (fastest for tests); ``"process"``
-        uses real OS processes over the :class:`~repro.comm.ProcessGroup`
-        backend, with ``transport`` choosing the wire path (``"shm"``
-        zero-copy segments or the legacy ``"queue"`` pickle path).
-        Training is bit-identical across backends and transports.
+        live: in-process threads with reference-passing links (fastest
+        for tests; also what ``group=None`` runs on) or real OS
+        processes over the :class:`~repro.comm.ProcessGroup` backend.
+        Training is bit-identical across backends.
 
         ``trace`` (``True`` or a :class:`~repro.obs.TraceConfig`)
         records per-rank span timelines — compute blocks, collectives,
@@ -248,25 +240,11 @@ class RealTrainer:
         single-level behavior (the historical bits).
         """
         check_in("strategy", strategy, {"allgather", "allreduce", "embrace"})
-        if backend is not None or transport is not None:
-            warnings.warn(
-                "RealTrainer(backend=..., transport=...) is deprecated; pass "
-                "group=repro.comm.open_group(world_size, backend=..., "
-                "transport=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         if group is not None and group.world_size != world_size:
             raise ValueError(
                 f"group.world_size ({group.world_size}) != world_size "
                 f"({world_size})"
             )
-        if backend is None:
-            backend = group.backend if group is not None else "thread"
-        if transport is None:
-            transport = group.transport if group is not None else "shm"
-        check_in("backend", backend, {"thread", "process"})
-        check_in("transport", transport, set(TRANSPORTS))
         check_positive("world_size", world_size)
         check_positive("steps", steps)
         if dgc_ratio is not None and not 0.0 < dgc_ratio <= 1.0:
@@ -292,8 +270,6 @@ class RealTrainer:
         self.checkpoint_every = checkpoint_every
         self.checkpoint_dir = checkpoint_dir
         self.max_restarts = max_restarts
-        self.backend = backend
-        self.transport = transport
         self.trace = as_trace_config(trace)
         self.group = group
         self.overlap = overlap
@@ -339,24 +315,13 @@ class RealTrainer:
             return self.fault_plan.recv_deadline
         return DEFAULT_GROUP_TIMEOUT
 
-    def _launch(
-        self, *args, timeout: float, group: ProcessGroup | None = None
-    ) -> list[TrainResult]:
-        """Run :meth:`_worker` on every rank of the selected backend.
-
-        ``group``, when given, dispatches to an already-started
-        persistent :class:`~repro.comm.ProcessGroup` — warm workers and
-        links are reused instead of re-forked (restart attempts in
-        :meth:`train_resilient` ride the same pool).
-        """
-        if group is not None:
-            return group.run(self._worker, *args)
+    def _launch(self, *args, timeout: float) -> list[TrainResult]:
+        """Run :meth:`_worker` on every rank of ``group`` (threads when
+        ``None``).  A process-backed group keeps its pool across calls,
+        so restart attempts in :meth:`train_resilient` ride warm workers
+        and links instead of re-forking."""
         if self.group is not None:
             return self.group.run(self._worker, *args)
-        if self.backend == "process":
-            return ProcessGroup._create(
-                self.world_size, timeout=timeout, transport=self.transport
-            ).run(self._worker, *args)
         return run_threaded(self.world_size, self._worker, *args, timeout=timeout)
 
     def train(self) -> TrainResult:
@@ -385,6 +350,11 @@ class RealTrainer:
         attached :class:`ResilienceReport` accounts for what the
         recovery cost.  ``predictions`` are only kept for steps executed
         by the final attempt.
+
+        Every attempt runs on the trainer's own ``group`` (which
+        replaces a pool that lost a worker); open a process-backed one
+        with ``timeout=plan.recv_deadline`` so a dead peer is detected
+        within the plan's deadline, as the thread fallback is.
         """
         if self.checkpoint_every < 1:
             raise ValueError("train_resilient requires checkpoint_every >= 1")
@@ -402,35 +372,16 @@ class RealTrainer:
         restore_steps: list[int] = []
         steps_replayed = 0
         lost_wall = 0.0
-        # One persistent pool outlives every restart attempt: recovery
-        # re-dispatches to warm workers instead of re-forking the group.
-        group: ProcessGroup | None = None
-        if self.backend == "process":
-            group = ProcessGroup._create(
-                self.world_size,
-                timeout=plan.recv_deadline,
-                transport=self.transport,
-            ).start()
         try:
             while True:
                 attempts += 1
                 start = peek_step(path) if os.path.exists(path) else 0
                 started_at = time.perf_counter()
                 self.fault_plan = active
-                if group is not None and group.broken:
-                    # A worker died mid-attempt (injected crash escaping
-                    # the service loop, OOM kill...): replace the pool.
-                    group.close()
-                    group = ProcessGroup._create(
-                        self.world_size,
-                        timeout=plan.recv_deadline,
-                        transport=self.transport,
-                    ).start()
                 try:
-                    results = self._launch(
-                        start, path, timeout=active.recv_deadline, group=group
-                    )
-                    result = results[0]
+                    result = self._launch(
+                        start, path, timeout=active.recv_deadline
+                    )[0]
                     break
                 except RuntimeError as exc:
                     lost_wall += time.perf_counter() - started_at
@@ -448,8 +399,6 @@ class RealTrainer:
                     active = active.without_crashes_at_or_before(fired_step)
         finally:
             self.fault_plan = original_plan
-            if group is not None:
-                group.close()
         report = ResilienceReport(
             attempts=attempts,
             crash_events=crash_events,
@@ -1138,6 +1087,7 @@ class RealTrainer:
     def _final_state(self, model, runtimes) -> dict[str, np.ndarray]:
         """Rank-0-equivalent state with embrace shards reassembled."""
         state = model.state_dict()
-        for name in runtimes:
-            state[f"{name}.weight"] = runtimes[name].gather_full_table()
+        key_of = {id(p): key for key, p in model.named_parameters()}
+        for rt in runtimes.values():
+            state[key_of[id(rt.table.weight)]] = rt.gather_full_table()
         return state

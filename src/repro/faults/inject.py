@@ -264,16 +264,11 @@ def run_multiprocess_with_faults(
     fn: Callable[[FaultyCommunicator], Any],
     plan: FaultPlan,
     *args,
-    transport: str = "shm",
     **kwargs,
 ) -> list[Any]:
-    """Process-backend twin of :func:`run_threaded_with_faults`.
-
-    ``transport`` selects the wire path (``"shm"`` zero-copy segments or
-    the legacy ``"queue"`` pickle path); the injector wraps the
-    ``_send``/``_recv`` surface either way, so drops, retransmissions,
-    and reordering behave identically on both.
-    """
+    """Process-backend twin of :func:`run_threaded_with_faults`: the
+    injector wraps the same ``_send``/``_recv`` surface, so drops,
+    retransmissions, and reordering behave identically on both."""
     from repro.comm.process import run_multiprocess
 
     return run_multiprocess(
@@ -281,7 +276,6 @@ def run_multiprocess_with_faults(
         _FaultyEntrypoint(fn, plan),
         *args,
         timeout=plan.recv_deadline,
-        transport=transport,
         **kwargs,
     )
 

@@ -53,6 +53,10 @@ class Module:
                 for i, item in enumerate(value):
                     if isinstance(item, Module):
                         yield f"{name}.{i}", item
+            elif isinstance(value, dict):
+                for key, item in value.items():
+                    if isinstance(item, Module):
+                        yield f"{name}.{key}", item
 
     def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Parameter]]:
         for name, value in vars(self).items():

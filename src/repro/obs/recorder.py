@@ -209,7 +209,7 @@ class SpanRecorder:
     def coll_begin(self) -> float:
         """Enter a (possibly nested) collective; returns its start time.
 
-        Composed collectives — ``hierarchical_allreduce`` delegating to
+        Composed collectives — ``two_level_allreduce`` delegating to
         ``allreduce``, sparse exchanges built on ``alltoall`` — would
         otherwise stack spans on the ``"comm"`` lane and double-count
         its busy time; only the outermost call records.

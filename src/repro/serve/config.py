@@ -32,6 +32,8 @@ class ServeConfig:
     # -- cluster --------------------------------------------------------- #
     world_size: int = 2
     backend: str = "thread"
+    #: ``None`` or ``"shm"``; validated, forwarded nowhere (the process
+    #: backend has one wire).
     transport: str | None = None
     #: False, True, or a :class:`~repro.obs.TraceConfig` (e.g. to raise
     #: ``row_topk`` so a placement can be learned from the trace).
@@ -75,6 +77,7 @@ class ServeConfig:
         check_positive("dim", self.dim)
         check_positive("world_size", self.world_size)
         check_in("backend", self.backend, {"thread", "process"})
+        check_in("transport", self.transport, {None, "shm"})
         check_positive("clients", self.clients)
         check_positive("requests_per_client", self.requests_per_client)
         check_positive("ids_per_request", self.ids_per_request)

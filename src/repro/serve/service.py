@@ -518,7 +518,6 @@ class ShardedEmbeddingService:
         self.group = group or open_group(
             config.world_size,
             backend=config.backend,
-            transport=config.transport,
             trace=config.trace or None,
         )
         self._closed = False

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 
 import numpy as np
 
@@ -93,23 +92,8 @@ class VersionedShardStore:
     def version(self) -> int:
         return self.fence.version
 
-    def read_rows(
-        self, ids: np.ndarray, columns: slice | None = None
-    ) -> tuple[int, np.ndarray]:
+    def read_rows(self, ids: np.ndarray) -> tuple[int, np.ndarray]:
         """Snapshot-consistent ``(version, rows[:, my_columns])`` copy."""
-        if columns is not None:
-            warnings.warn(
-                "VersionedShardStore.read_rows(columns=...) is deprecated; "
-                "the column partition comes from the runtime's placement "
-                "(repro.placement.uniform_column_sharding by default)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if columns != self.runtime.my_columns:
-                raise ValueError(
-                    f"explicit columns {columns} != this rank's shard "
-                    f"{self.runtime.my_columns}"
-                )
         ids = np.asarray(ids, dtype=np.int64)
         weight = self.runtime.table.weight.data
         cols = self.runtime.my_columns

@@ -7,7 +7,7 @@ between the repo's two worlds:
 
 1. **fit** (:mod:`repro.tune.fit`) — multi-size AllReduce probes through
    :func:`repro.comm.open_group`, alpha-beta least squares over the
-   measured spans, per-transport :class:`LinkFit` s bundled into a
+   measured spans, per-link :class:`LinkFit` s bundled into a
    JSON-round-trippable :class:`TunedProfile` that loads into
    :mod:`repro.cluster` / :mod:`repro.collectives`;
 2. **search** (:mod:`repro.tune.search`) — a declarative
@@ -17,7 +17,7 @@ between the repo's two worlds:
 3. **validate** (:mod:`repro.tune.validate`) — top-k candidates replayed
    on the real backend via :class:`~repro.engine.run.RunConfig`,
    predicted-vs-measured error reported, winner emitted as the profile
-   ``RealTrainer(profile=...)`` / ``open_group(profile=...)`` accept.
+   ``RealTrainer(profile=...)`` / ``RunConfig(profile=...)`` accept.
 
 ``repro tune`` is the CLI front end; ``benchmarks/bench_tune.py``
 produces the committed ``BENCH_tune.json`` regression baseline.

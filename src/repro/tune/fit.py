@@ -17,7 +17,7 @@ AllReduce time model
 
 so the intercept/slope of the linear fit recover the per-hop latency
 ``beta = a / (2(N-1))`` and bandwidth ``B = 2(N-1) / (N b)``.  One
-:class:`LinkFit` is produced per transport; a :class:`TunedProfile`
+:class:`LinkFit` is produced per probed link; a :class:`TunedProfile`
 bundles them with the tuned scheduler knobs and round-trips to JSON so a
 probe run on one day configures training runs on another.
 """
@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.comm.sched import SchedKnobs
+from repro.utils.validation import check_in
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.collectives.cost import CostModel
@@ -43,13 +44,19 @@ if TYPE_CHECKING:  # pragma: no cover
 #: and bandwidth-dominated regimes so the linear fit is well-conditioned.
 PROBE_SIZES_BYTES = (16_384, 65_536, 262_144, 1_048_576, 4_194_304)
 
-#: Tiny probe ladder for CI smoke runs (``repro tune --smoke``).
-SMOKE_SIZES_BYTES = (4_096, 65_536, 262_144)
+#: Short probe ladder for CI smoke runs (``repro tune --smoke``).  The top
+#: size must be bandwidth-bound: under 1 MiB a few threads' wake-up jitter
+#: outweighs the copy and the fitted slope comes out negative on a busy box.
+SMOKE_SIZES_BYTES = (4_096, 262_144, 4_194_304)
 
 #: Probe AllReduce repetitions per size (first is discarded as warmup).
 DEFAULT_PROBE_ITERS = 5
 
 _SCHEMA_VERSION = 1
+
+#: What a :class:`LinkFit` may be labelled: the process wire, the thread
+#: backend, and the two levels of :func:`probe_two_level`.
+LINK_LABELS = ("shm", "thread", "intra", "inter")
 
 
 @dataclass(frozen=True)
@@ -62,13 +69,14 @@ class ProbeSample:
 
 @dataclass(frozen=True)
 class LinkFit:
-    """Fitted alpha-beta parameters for one transport.
+    """Fitted alpha-beta parameters for one link.
 
     ``latency_s`` is the per-hop start latency (the paper's beta) and
     ``bandwidth_Bps`` the per-hop sustained bandwidth (the paper's B),
     both *as seen through the ring AllReduce* on ``world_size`` ranks.
     ``residual`` is the mean relative error of the fit over its samples
-    — a diagnostic for how linear the measured transport actually is.
+    — a diagnostic for how linear the measured link actually is.
+    ``transport`` is the link's label, one of :data:`LINK_LABELS`.
     """
 
     transport: str
@@ -116,7 +124,7 @@ def fit_alpha_beta(samples: list[ProbeSample] | list[tuple[int, float]]) -> tupl
 
 
 def link_fit_from_samples(
-    transport: str, world_size: int, samples: list[ProbeSample]
+    label: str, world_size: int, samples: list[ProbeSample]
 ) -> LinkFit:
     """Turn raw probe samples into a :class:`LinkFit` via the ring model."""
     if world_size < 2:
@@ -130,7 +138,7 @@ def link_fit_from_samples(
         np.mean([abs(p - s.seconds) / s.seconds for p, s in zip(preds, samples)])
     )
     return LinkFit(
-        transport=transport,
+        transport=label,
         world_size=world_size,
         latency_s=latency,
         bandwidth_Bps=bandwidth,
@@ -184,7 +192,6 @@ def probe_two_level(
     topology,
     *,
     backend: str = "thread",
-    transport: str | None = None,
     sizes_bytes: tuple[int, ...] = PROBE_SIZES_BYTES,
     iters: int = DEFAULT_PROBE_ITERS,
 ) -> "TunedProfile":
@@ -220,8 +227,7 @@ def probe_two_level(
     world = topology.world_size
     attempts = 3
     with open_group(
-        world, backend=backend, transport=transport, trace=True,
-        topology=topology,
+        world, backend=backend, trace=True, topology=topology
     ) as group:
         for attempt in range(attempts):
             samples: dict[str, list[ProbeSample]] = {"intra": [], "inter": []}
@@ -285,18 +291,15 @@ def probe_link(
     world_size: int,
     *,
     backend: str = "process",
-    transport: str | None = "shm",
     sizes_bytes: tuple[int, ...] = PROBE_SIZES_BYTES,
     iters: int = DEFAULT_PROBE_ITERS,
 ) -> LinkFit:
-    """Measure one transport with multi-size AllReduce probes and fit it.
+    """Measure one backend with multi-size AllReduce probes and fit it.
 
     One traced :meth:`~repro.comm.CommGroup.run` per payload size; the
     median over ``iters - 1`` timed repetitions (the first is warmup)
-    becomes that size's :class:`ProbeSample`.  The thread backend is
-    probed under the transport label ``"thread"`` (its links are
-    in-process queues; the ``transport=`` argument is ignored there, as
-    in :func:`~repro.comm.open_group`).
+    becomes that size's :class:`ProbeSample`.  The fit is labelled
+    ``"shm"`` on the process backend and ``"thread"`` on threads.
     """
     if world_size < 2:
         raise ValueError("probing needs world_size >= 2")
@@ -304,11 +307,9 @@ def probe_link(
         raise ValueError("iters must be >= 2 (first iteration is warmup)")
     from repro.comm import open_group
 
-    label = "thread" if backend == "thread" else (transport or "shm")
+    label = "thread" if backend == "thread" else "shm"
     samples = []
-    with open_group(
-        world_size, backend=backend, transport=transport, trace=True
-    ) as group:
+    with open_group(world_size, backend=backend, trace=True) as group:
         for nbytes in sizes_bytes:
             n_elems = max(1, nbytes // 4)
             group.run(_probe_rank, n_elems, iters)
@@ -331,15 +332,13 @@ def probe_link(
 class TunedProfile:
     """Everything the tuner learned about one host, JSON-round-trippable.
 
-    ``links`` maps transport label (``"shm"``, ``"queue"``, ``"thread"``)
-    to its fitted :class:`LinkFit`.  ``knobs`` / ``strategy`` /
-    ``transport`` are filled in by :mod:`repro.tune.validate` once a
-    winning configuration is known; a freshly probed profile carries
-    only the link fits.  Consumers:
+    ``links`` maps link label (one of :data:`LINK_LABELS`) to its
+    fitted :class:`LinkFit`.  ``knobs`` / ``strategy`` are filled in by
+    :mod:`repro.tune.validate` once a winning configuration is known; a
+    freshly probed profile carries only the link fits.  Consumers:
 
     * ``RealTrainer(..., profile=p)`` / ``RunConfig(..., profile=p)``
       adopt ``p.knobs`` (an explicit ``knobs=`` argument wins);
-    * ``open_group(..., profile=p)`` adopts ``p.transport``;
     * :meth:`cost_model` / :meth:`to_cluster` feed the simulator.
     """
 
@@ -348,7 +347,6 @@ class TunedProfile:
     links: dict[str, LinkFit]
     knobs: SchedKnobs | None = None
     strategy: str | None = None
-    transport: str | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -361,21 +359,13 @@ class TunedProfile:
                 raise ValueError(f"links[{label!r}] is not a LinkFit: {link!r}")
             _validate_link(label, link)
 
-    def link(self, transport: str | None = None) -> LinkFit:
-        """The fit for ``transport`` (default: the profile's chosen or
-        only transport)."""
-        key = transport or self.transport
-        if key is None:
-            if len(self.links) == 1:
-                return next(iter(self.links.values()))
+    def link(self) -> LinkFit:
+        """The one fit of a single-level profile."""
+        if len(self.links) != 1:
             raise ValueError(
-                f"profile has {sorted(self.links)} links; pass transport="
+                f"profile has {sorted(self.links)} links; pick one from .links"
             )
-        if key not in self.links:
-            raise KeyError(
-                f"no fit for transport {key!r}; profile has {sorted(self.links)}"
-            )
-        return self.links[key]
+        return next(iter(self.links.values()))
 
     @property
     def two_level(self) -> bool:
@@ -387,9 +377,7 @@ class TunedProfile:
             and "inter" in self.links
         )
 
-    def to_cluster(
-        self, transport: str | None = None, world_size: int | None = None
-    ) -> "ClusterSpec":
+    def to_cluster(self, world_size: int | None = None) -> "ClusterSpec":
         """A :class:`~repro.cluster.ClusterSpec` from the link fit(s).
 
         Single-level profiles map to a one-node
@@ -424,7 +412,7 @@ class TunedProfile:
             return base
         from repro.cluster.topology import tuned_cluster
 
-        link = self.link(transport)
+        link = self.link()
         return tuned_cluster(
             world,
             bandwidth=link.bandwidth_Bps,
@@ -432,9 +420,7 @@ class TunedProfile:
             name=f"tuned-{link.transport}",
         )
 
-    def cost_model(
-        self, transport: str | None = None, world_size: int | None = None
-    ) -> "CostModel":
+    def cost_model(self, world_size: int | None = None) -> "CostModel":
         """Calibrated :class:`~repro.collectives.CostModel` for this host.
 
         ``world_size`` overrides the priced scale (see
@@ -442,12 +428,7 @@ class TunedProfile:
         """
         from repro.collectives.cost import CostModel
 
-        if self.two_level or world_size is not None:
-            return CostModel(
-                self.to_cluster(transport, world_size),
-                half_utilization_bytes=0.0,
-            )
-        return CostModel.from_profile(self, transport)
+        return CostModel(self.to_cluster(world_size), half_utilization_bytes=0.0)
 
     # ------------------------------------------------------------------ #
     def to_json(self) -> str:
@@ -472,7 +453,6 @@ class TunedProfile:
             },
             "knobs": self.knobs.to_dict() if self.knobs is not None else None,
             "strategy": self.strategy,
-            "transport": self.transport,
             "meta": self.meta,
         }
         return json.dumps(d, indent=2, sort_keys=True)
@@ -496,6 +476,8 @@ class TunedProfile:
         missing = required - set(d)
         if missing:
             raise ValueError(f"profile JSON missing keys: {sorted(missing)}")
+        # Written by earlier releases, when a second wire could be chosen.
+        check_in("transport", d.get("transport"), {None, "shm"})
         links = {}
         for label, ld in d["links"].items():
             try:
@@ -520,7 +502,6 @@ class TunedProfile:
             links=links,
             knobs=SchedKnobs.from_dict(knobs) if knobs is not None else None,
             strategy=d.get("strategy"),
-            transport=d.get("transport"),
             meta=d.get("meta") or {},
         )
 
@@ -535,18 +516,14 @@ class TunedProfile:
             return cls.from_json(fh.read())
 
     def with_choice(
-        self,
-        knobs: SchedKnobs,
-        strategy: str | None = None,
-        transport: str | None = None,
+        self, knobs: SchedKnobs, strategy: str | None = None
     ) -> "TunedProfile":
         """Copy with the winning configuration filled in."""
-        return dataclasses.replace(
-            self, knobs=knobs, strategy=strategy, transport=transport
-        )
+        return dataclasses.replace(self, knobs=knobs, strategy=strategy)
 
 
 def _validate_link(label: str, link: LinkFit) -> None:
+    check_in(f"links[{label!r}].transport", link.transport, set(LINK_LABELS))
     vals = {
         "latency_s": link.latency_s,
         "bandwidth_Bps": link.bandwidth_Bps,
@@ -567,32 +544,16 @@ def fit_profile(
     world_size: int,
     *,
     backend: str = "process",
-    transports: tuple[str, ...] = ("shm",),
     sizes_bytes: tuple[int, ...] = PROBE_SIZES_BYTES,
     iters: int = DEFAULT_PROBE_ITERS,
 ) -> TunedProfile:
-    """Probe + fit every requested transport into one :class:`TunedProfile`.
-
-    With ``backend="thread"`` the single fitted link is labelled
-    ``"thread"`` regardless of ``transports``.
-    """
-    links: dict[str, LinkFit] = {}
-    if backend == "thread":
-        fit = probe_link(
-            world_size, backend="thread", transport=None,
-            sizes_bytes=sizes_bytes, iters=iters,
-        )
-        links[fit.transport] = fit
-    else:
-        for transport in transports:
-            fit = probe_link(
-                world_size, backend=backend, transport=transport,
-                sizes_bytes=sizes_bytes, iters=iters,
-            )
-            links[fit.transport] = fit
+    """Probe + fit ``backend``'s link into a :class:`TunedProfile`."""
+    fit = probe_link(
+        world_size, backend=backend, sizes_bytes=sizes_bytes, iters=iters
+    )
     return TunedProfile(
         world_size=world_size,
         backend=backend,
-        links=links,
+        links={fit.transport: fit},
         meta={"probe_sizes_bytes": list(sizes_bytes), "probe_iters": iters},
     )

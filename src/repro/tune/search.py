@@ -1,7 +1,7 @@
 """Declarative knob search over the calibrated simulator.
 
 A :class:`SearchSpace` enumerates candidate :class:`~repro.comm.SchedKnobs`
-(plus partition strategy and transport); each :class:`Candidate` is
+(plus partition strategy); each :class:`Candidate` is
 priced by building the overlapped trainer's per-step task graph —
 forward/backward and optimizer compute lanes from *measured* spans,
 every collective priced by the profile-calibrated
@@ -42,7 +42,6 @@ class Candidate:
 
     knobs: SchedKnobs = field(default_factory=SchedKnobs)
     strategy: str = "embrace"
-    transport: str | None = None
 
     def label(self) -> str:
         k = self.knobs
@@ -75,8 +74,6 @@ class Candidate:
             )
         if k.schedule != "data_parallel":
             parts.append(f"{k.schedule}@{k.pipeline_stages}x{k.microbatches}")
-        if self.transport:
-            parts.append(self.transport)
         return " ".join(parts)
 
 
@@ -97,7 +94,6 @@ class SearchSpace:
     #: the grid to search flat-vs-hierarchical on a two-level profile.
     hier: tuple[bool | None, ...] = (None,)
     strategy: tuple[str, ...] = ("embrace",)
-    transport: tuple[str | None, ...] = (None,)
     #: Pipeline-parallel axes (simulator-only): a ``schedule`` other than
     #: ``data_parallel`` compiles the corresponding
     #: :class:`~repro.schedule.TabularSchedule` instead of the flat
@@ -112,7 +108,7 @@ class SearchSpace:
         for name in (
             "chunk_elems", "max_chunks", "bucket_elems",
             "delayed_min_rows", "dense_switch_density", "hot_fraction",
-            "repartition_interval", "hier", "strategy", "transport",
+            "repartition_interval", "hier", "strategy",
             "schedule", "pipeline_stages", "microbatches",
         ):
             if not getattr(self, name):
@@ -132,11 +128,11 @@ class SearchSpace:
         validation happens in each :class:`~repro.comm.SchedKnobs`."""
         out = []
         seen: set[Candidate] = set()
-        for ce, mc, be, dm, ds, hf, ri, hi, st, tr, sc, ps, mb in itertools.product(
+        for ce, mc, be, dm, ds, hf, ri, hi, st, sc, ps, mb in itertools.product(
             self.chunk_elems, self.max_chunks, self.bucket_elems,
             self.delayed_min_rows, self.dense_switch_density,
             self.hot_fraction, self.repartition_interval,
-            self.hier, self.strategy, self.transport,
+            self.hier, self.strategy,
             self.schedule, self.pipeline_stages, self.microbatches,
         ):
             if sc == "data_parallel":
@@ -151,7 +147,6 @@ class SearchSpace:
                     schedule=sc, pipeline_stages=ps, microbatches=mb,
                 ),
                 strategy=st,
-                transport=tr,
             )
             if cand not in seen:  # data_parallel collapses the stage axes
                 seen.add(cand)
@@ -340,7 +335,6 @@ def calibrate_overhead(
     profile: TunedProfile,
     workload: MeasuredWorkload,
     n_steps: int = 3,
-    transport: str | None = None,
 ) -> MeasuredWorkload:
     """Fill :attr:`MeasuredWorkload.step_overhead_s` from the default run.
 
@@ -352,9 +346,7 @@ def calibrate_overhead(
     a simulator already slower than reality gets no negative help.
     """
     base = replace(workload, step_overhead_s=0.0)
-    raw = predict_candidate(
-        profile, base, default_candidate(transport=transport), n_steps=n_steps
-    )
+    raw = predict_candidate(profile, base, default_candidate(), n_steps=n_steps)
     overhead = max(0.0, workload.measured_step_s - raw.step_time_s)
     return replace(workload, step_overhead_s=overhead)
 
@@ -499,7 +491,7 @@ def predict_candidate(
     for the dense, sparse, and hot lanes — the same tri-state
     resolution :class:`~repro.comm.CommScheduler` applies on real ranks.
     """
-    cost = profile.cost_model(candidate.transport, world_size=world_size)
+    cost = profile.cost_model(world_size=world_size)
     if world_size is not None and world_size != workload.world_size:
         workload = workload.scaled_to(world_size)
     k = candidate.knobs
@@ -753,12 +745,6 @@ def rank_candidates(
     return results + eliminated
 
 
-def default_candidate(
-    strategy: str = "embrace", transport: str | None = None
-) -> Candidate:
+def default_candidate(strategy: str = "embrace") -> Candidate:
     """The pre-tuning configuration (historical constants)."""
-    return Candidate(knobs=SchedKnobs(), strategy=strategy, transport=transport)
-
-
-def with_transport(candidate: Candidate, transport: str | None) -> Candidate:
-    return replace(candidate, transport=transport)
+    return Candidate(knobs=SchedKnobs(), strategy=strategy)

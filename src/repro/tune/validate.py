@@ -5,7 +5,7 @@ module closes the loop by replaying the top-k candidates (plus the
 default configuration) through :class:`~repro.engine.run.RunConfig` on
 the real backend, reporting predicted-vs-measured step-time error, and
 emitting the winning :class:`~repro.tune.TunedProfile` — the one
-``RealTrainer`` / ``open_group`` accept via their ``profile=`` kwarg.
+``RealTrainer`` / ``RunConfig`` accept via their ``profile=`` kwarg.
 
 The winner is the *measured*-stall argmin over the validated set, which
 always contains the default: tuning can therefore never regress the
@@ -70,7 +70,7 @@ class TuneReport:
     ranked: tuple[PredictedRun, ...]
     validated: tuple[ValidatedCandidate, ...]  # default first
     winner: ValidatedCandidate
-    tuned_profile: TunedProfile  # fits + winning knobs/strategy/transport
+    tuned_profile: TunedProfile  # fits + winning knobs/strategy
     losses_identical: bool
 
     @property
@@ -83,7 +83,7 @@ class TuneReport:
 
         out = []
         fits = Table(
-            ["transport", "latency (us)", "bandwidth (MB/s)", "fit residual"],
+            ["link", "latency (us)", "bandwidth (MB/s)", "fit residual"],
             title="fitted alpha-beta links",
         )
         for label, link in sorted(self.profile.links.items()):
@@ -129,7 +129,6 @@ def run_real_candidate(
     steps: int,
     seed: int,
     backend: str,
-    transport: str | None,
 ) -> tuple[float, float, tuple[float, ...]]:
     """One traced real run under the candidate's knobs.
 
@@ -145,7 +144,6 @@ def run_real_candidate(
         steps=steps,
         seed=seed,
         backend=backend,
-        transport=candidate.transport or transport,
         trace=True,
         knobs=candidate.knobs,
     ))
@@ -164,7 +162,6 @@ def validate_candidates(
     steps: int,
     seed: int,
     backend: str,
-    transport: str | None,
     top_k: int = 2,
 ) -> TuneReport:
     """Replay default + top-k ranked candidates; build the report."""
@@ -182,7 +179,7 @@ def validate_candidates(
         pred = predict_candidate(profile, workload, cand, n_steps=steps)
         step_s, stall_frac, losses = run_real_candidate(
             config, cand, world_size=world, steps=steps, seed=seed,
-            backend=backend, transport=transport,
+            backend=backend,
         )
         validated.append(ValidatedCandidate(
             candidate=cand,
@@ -198,10 +195,7 @@ def validate_candidates(
     )
     losses_identical = all(v.losses == validated[0].losses for v in validated)
     tuned = profile.with_choice(
-        winner.candidate.knobs,
-        strategy=winner.candidate.strategy,
-        transport=winner.candidate.transport
-        or (transport if backend != "thread" else None),
+        winner.candidate.knobs, strategy=winner.candidate.strategy
     )
     return TuneReport(
         profile=profile,
@@ -219,7 +213,6 @@ def autotune(
     *,
     world_size: int = 4,
     backend: str = "process",
-    transport: str | None = "shm",
     steps: int = 5,
     seed: int = 11,
     space: SearchSpace | None = None,
@@ -231,8 +224,8 @@ def autotune(
 ) -> TuneReport:
     """The full probe → fit → search → validate pipeline for one model.
 
-    1. **Probe**: multi-size AllReduces on the requested backend/
-       transport, alpha-beta fitted into a :class:`TunedProfile`;
+    1. **Probe**: multi-size AllReduces on the requested backend,
+       alpha-beta fitted into a :class:`TunedProfile`;
     2. **Measure**: one traced default-knob real run supplies compute
        span durations + the default's measured stall;
     3. **Search**: the (calibrated) simulator ranks the ``space`` grid
@@ -245,7 +238,6 @@ def autotune(
     profile = fit_profile(
         world_size,
         backend=backend,
-        transports=(transport or "shm",),
         sizes_bytes=probe_sizes,
         iters=probe_iters,
     )
@@ -257,7 +249,6 @@ def autotune(
         steps=steps,
         seed=seed,
         backend=backend,
-        transport=transport,
         trace=True,
     ))
     workload = measure_workload_from_run(config, world_size, default_run)
@@ -268,6 +259,5 @@ def autotune(
     )
     return validate_candidates(
         profile, workload, config, list(ranked),
-        steps=steps, seed=seed, backend=backend, transport=transport,
-        top_k=top_k,
+        steps=steps, seed=seed, backend=backend, top_k=top_k,
     )

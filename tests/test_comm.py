@@ -301,13 +301,13 @@ class TestFailureInjection:
         from repro.comm.local import ThreadGroup
 
         with pytest.raises(ValueError):
-            ThreadGroup._create(2, timeout=0)
+            ThreadGroup(2, timeout=0)
 
     def test_process_timeout_validation(self):
         from repro.comm.process import ProcessGroup
 
         with pytest.raises(ValueError):
-            ProcessGroup._create(2, timeout=0)
+            ProcessGroup(2, timeout=0)
 
     def test_dead_peer_recv_error_is_informative(self):
         """The thread backend's recv timeout names the silent peer."""

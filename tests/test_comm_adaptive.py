@@ -107,10 +107,9 @@ class TestBitIdentity:
             assert np.array_equal(ref.indices, ada.indices)
             assert np.array_equal(ref.values, ada.values)
 
-    @pytest.mark.parametrize("transport", ["shm", "queue"])
-    def test_matches_thread_across_transports(self, transport):
+    def test_process_backend_matches_thread(self):
         reference = run_threaded(4, run_adaptive, 1.0)
-        with open_group(4, backend="process", transport=transport) as group:
+        with open_group(4, backend="process") as group:
             got = group.run(run_adaptive, 1.0)
         for ref, g in zip(reference, got):
             assert np.array_equal(ref.indices, g.indices)

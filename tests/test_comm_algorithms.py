@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.comm import run_threaded
+from repro.comm import NodeTopology, run_threaded, two_level_allreduce
 from repro.comm.algorithms import (
     alltoallv,
     gather,
-    hierarchical_allreduce,
     reduce_scatter,
     scatter,
     tree_allreduce,
@@ -56,29 +55,34 @@ class TestTreeAllreduce:
             np.testing.assert_allclose(got, data.sum(axis=0), atol=1e-9)
 
 
-class TestHierarchicalAllreduce:
+class TestTwoLevelAllreduce:
     @pytest.mark.parametrize("nodes,gpus", [(2, 2), (2, 3), (3, 2), (1, 4), (4, 1)])
     def test_matches_flat_ring(self, nodes, gpus):
         world = nodes * gpus
+        topology = NodeTopology.symmetric(nodes, gpus)
 
         def fn(comm):
-            return hierarchical_allreduce(comm, rank_data(comm.rank, 17), gpus)
+            return two_level_allreduce(comm, rank_data(comm.rank, 17), topology)
 
         expected = sum(rank_data(r, 17) for r in range(world))
         for got in run_threaded(world, fn):
             np.testing.assert_allclose(got, expected, atol=1e-9)
 
-    def test_world_divisibility_enforced(self):
+    def test_world_mismatch_rejected(self):
+        topology = NodeTopology.symmetric(2, 2)
+
         def fn(comm):
             with pytest.raises(ValueError):
-                hierarchical_allreduce(comm, np.ones(4), gpus_per_node=2)
+                two_level_allreduce(comm, np.ones(4), topology)
             return True
 
         assert all(run_threaded(3, fn))
 
     def test_preserves_shape(self):
+        topology = NodeTopology.symmetric(2, 2)
+
         def fn(comm):
-            return hierarchical_allreduce(comm, np.ones((3, 5)), 2)
+            return two_level_allreduce(comm, np.ones((3, 5)), topology)
 
         for got in run_threaded(4, fn):
             assert got.shape == (3, 5)

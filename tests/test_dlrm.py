@@ -91,6 +91,29 @@ class TestModel:
             opt.step()
         assert losses[-1] < losses[0]
 
+    def test_tables_are_parameters_and_checkpointed(self, tmp_path):
+        """``tables`` is a dict attribute: ``parameters()`` must walk it,
+        or optimizers, ``state_dict()`` and checkpoints lose every table."""
+        from repro.engine.checkpoint import load_checkpoint, save_checkpoint
+        from repro.optim import EmbraceAdam
+
+        config = DLRM.tiny()
+        model = build_model(config, rng=np.random.default_rng(0))
+        params = {id(p) for p in model.parameters()}
+        for name, table in model.embedding_tables().items():
+            assert id(table.weight) in params, name
+            assert f"tables.{name}.weight" in model.state_dict()
+        path = str(tmp_path / "dlrm.npz")
+        save_checkpoint(path, model, EmbraceAdam(model.parameters()), step=1)
+        restored = build_model(config, rng=np.random.default_rng(1))
+        load_checkpoint(path, restored, EmbraceAdam(restored.parameters()))
+        for name, table in model.embedding_tables().items():
+            np.testing.assert_array_equal(
+                restored.embedding_tables()[name].weight.data,
+                table.weight.data,
+                err_msg=name,
+            )
+
     def test_real_trainer_runs(self):
         result = RealTrainer(
             DLRM.tiny(), strategy="embrace", world_size=2, steps=4, seed=0

@@ -1,5 +1,6 @@
 """Tests for the fault-injection & resilience subsystem (``repro.faults``)."""
 
+import os
 import time
 
 import numpy as np
@@ -213,7 +214,7 @@ class TestFaultyCommunicator:
         from repro.comm.local import ThreadGroup
 
         plan = FaultPlan(stragglers={0: 3.0})
-        comm = FaultyCommunicator(ThreadGroup._create(1).communicator(0), plan)
+        comm = FaultyCommunicator(ThreadGroup(1).communicator(0), plan)
         start = time.perf_counter()
         with comm.straggler():
             time.sleep(0.05)
@@ -325,9 +326,11 @@ class TestResilientTraining:
         assert out.result.losses == expected.losses
 
     @pytest.mark.slow
-    def test_crash_recovery_on_process_shm_backend(self, tmp_path):
-        """The acceptance path: restart attempts reuse one persistent
-        shared-memory ProcessGroup, and recovery stays bit-exact."""
+    def test_crash_recovery_on_process_backend(self, tmp_path):
+        """The acceptance path: restart attempts ride the trainer's own
+        process-backed group — here one whose first pool lost a worker,
+        so ``CommGroup.run`` replaced it — and recovery stays bit-exact."""
+        from repro.comm import open_group
         from repro.engine.trainer_real import RealTrainer
         from repro.models import GNMT8
 
@@ -335,15 +338,19 @@ class TestResilientTraining:
         kwargs = dict(strategy="allgather", world_size=2, steps=6, seed=5)
         expected = RealTrainer(config, **kwargs).train()
         plan = FaultPlan(seed=5, crashes={1: 5}, recv_deadline=5.0)
-        out = RealTrainer(
-            config,
-            fault_plan=plan,
-            checkpoint_every=2,
-            checkpoint_dir=str(tmp_path),
-            backend="process",
-            transport="shm",
-            **kwargs,
-        ).train_resilient()
+        with open_group(
+            2, backend="process", timeout=plan.recv_deadline
+        ) as group:
+            with pytest.raises(RuntimeError, match="died"):
+                group.run(_kill_rank_one)
+            out = RealTrainer(
+                config,
+                fault_plan=plan,
+                checkpoint_every=2,
+                checkpoint_dir=str(tmp_path),
+                group=group,
+                **kwargs,
+            ).train_resilient()
         assert out.report.attempts == 2
         assert out.report.crash_events == [(1, 5)]
         assert out.result.losses == expected.losses
@@ -379,6 +386,12 @@ class TestResilientTraining:
         )
         with pytest.raises(CommFailure, match="giving up"):
             trainer.train_resilient()
+
+
+def _kill_rank_one(comm):
+    """A worker death no service loop can report (OOM kill, segfault)."""
+    if comm.rank == 1:
+        os._exit(3)
 
 
 class TestCheckpointExtras:

@@ -7,7 +7,6 @@ probe/profile, and the hybrid-mode replay ladder.
 """
 
 import dataclasses
-import warnings
 
 import numpy as np
 import pytest
@@ -478,17 +477,3 @@ class TestTopologyHelpers:
         topo = NodeTopology.of_sizes((3, 2), inter_latency=1e-4)
         clone = NodeTopology.from_dict(topo.to_dict())
         assert clone.nodes == topo.nodes
-
-    def test_deprecated_hierarchical_allreduce_shim(self):
-        from repro.comm.algorithms import hierarchical_allreduce
-
-        def worker(comm):
-            x = np.full(8, float(comm.rank + 1), np.float32)
-            return hierarchical_allreduce(comm, x, 2)
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with open_group(4, backend="thread") as g:
-                outs = g.run(worker)
-        assert any("deprecated" in str(w.message).lower() for w in caught)
-        assert np.array_equal(outs[0], np.full(8, 10.0, np.float32))

@@ -86,15 +86,15 @@ class TestSpanRecorder:
 
     def test_nested_collectives_record_only_outermost(self):
         rec, clk = _recorder()
-        t_outer = rec.coll_begin()  # hierarchical_allreduce ...
+        t_outer = rec.coll_begin()  # two_level_allreduce ...
         t_inner = rec.coll_begin()  # ... delegating to allreduce
         clk.t = 1.0
         rec.coll_end("allreduce", t_inner)
         clk.t = 2.0
-        rec.coll_end("hierarchical_allreduce", t_outer)
+        rec.coll_end("two_level_allreduce", t_outer)
         payload = rec.payload()
         assert len(rec) == 1
-        assert payload["names"][payload["key"][0]][0] == "hierarchical_allreduce"
+        assert payload["names"][payload["key"][0]][0] == "two_level_allreduce"
 
     def test_phase_lane_toggle(self):
         rec, clk = _recorder()

@@ -1,11 +1,9 @@
-"""open_group / RunConfig: the redesigned front door and its shims."""
-
-import warnings
+"""open_group / RunConfig: the one front door."""
 
 import numpy as np
 import pytest
 
-from repro.comm import ProcessGroup, ThreadGroup, open_group
+from repro.comm import open_group
 from repro.engine.run import RunConfig, RunResult, real_strategy, run, sim_strategy
 from repro.engine.trainer_real import RealTrainer
 from repro.faults import FaultPlan
@@ -29,6 +27,9 @@ class TestOpenGroup:
             open_group(2, backend="mpi")
         with pytest.raises(ValueError):
             open_group(2, transport="rdma")
+        with pytest.raises(ValueError):  # the second wire is gone
+            open_group(2, backend="process", transport="queue")
+        open_group(2, backend="process", transport="shm").close()
         with pytest.raises(ValueError):
             open_group(2, timeout=-1.0)
 
@@ -59,28 +60,7 @@ class TestOpenGroup:
         assert [float(o[0]) for o in outs] == [1.0, 1.0]
 
 
-class TestDeprecatedEntryPoints:
-    def test_thread_group_ctor_warns_but_works(self):
-        with pytest.warns(DeprecationWarning, match="open_group"):
-            group = ThreadGroup(2)
-        assert group.world_size == 2
-        assert group.communicator(1).rank == 1
-
-    def test_process_group_ctor_warns(self):
-        with pytest.warns(DeprecationWarning, match="open_group"):
-            ProcessGroup(2)
-
-    def test_real_trainer_backend_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match="open_group"):
-            RealTrainer(LM.tiny(), world_size=2, steps=1, backend="thread")
-
-    def test_new_entry_points_are_silent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            with open_group(2) as group:
-                group.run(_sum_ranks)
-            RealTrainer(LM.tiny(), world_size=2, steps=1)
-
+class TestTrainerGroup:
     def test_trainer_dispatches_through_group(self):
         with open_group(2, trace=True) as group:
             result = RealTrainer(

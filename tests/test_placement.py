@@ -7,8 +7,6 @@ re-partitioning mid-training — losses, optimizer state and served rows
 are bit-identical to the uniform column-sharded path.
 """
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -211,9 +209,9 @@ class TestTrainerBitIdentity:
         ).train()
         self._assert_same(base, placed)
 
-    def test_placement_on_process_shm_backend(self):
+    def test_placement_on_process_backend(self):
         base = RealTrainer(GNMT8.tiny(), **self.KW).train()
-        with open_group(2, backend="process", transport="shm") as g:
+        with open_group(2, backend="process") as g:
             placed = RealTrainer(
                 GNMT8.tiny(), placement=_trainer_placement(0.1),
                 group=g, **self.KW,
@@ -301,77 +299,6 @@ class TestServePlacement:
             np.testing.assert_array_equal(values, snaps[version][table][ids])
         for name, ref in finals.items():
             np.testing.assert_array_equal(report.final_tables[name], ref)
-
-
-class TestDeprecatedShims:
-    def test_alltoall_explicit_shards_warns(self):
-        from repro.comm.sparse import column_slices
-
-        def worker(comm):
-            grad = SparseRows(np.array([1]), np.ones((1, 8)), 4)
-            shards = column_slices(8, comm.world_size)
-            alltoall_column_shards(comm, grad, shards=shards)
-
-        # ``catch_warnings`` mutates process-global state, so per-rank
-        # contexts in worker threads race; record from the main thread
-        # around the whole group run instead.
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with open_group(2, backend="thread") as g:
-                g.run(worker)
-        assert any("deprecated" in str(w.message) for w in caught)
-
-    def test_alltoall_non_uniform_shards_rejected(self):
-        def worker(comm):
-            grad = SparseRows(np.array([1]), np.ones((1, 8)), 4)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                try:
-                    alltoall_column_shards(
-                        comm, grad, shards=[slice(0, 1), slice(1, 8)]
-                    )
-                except ValueError as e:
-                    return str(e)
-            return None
-
-        with open_group(2, backend="thread") as g:
-            outs = g.run(worker)
-        assert "non-uniform" in outs[0]
-
-    def test_runtime_columns_kwarg_warns(self):
-        from repro.comm.sparse import column_slices
-        from repro.engine.embrace_runtime import EmbraceTableRuntime
-        from repro.nn.embedding import Embedding
-
-        def worker(comm):
-            table = Embedding(16, 8, rng=np.random.default_rng(1), name="t")
-            cols = column_slices(8, comm.world_size)[comm.rank]
-            EmbraceTableRuntime(comm, table, columns=cols)
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with open_group(2, backend="thread") as g:
-                g.run(worker)
-        assert any("deprecated" in str(w.message) for w in caught)
-
-    def test_store_read_rows_columns_kwarg_warns(self):
-        from repro.engine.embrace_runtime import EmbraceTableRuntime
-        from repro.nn.embedding import Embedding
-        from repro.serve.store import VersionedShardStore
-
-        def worker(comm):
-            table = Embedding(16, 8, rng=np.random.default_rng(1), name="t")
-            store = VersionedShardStore(EmbraceTableRuntime(comm, table))
-            store.read_rows(np.array([2]), columns=store.runtime.my_columns)
-            wrong = slice(0, 1) if store.runtime.my_columns != slice(0, 1) else slice(1, 2)
-            with pytest.raises(ValueError):
-                store.read_rows(np.array([2]), columns=wrong)
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with open_group(2, backend="thread") as g:
-                g.run(worker)
-        assert any("deprecated" in str(w.message) for w in caught)
 
 
 class TestKnobsAndSearch:

@@ -244,9 +244,7 @@ class TestRealParity:
         config = ALL_MODELS["LM"].tiny()
         stall = {}
         for overlap in (True, False):
-            with open_group(
-                2, backend="process", transport="shm", trace=True
-            ) as g:
+            with open_group(2, backend="process", trace=True) as g:
                 result = RealTrainer(
                     config,
                     strategy="embrace",

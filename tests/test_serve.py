@@ -306,11 +306,10 @@ class TestShardedEmbeddingService:
         _assert_bit_identical_and_consistent(cfg, report)
 
     @pytest.mark.slow
-    def test_process_backend_four_ranks_shm(self):
+    def test_process_backend_four_ranks(self):
         cfg = ServeConfig(
             world_size=4,
             backend="process",
-            transport="shm",
             clients=3,
             requests_per_client=10,
             train_steps=5,
@@ -369,7 +368,6 @@ class TestGracefulShutdown:
         cfg = ServeConfig(
             world_size=2,
             backend="process",
-            transport="shm",
             clients=2,
             requests_per_client=10_000,
             train_steps=10_000,
@@ -425,5 +423,8 @@ class TestOnlineReference:
             ServeConfig(tables=("a", "a"))
         with pytest.raises(ValueError):
             ServeConfig(backend="mpi")
+        with pytest.raises(ValueError):  # the second wire is gone
+            ServeConfig(backend="process", transport="queue")
+        assert ServeConfig(backend="process", transport="shm").transport == "shm"
         with pytest.raises(ValueError):
             ServeConfig(interrupt_after=-1)

@@ -8,9 +8,11 @@ to the Horovod-AllGather baseline for every model family.
 import numpy as np
 import pytest
 
+from repro.comm import open_group
 from repro.engine.trainer_real import RealTrainer
 from repro.eval import bleu, perplexity, perplexity_curve, teacher_forced_argmax
 from repro.models import BERT_BASE, GNMT8, LM, TRANSFORMER, build_model
+from repro.models.config import DLRM
 
 
 def run_pair(config, steps=3, world=2, seed=5, **kw):
@@ -22,11 +24,14 @@ def run_pair(config, steps=3, world=2, seed=5, **kw):
 
 
 class TestBitEquivalence:
-    @pytest.mark.parametrize("paper_cfg", [LM, GNMT8, TRANSFORMER, BERT_BASE],
-                             ids=["LM", "GNMT-8", "Transformer", "BERT-base"])
+    @pytest.mark.parametrize(
+        "paper_cfg", [LM, GNMT8, TRANSFORMER, BERT_BASE, DLRM],
+        ids=["LM", "GNMT-8", "Transformer", "BERT-base", "DLRM"],
+    )
     def test_embrace_equals_allgather(self, paper_cfg):
         ag, em = run_pair(paper_cfg.tiny())
         assert ag.losses == em.losses
+        assert sorted(ag.state) == sorted(em.state)
         for key in ag.state:
             np.testing.assert_array_equal(ag.state[key], em.state[key], err_msg=key)
 
@@ -201,24 +206,14 @@ class TestDensifiedAllReduceStrategy:
 
 
 class TestProcessBackend:
-    """backend="process" trains bit-identically to the thread backend."""
-
-    def test_backend_validation(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError):
-                RealTrainer(LM.tiny(), backend="mpi")
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError):
-                RealTrainer(LM.tiny(), backend="process", transport="tcp")
+    """A process-backed group trains bit-identically to the thread backend."""
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("transport", ["shm", "queue"])
-    def test_matches_thread_backend(self, transport):
+    def test_matches_thread_backend(self):
         kw = dict(strategy="embrace", world_size=2, steps=3, seed=5)
         ref = RealTrainer(GNMT8.tiny(), **kw).train()
-        got = RealTrainer(
-            GNMT8.tiny(), backend="process", transport=transport, **kw
-        ).train()
+        with open_group(2, backend="process") as group:
+            got = RealTrainer(GNMT8.tiny(), group=group, **kw).train()
         assert got.losses == ref.losses
         for key in ref.state:
             np.testing.assert_array_equal(got.state[key], ref.state[key],
@@ -228,7 +223,8 @@ class TestProcessBackend:
     def test_allgather_strategy_on_shm(self):
         kw = dict(strategy="allgather", world_size=2, steps=3, seed=5)
         ref = RealTrainer(GNMT8.tiny(), **kw).train()
-        got = RealTrainer(GNMT8.tiny(), backend="process", **kw).train()
+        with open_group(2, backend="process") as group:
+            got = RealTrainer(GNMT8.tiny(), group=group, **kw).train()
         assert got.losses == ref.losses
         for key in ref.state:
             np.testing.assert_array_equal(got.state[key], ref.state[key],
@@ -304,9 +300,10 @@ class TestOverlapScheduling:
     def test_overlap_on_process_backend(self):
         kw = dict(strategy="embrace", world_size=2, steps=3, seed=5)
         ref = RealTrainer(GNMT8.tiny(), overlap=False, **kw).train()
-        got = RealTrainer(
-            GNMT8.tiny(), backend="process", overlap=True, **kw
-        ).train()
+        with open_group(2, backend="process") as group:
+            got = RealTrainer(
+                GNMT8.tiny(), overlap=True, group=group, **kw
+            ).train()
         assert got.losses == ref.losses
         for key in ref.state:
             np.testing.assert_array_equal(got.state[key], ref.state[key],

@@ -1,8 +1,8 @@
-"""Bit-identity of every collective across the three wire paths.
+"""Bit-identity of every collective across the two backends.
 
-The same collective algorithms run over the thread backend, the legacy
-pickle/queue process transport, and the zero-copy shared-memory
-transport.  Gradients must not depend on which wire moved them, so every
+The same collective algorithms run over the thread backend (the
+in-process reference) and the process backend's zero-copy shared-memory
+wire.  Gradients must not depend on which wire moved them, so every
 result here is compared with ``==`` (bitwise), never ``allclose`` — and
 the equivalence must survive fault injection (drops with retransmission,
 delays with reordering), which forces copies where zero-copy would race.
@@ -14,16 +14,17 @@ import numpy as np
 import pytest
 
 from repro.comm import (
+    NodeTopology,
     allgather_sparse,
     alltoall_column_shards,
     open_group,
     payload_nbytes,
     run_threaded,
+    two_level_allreduce,
 )
 from repro.comm.algorithms import (
     alltoallv,
     gather,
-    hierarchical_allreduce,
     reduce_scatter,
     scatter,
     tree_allreduce,
@@ -80,7 +81,8 @@ def run_tree_allreduce(comm):
 
 
 def run_hierarchical(comm):
-    return hierarchical_allreduce(comm, _payload(comm.rank), gpus_per_node=2)
+    topology = NodeTopology.symmetric(comm.world_size // 2, 2)
+    return two_level_allreduce(comm, _payload(comm.rank), topology)
 
 
 def run_allgather(comm):
@@ -181,27 +183,18 @@ def assert_bit_identical(a, b) -> None:
 
 @pytest.fixture(scope="module")
 def shm_group():
-    with open_group(WORLD, backend="process", timeout=60.0, transport="shm") as group:
-        yield group
-
-
-@pytest.fixture(scope="module")
-def queue_group():
-    with open_group(WORLD, backend="process", timeout=60.0, transport="queue") as group:
+    with open_group(WORLD, backend="process", timeout=60.0) as group:
         yield group
 
 
 @pytest.mark.parametrize(
     "name,fn,args", RUNNERS, ids=[name for name, _, _ in RUNNERS]
 )
-def test_collective_identical_across_transports(
-    name, fn, args, shm_group, queue_group
-):
+def test_shm_matches_threads(name, fn, args, shm_group):
     reference = run_threaded(WORLD, fn, *args)
-    for group in (queue_group, shm_group):
-        got = group.run(fn, *args)
-        for rank in range(WORLD):
-            assert_bit_identical(reference[rank], got[rank])
+    got = shm_group.run(fn, *args)
+    for rank in range(WORLD):
+        assert_bit_identical(reference[rank], got[rank])
 
 
 #: PR 8's ulp bug sat latent because every case here ran at one world
@@ -212,9 +205,7 @@ OTHER_WORLDS = (2, 3, 5)
 
 @pytest.fixture(scope="module", params=OTHER_WORLDS)
 def shm_group_of(request):
-    with open_group(
-        request.param, backend="process", timeout=60.0, transport="shm"
-    ) as group:
+    with open_group(request.param, backend="process", timeout=60.0) as group:
         yield group
 
 
@@ -224,7 +215,7 @@ def shm_group_of(request):
 def test_shm_matches_threads_at_other_worlds(name, fn, args, shm_group_of):
     world = shm_group_of.world_size
     if name == "hierarchical" and world % 2:
-        pytest.skip("gpus_per_node=2 needs an even world")
+        pytest.skip("two ranks per node need an even world")
     reference = run_threaded(world, fn, *args)
     got = shm_group_of.run(fn, *args)
     for rank in range(world):
@@ -258,15 +249,10 @@ class TestFaultedEquivalence:
             assert_bit_identical(reference[rank], got[rank])
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("transport", ["shm", "queue"])
-    def test_process_backend(self, transport):
+    def test_process_backend(self):
         reference = run_threaded(WORLD, run_allreduce, "<f4")
         got = run_multiprocess_with_faults(
-            WORLD,
-            run_allreduce,
-            FaultPlan(**self.PLAN),
-            "<f4",
-            transport=transport,
+            WORLD, run_allreduce, FaultPlan(**self.PLAN), "<f4"
         )
         for rank in range(WORLD):
             assert_bit_identical(reference[rank], got[rank])
@@ -288,13 +274,15 @@ class TestDtypePreservation:
         "dtype", [np.float32, np.float64, np.int32, np.int64]
     )
     def test_collectives_preserve_dtype(self, dtype):
+        topology = NodeTopology.symmetric(WORLD // 2, 2)
+
         def fn(comm):
             data = np.arange(24, dtype=dtype) + comm.rank
             return (
                 comm.allreduce(data).dtype,
                 reduce_scatter(comm, data).dtype,
                 tree_allreduce(comm, data).dtype,
-                hierarchical_allreduce(comm, data, gpus_per_node=2).dtype,
+                two_level_allreduce(comm, data, topology).dtype,
             )
 
         for dtypes in run_threaded(WORLD, fn):

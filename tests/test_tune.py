@@ -7,11 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from repro.comm import SchedKnobs, open_group
+from repro.comm import SchedKnobs
 from repro.engine.run import RunConfig, run
 from repro.engine.trainer_real import RealTrainer
 from repro.models.config import GNMT8
 from repro.tune import (
+    SMOKE_SIZES_BYTES,
     Candidate,
     LinkFit,
     ProbeSample,
@@ -93,8 +94,7 @@ class TestFit:
 
     def test_probe_link_thread_backend(self):
         fit = probe_link(
-            2, backend="thread", transport=None,
-            sizes_bytes=(4_096, 65_536, 262_144), iters=3,
+            2, backend="thread", sizes_bytes=SMOKE_SIZES_BYTES, iters=3
         )
         assert fit.transport == "thread"
         assert fit.bandwidth_Bps > 0 and fit.latency_s >= 0
@@ -106,12 +106,12 @@ class TestFit:
             probe_link(1, backend="thread")
 
 
-def make_profile(world=4, beta=40e-6, bandwidth=2.5e9, transport="shm", **kw):
+def make_profile(world=4, beta=40e-6, bandwidth=2.5e9, **kw):
     fit = link_fit_from_samples(
-        transport, world, synthetic_samples(world, beta, bandwidth, SIZES)
+        "shm", world, synthetic_samples(world, beta, bandwidth, SIZES)
     )
     return TunedProfile(
-        world_size=world, backend="process", links={transport: fit}, **kw
+        world_size=world, backend="process", links={"shm": fit}, **kw
     )
 
 
@@ -119,10 +119,27 @@ class TestTunedProfile:
     def test_json_roundtrip(self):
         p = make_profile(
             knobs=SchedKnobs(chunk_elems=1024), strategy="embrace",
-            transport="shm", meta={"host": "ci"},
+            meta={"host": "ci"},
         )
         p2 = TunedProfile.from_json(p.to_json())
         assert p2 == p
+
+    def test_earlier_release_json(self):
+        """A profile written when a second wire could be chosen: the
+        top-level ``transport`` key loads as ``"shm"`` and is refused
+        as ``"queue"``, like a link labelled ``"queue"``."""
+        p = make_profile(knobs=SchedKnobs(chunk_elems=1024), strategy="embrace")
+        d = json.loads(p.to_json())
+        assert "transport" not in d
+        d["transport"] = "shm"
+        assert TunedProfile.from_json(json.dumps(d)) == p
+        d["transport"] = "queue"
+        with pytest.raises(ValueError, match="transport"):
+            TunedProfile.from_json(json.dumps(d))
+        d["transport"] = None
+        d["links"]["queue"] = dict(d["links"]["shm"], transport="queue")
+        with pytest.raises(ValueError, match="transport"):
+            TunedProfile.from_json(json.dumps(d))
 
     def test_save_load(self, tmp_path):
         p = make_profile()
@@ -170,11 +187,13 @@ class TestTunedProfile:
             TunedProfile(world_size=4, backend="process", links={})
 
     def test_link_selection(self):
-        p = make_profile(transport="shm")
-        assert p.link().transport == "shm"  # only link: no key needed
-        assert p.link("shm").transport == "shm"
-        with pytest.raises(KeyError):
-            p.link("queue")
+        p = make_profile()
+        assert p.link().transport == "shm"  # the only link
+        two = dataclasses.replace(
+            p, links={"intra": p.links["shm"], "inter": p.links["shm"]}
+        )
+        with pytest.raises(ValueError, match="links"):
+            two.link()
 
     def test_to_cluster_and_cost_model(self):
         p = make_profile(world=4, beta=40e-6, bandwidth=2.5e9)
@@ -327,18 +346,6 @@ class _FakeParam:
 
 
 class TestKnobPlumbing:
-    def test_open_group_takes_transport_from_profile(self):
-        profile = make_profile(transport="queue")
-        object.__setattr__  # frozen dataclass: build via with_choice
-        profile = profile.with_choice(SchedKnobs(), transport="queue")
-        with open_group(2, backend="thread", profile=profile) as g:
-            assert g.transport == "queue"
-        with open_group(2, backend="thread", transport="shm",
-                        profile=profile) as g:
-            assert g.transport == "shm"  # explicit wins
-        with open_group(2, backend="thread") as g:
-            assert g.transport == "shm"  # default unchanged
-
     def test_trainer_knob_resolution_order(self):
         cfg = GNMT8.tiny()
         profile = make_profile().with_choice(SchedKnobs(chunk_elems=2048))
@@ -354,7 +361,6 @@ class TestKnobPlumbing:
         cfg = RunConfig(model=GNMT8.tiny(), mode="real",
                         knobs=SchedKnobs(chunk_elems=128))
         assert cfg.knobs.chunk_elems == 128
-        assert cfg.transport is None  # resolved later (profile-aware)
 
 
 class TestKnobBitIdentity:
@@ -386,9 +392,9 @@ class TestPipeline:
         from repro.tune import autotune
 
         report = autotune(
-            GNMT8.tiny(), world_size=2, backend="thread", transport=None,
+            GNMT8.tiny(), world_size=2, backend="thread",
             steps=3, seed=3, space=SearchSpace.smoke(),
-            probe_sizes=(4_096, 65_536, 262_144), probe_iters=3,
+            probe_sizes=SMOKE_SIZES_BYTES, probe_iters=3,
             rungs=(2,), top_k=1,
         )
         assert report.losses_identical
