@@ -1,4 +1,4 @@
-"""Reusable per-table EmbRace runtime.
+"""Reusable EmbRace runtime: one table, or a group of same-width tables.
 
 :class:`EmbraceTableRuntime` encapsulates the full lifecycle of one
 column-partitioned embedding table under EmbRace semantics, so any
@@ -28,9 +28,18 @@ hot rows never need refreshing; cold rows keep the sharded path above.
 Because the shard is a *view* of the replica's columns, hot updates are
 visible through it automatically and a hot→cold demotion migrates only
 optimizer moments, never values.
+
+:class:`TableGroupRuntime` runs all of the above **once for several
+tables**: it stacks same-width tables into one virtual row space and is
+itself an :class:`EmbraceTableRuntime` over the stacked rows, so an
+iteration costs one split, one prior / delayed / hot exchange, one
+lookup AlltoAll and one shard update per *group* instead of per table
+(``docs/mechanisms.md``, "Table groups").
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -47,7 +56,7 @@ from repro.comm import (
 from repro.nn.embedding import Embedding
 from repro.nn.parameter import Parameter
 from repro.optim import EmbraceAdam
-from repro.placement import PlacementPlan, TablePlacement
+from repro.placement import PlacementPlan, TablePlacement, as_placement
 from repro.schedule.vertical import vertical_split
 from repro.tensors import SparseRows
 
@@ -288,16 +297,19 @@ class EmbraceTableRuntime:
                 ]
         if all_ids is None:
             all_ids = self.comm.allgather(local_ids)
-        shard_lookup = np.concatenate(
-            [
-                np.ascontiguousarray(self.table.weight.data[ids][:, self.my_columns])
-                for ids in all_ids
-            ]
-        )
+        # Gathered from the shard view: one copy of exactly this rank's
+        # columns, already in rank order.
+        shard_lookup = self.shard.data[np.concatenate(all_ids)]
         fresh = alltoall_lookup_results(
             self.comm, all_ids, shard_lookup, own_count=len(local_ids)
         )
         self.table.weight.data[local_ids] = fresh
+
+    def _gather_columns(self, shard_rows: np.ndarray) -> np.ndarray:
+        """Collective: shard-width rows -> full-width rows (every rank's
+        columns side by side)."""
+        blocks = self.comm.allgather(np.ascontiguousarray(shard_rows))
+        return np.concatenate(blocks, axis=1)
 
     def gather_full_table(self) -> np.ndarray:
         """Authoritative full table assembled from every rank's shard.
@@ -306,9 +318,7 @@ class EmbraceTableRuntime:
         replica into this rank's shard columns, so the column allgather
         reassembles hot rows correctly too.
         """
-        own = np.ascontiguousarray(self.table.weight.data[:, self.my_columns])
-        blocks = self.comm.allgather(own)
-        return np.concatenate(blocks, axis=1)
+        return self._gather_columns(self.shard.data)
 
     # ------------------------------------------------------------------ #
     # Placement-invariant optimizer state + live hot-set migration.
@@ -322,9 +332,7 @@ class EmbraceTableRuntime:
         """
         shard_st = self.optimizer.state_for(self.shard)
         full = {
-            key: np.concatenate(
-                self.comm.allgather(np.ascontiguousarray(shard_st[key])), axis=1
-            )
+            key: self._gather_columns(shard_st[key])
             for key in ("exp_avg", "exp_avg_sq")
         }
         step = int(shard_st["step"])
@@ -405,3 +413,175 @@ class EmbraceTableRuntime:
             table=self.name, hot_ids=tuple(int(i) for i in new)
         )
         self.hot_ids = self.placement.hot_array
+
+
+class TableGroupRuntime(EmbraceTableRuntime):
+    """EmbRace semantics for several same-width tables in one row space.
+
+    The group owns one stacked ``(sum of vocab, dim)`` array — virtual
+    row = table offset + row — and rebinds every member's
+    ``table.weight.data`` to its row-slice view, so the unmodified model
+    keeps looking up locally while the group *is* an
+    :class:`EmbraceTableRuntime` over the stacked rows: split, prior /
+    delayed / hot exchange, refresh, shard update, state gather and
+    repartition each run once for all members.  Offsets keep the tables'
+    rows disjoint and every fold on the path (``coalesce``,
+    ``merge_coalesced``, ``merge_grouped``, the Adam row update) is
+    per-row, so the result is bit-identical to one runtime per table.
+    A group of one table adopts its array as is.
+
+    ``placement`` is anything :func:`repro.placement.as_placement`
+    accepts, in the member tables' own row ids.
+    """
+
+    def __init__(
+        self,
+        comm: Communicator,
+        tables: dict[str, Embedding],
+        lr: float = 1e-3,
+        betas: tuple[float, float] = (0.9, 0.999),
+        placement=None,
+        topology=None,
+        hier_sparse: bool | None = None,
+        hier_hot: bool | None = None,
+    ):
+        if not tables:
+            raise ValueError("a table group needs at least one table")
+        weights = [t.weight.data for t in tables.values()]
+        if len({(w.shape[1], w.dtype) for w in weights}) != 1:
+            raise ValueError(
+                f"tables {sorted(tables)} differ in width or dtype; group "
+                "them with TableGroupRuntime.by_width"
+            )
+        self.tables = dict(tables)
+        ends = np.cumsum([len(w) for w in weights])
+        #: ``name -> (first, past-last)`` virtual rows of each member.
+        self.bounds = {
+            name: (int(hi - len(w)), int(hi))
+            for name, w, hi in zip(tables, weights, ends)
+        }
+        name = "+".join(tables)
+        stacked = Parameter(
+            weights[0] if len(weights) == 1 else np.concatenate(weights),
+            name=f"{name}.weight",
+            sparse_grad=True,
+        )
+        plan = as_placement(placement)
+        hot = []
+        for member, table in tables.items():
+            lo, hi = self.bounds[member]
+            table.weight.data = stacked.data[lo:hi]
+            ids = plan.for_table(member).hot_array
+            if ids.size and ids[-1] >= hi - lo:
+                raise ValueError(
+                    f"{member}: hot row {ids[-1]} outside its {hi - lo} rows"
+                )
+            hot.append(ids + lo)
+        super().__init__(
+            comm,
+            # All EmbraceTableRuntime reads of an Embedding.
+            SimpleNamespace(weight=stacked, embedding_dim=stacked.data.shape[1]),
+            lr=lr,
+            betas=betas,
+            placement=TablePlacement(
+                table=name, hot_ids=tuple(int(i) for i in np.concatenate(hot))
+            ),
+            topology=topology,
+            hier_sparse=hier_sparse,
+            hier_hot=hier_hot,
+        )
+
+    @classmethod
+    def by_width(
+        cls, comm: Communicator, tables: dict[str, Embedding], **kwargs
+    ) -> list["TableGroupRuntime"]:
+        """One group per ``(embedding_dim, dtype)`` class of ``tables``,
+        in first-appearance order (deterministic, so SPMD-safe)."""
+        classes: dict[tuple, dict[str, Embedding]] = {}
+        for name, table in tables.items():
+            key = (table.embedding_dim, table.weight.data.dtype)
+            classes.setdefault(key, {})[name] = table
+        return [cls(comm, members, **kwargs) for members in classes.values()]
+
+    @property
+    def num_rows(self) -> int:
+        """Size of the virtual row space (sum of the members' vocab)."""
+        return len(self.table.weight.data)
+
+    def stack_ids(self, ids: dict[str, np.ndarray]) -> np.ndarray:
+        """Per-table row ids -> virtual rows, concatenated in table order."""
+        return np.concatenate(
+            [
+                np.asarray(ids[name], dtype=np.int64) + lo
+                for name, (lo, _) in self.bounds.items()
+            ]
+        )
+
+    def stack_grads(self, grads: dict[str, SparseRows]) -> SparseRows:
+        """Per-table sparse gradients -> one gradient over the virtual
+        rows.  Storage order within a table is kept, so ``coalesce``
+        folds each row's duplicates exactly as the per-table call does."""
+        parts = [grads[name] for name in self.bounds]
+        return SparseRows(
+            np.concatenate(
+                [g.indices + lo for g, (lo, _) in zip(parts, self.bounds.values())]
+            ),
+            np.concatenate([g.values for g in parts]),
+            self.num_rows,
+            coalesced=all(g.coalesced for g in parts),
+        )
+
+    def _gather_columns(self, shard_rows: np.ndarray) -> np.ndarray:
+        # One message per member table, not one for the stacked rows: a
+        # message of N bytes pins a pooled shm segment of up to 2N bytes
+        # on both ends for the life of the pool (docs/mechanisms.md).
+        gather = super()._gather_columns
+        return np.concatenate(
+            [gather(shard_rows[lo:hi]) for lo, hi in self.bounds.values()]
+        )
+
+    def gather_tables(self) -> dict[str, np.ndarray]:
+        """Every member's authoritative full table (collective), each
+        its own array — nothing the size of the stacked rows is built."""
+        gather = super()._gather_columns
+        return {
+            name: gather(self.shard.data[lo:hi])
+            for name, (lo, hi) in self.bounds.items()
+        }
+
+    def table_hot_ids(self) -> dict[str, np.ndarray]:
+        """The hot set in force, per member table, in its own row ids."""
+        out = {}
+        for name, (lo, hi) in self.bounds.items():
+            a, b = np.searchsorted(self.hot_ids, (lo, hi))
+            out[name] = self.hot_ids[a:b] - lo
+        return out
+
+    # Wire attribution: the collectives label sent bytes with the
+    # runtime's name; a multi-table group re-credits them to its members
+    # so ``TraceBundle.wire_bytes_by_table`` stays per table.
+    def exchange(self, comm, part, scale=1.0, dense_switch=1.0):
+        out = super().exchange(comm, part, scale, dense_switch)
+        self._credit_tables(comm.obs, part)
+        return out
+
+    def exchange_hot(self, comm, part, scale=1.0):
+        out = super().exchange_hot(comm, part, scale)
+        self._credit_tables(comm.obs, part)
+        return out
+
+    def _credit_tables(self, obs, part: SparseRows) -> None:
+        """Move ``wire_bytes.table.<group>`` onto the member tables in
+        proportion to the rows each contributed to ``part`` (coalesced,
+        hence sorted: one ``searchsorted`` cuts it per table)."""
+        if not obs.enabled or len(self.tables) == 1:
+            return
+        sent = obs.take(f"wire_bytes.table.{self.name}")
+        if not sent:
+            return
+        edges = [lo for lo, _ in self.bounds.values()] + [self.num_rows]
+        rows = np.diff(np.searchsorted(part.indices, edges))
+        if not rows.any():  # an empty part still sends masks / headers
+            rows = np.ones_like(rows)
+        for name, n in zip(self.bounds, rows):
+            obs.count(f"wire_bytes.table.{name}", float(sent * n / rows.sum()))

@@ -14,8 +14,11 @@ collectives in :mod:`repro.comm`:
 
   - every embedding table is column-partitioned; each rank owns (and
     keeps optimizer state for) its column shard only,
-  - after backward, Algorithm 1 splits each sparse gradient into prior
-    (rows the prefetched next global batch needs) and delayed parts,
+  - same-width tables share one virtual row space
+    (:class:`~repro.engine.embrace_runtime.TableGroupRuntime`), so the
+    steps below run once per *group*, not once per table,
+  - after backward, Algorithm 1 splits the group's sparse gradient into
+    prior (rows the prefetched next global batch needs) and delayed parts,
   - each part is exchanged by AlltoAll column shards and applied with
     :class:`~repro.optim.EmbraceAdam` (``step`` advances on the delayed
     part only),
@@ -67,10 +70,10 @@ from repro.engine.checkpoint import (
     peek_step,
     save_checkpoint,
 )
-from repro.engine.embrace_runtime import EmbraceTableRuntime
+from repro.engine.embrace_runtime import TableGroupRuntime
 from repro.faults import CommFailure, FaultPlan, FaultyCommunicator, RankCrashed
 from repro.optim import EmbraceAdam
-from repro.placement import TablePlacement, as_placement, learn_hot_ids
+from repro.placement import as_placement, learn_hot_ids
 from repro.data import Prefetcher
 from repro.engine.workload import batch_stream
 from repro.models.blocks import block_specs
@@ -516,43 +519,42 @@ class RealTrainer:
         sched = CommScheduler(comm, overlap=self.overlap)
         coll = SchedComm(sched)
 
-        # Per-table EmbRace runtimes (column shards + modified Adam) —
-        # created after any restore so the shards view the loaded tables.
-        runtimes: dict[str, EmbraceTableRuntime] = {}
-        live_counts: dict[str, np.ndarray] | None = None
+        # EmbRace runtimes (column shards + modified Adam), one per
+        # same-width table group — created after any restore so the
+        # groups stack the loaded tables.
+        groups: list[TableGroupRuntime] = []
+        live_counts: list[np.ndarray] | None = None
         if self.strategy == "embrace":
-            for name, table in tables.items():
-                ckpt_hot = f"embrace/{name}/hot_ids"
-                if ckpt_hot in extras:
-                    # Resume with the placement in force at checkpoint
-                    # time (a drift repartition may have moved it past
-                    # the configured plan).
-                    tp = TablePlacement(
-                        table=name,
-                        hot_ids=tuple(int(i) for i in extras[ckpt_hot]),
-                    )
-                else:
-                    tp = self.placement.for_table(name)
-                runtimes[name] = EmbraceTableRuntime(
-                    coll,
-                    table,
-                    lr=self.lr,
-                    placement=tp,
-                    topology=topo,
-                    hier_sparse=self.knobs.hier_sparse,
-                    hier_hot=self.knobs.hier_hot,
+            # Resume with the placement in force at checkpoint time (a
+            # drift repartition may have moved it past the configured
+            # plan).
+            hot_sets = {
+                name: extras.get(
+                    f"embrace/{name}/hot_ids",
+                    self.placement.for_table(name).hot_array,
                 )
-            self._restore_shard_state(runtimes, extras)
+                for name in tables
+            }
+            groups = TableGroupRuntime.by_width(
+                coll,
+                tables,
+                lr=self.lr,
+                placement=hot_sets,
+                topology=topo,
+                hier_sparse=self.knobs.hier_sparse,
+                hier_hot=self.knobs.hier_hot,
+            )
+            self._restore_shard_state(groups, extras)
             if self.knobs.repartition_interval > 0:
-                # Drift monitor: exact per-rank row counters, summed
-                # across ranks at each repartition boundary.  Not
-                # checkpointed — bit-identity holds under *any* hot set,
-                # so losing counter history only shifts which rows are
-                # hot after a restart, never the arithmetic.
-                live_counts = {
-                    name: np.zeros(table.num_embeddings, dtype=np.int64)
-                    for name, table in tables.items()
-                }
+                # Drift monitor: exact per-rank row counters over each
+                # group's row space, summed across ranks at each
+                # repartition boundary.  Not checkpointed — bit-identity
+                # holds under *any* hot set, so losing counter history
+                # only shifts which rows are hot after a restart, never
+                # the arithmetic.
+                live_counts = [
+                    np.zeros(group.num_rows, dtype=np.int64) for group in groups
+                ]
 
         compressors = None
         if self.dgc_ratio is not None:
@@ -596,8 +598,8 @@ class RealTrainer:
 
         obs = comm.obs  # NULL_RECORDER unless a SpanRecorder is installed
         # Delayed sparse parts carried across the step boundary:
-        # (table name, handle) pairs applied by _flush_delayed.
-        pending_delayed: list[tuple[str, CommHandle]] = []
+        # (group, handle) pairs applied by _flush_delayed.
+        pending_delayed: list[tuple[TableGroupRuntime, CommHandle]] = []
         try:
             for _step in range(start_step, self.steps):
                 if fault_comm is not None:
@@ -616,7 +618,7 @@ class RealTrainer:
                 # Step boundary for the sparse state: the previous step's
                 # delayed parts (whose exchange overlapped this forward)
                 # commit before any of this step's shard updates.
-                self._flush_delayed(runtimes, pending_delayed)
+                self._flush_delayed(pending_delayed)
                 # Average the scalar loss across ranks for a global curve.
                 # Deferred: the tiny allreduce queues behind this step's
                 # gradient traffic and is only waited at end of step, so
@@ -697,7 +699,7 @@ class RealTrainer:
                         table.weight.grad = SparseRows.from_dense(summed)
                 else:
                     gathered_next = self._embrace_sparse_step(
-                        sched, coll, model, batch, next_batch, runtimes,
+                        sched, coll, model, batch, next_batch, groups,
                         pending_delayed, hot_priority, live_counts,
                     )
                     # Dense params still use the fused optimizer; detach
@@ -720,12 +722,9 @@ class RealTrainer:
                     # Hoisted refresh: gated only by the prior parts (already
                     # applied) — the delayed exchange keeps trailing.  Reuses
                     # the id lists gathered for Algorithm 1's split instead
-                    # of a second identical AllGather per table.
-                    for name in tables:
-                        runtimes[name].refresh_rows(
-                            gathered_next[name][comm.rank],
-                            all_ids=gathered_next[name],
-                        )
+                    # of a second identical AllGather.
+                    for group, all_ids in zip(groups, gathered_next):
+                        group.refresh_rows(all_ids[comm.rank], all_ids=all_ids)
                 losses.append(float(loss_h.wait()[0]))
 
                 model.zero_grad()
@@ -739,27 +738,27 @@ class RealTrainer:
                     # migrate every table to its freshly learned hot set
                     # (collective, bit-exact — see EmbraceTableRuntime.
                     # repartition).
-                    self._flush_delayed(runtimes, pending_delayed)
-                    self._repartition(sched, coll, runtimes, live_counts)
+                    self._flush_delayed(pending_delayed)
+                    self._repartition(sched, groups, live_counts)
                 if self.eval_every and (_step + 1) % self.eval_every == 0:
                     # Validation refreshes arbitrary rows: commit carried
                     # delayed parts first.
-                    self._flush_delayed(runtimes, pending_delayed)
-                    val_losses.append(self._validate(model, val_batches, runtimes))
+                    self._flush_delayed(pending_delayed)
+                    val_losses.append(self._validate(model, val_batches, groups))
                 if (
                     checkpoint_path
                     and self.checkpoint_every
                     and (_step + 1) % self.checkpoint_every == 0
                 ):
                     # Checkpoints gather whole shards: same commit rule.
-                    self._flush_delayed(runtimes, pending_delayed)
+                    self._flush_delayed(pending_delayed)
                     self._checkpoint(
-                        coll, model, optimizer, runtimes, checkpoint_path,
+                        coll, model, optimizer, groups, checkpoint_path,
                         _step + 1, losses, tokens, val_losses,
                     )
 
-            self._flush_delayed(runtimes, pending_delayed)
-            state = self._final_state(model, runtimes)
+            self._flush_delayed(pending_delayed)
+            state = self._final_state(model, groups)
             inter_bytes = 0
             if meter is not None:
                 # Which ranks sit on a node boundary differs between the
@@ -789,75 +788,89 @@ class RealTrainer:
 
     # ------------------------------------------------------------------ #
     def _checkpoint(
-        self, comm, model, optimizer, runtimes, path, step, losses, tokens, val_losses
+        self, comm, model, optimizer, groups, path, step, losses, tokens, val_losses
     ) -> None:
         """Collectively assemble and (on rank 0) write a restart point.
 
         All ranks participate: under EmbRace each table's authoritative
         values and sharded Adam moments live column-partitioned across
         the group, so checkpointing is itself a collective (an AllGather
-        per table, just as a model-parallel system would serialize).
-        Writing the gathered table into the local replica is a no-op on
-        this rank's own columns and merely freshens the rest.
+        per table and array, just as a model-parallel system would
+        serialize; a table group's moments are cut back per table — the
+        checkpoint format is per table).  Writing the gathered rows into
+        the local replica is a no-op on this rank's own columns and
+        merely freshens the rest.
         """
         extras: dict[str, np.ndarray] = {
             "loss_log": np.asarray(losses, dtype=np.float64),
             "token_log": np.asarray(tokens, dtype=np.int64),
             "val_log": np.asarray(val_losses, dtype=np.float64),
         }
-        for name, rt in runtimes.items():
-            rt.table.weight.data[:] = rt.gather_full_table()
-            full, opt_step = rt.optimizer_state_full()
-            for key in ("exp_avg", "exp_avg_sq"):
-                extras[f"embrace/{name}/{key}"] = full[key]
-            extras[f"embrace/{name}/step"] = np.array(opt_step, dtype=np.int64)
-            extras[f"embrace/{name}/hot_ids"] = np.asarray(
-                rt.hot_ids, dtype=np.int64
-            )
+        for group in groups:
+            for name, rows in group.gather_tables().items():
+                group.tables[name].weight.data[:] = rows
+            full, opt_step = group.optimizer_state_full()
+            hot_ids = group.table_hot_ids()
+            for name, (lo, hi) in group.bounds.items():
+                for key in ("exp_avg", "exp_avg_sq"):
+                    extras[f"embrace/{name}/{key}"] = full[key][lo:hi]
+                extras[f"embrace/{name}/step"] = np.array(opt_step, dtype=np.int64)
+                extras[f"embrace/{name}/hot_ids"] = hot_ids[name]
         if comm.rank == 0:
             save_checkpoint(path, model, optimizer, step=step, extras=extras)
 
-    def _restore_shard_state(self, runtimes, extras) -> None:
-        """Slice each shard's Adam moments back out of the gathered state."""
-        for name, rt in runtimes.items():
-            key = f"embrace/{name}/exp_avg"
-            if key not in extras:
+    def _restore_shard_state(self, groups, extras) -> None:
+        """Slice each group's Adam moments back out of the gathered state."""
+        for group in groups:
+            if any(f"embrace/{name}/exp_avg" not in extras for name in group.tables):
                 continue
-            rt.restore_optimizer_state(
-                extras[key],
-                extras[f"embrace/{name}/exp_avg_sq"],
-                int(extras[f"embrace/{name}/step"]),
-            )
+            steps = {int(extras[f"embrace/{name}/step"]) for name in group.tables}
+            if len(steps) != 1:
+                raise RuntimeError(
+                    f"{group.name}: tables checkpointed at different Adam "
+                    f"steps {sorted(steps)}; they advance together"
+                )
+            moments = [
+                np.concatenate(
+                    [extras[f"embrace/{name}/{key}"] for name in group.tables]
+                )
+                for key in ("exp_avg", "exp_avg_sq")
+            ]
+            group.restore_optimizer_state(*moments, steps.pop())
 
     # ------------------------------------------------------------------ #
-    def _repartition(self, sched, coll, runtimes, live_counts) -> None:
+    def _repartition(self, sched, groups, live_counts) -> None:
         """Re-learn each table's hot set from live counters and migrate.
 
-        The per-rank counters are allgathered and summed (identical on
-        every rank), the hot set re-learned, and the migration's
-        allgathers run as a single ``PRIORITY_URGENT`` work item — the
-        prioritized broadcast — so it preempts any queued traffic.
-        Counters reset afterwards: each window detects *recent* drift.
+        Per table group the per-rank counters are allgathered and summed
+        (identical on every rank), every member table's hot set
+        re-learned from its slice, and the migration's allgathers run as
+        a single ``PRIORITY_URGENT`` work item — the prioritized
+        broadcast — so it preempts any queued traffic.  Counters reset
+        afterwards: each window detects *recent* drift.
         """
         hot_fraction = self.knobs.hot_fraction
-        for name, rt in runtimes.items():
-            counts = live_counts[name]
+        for group, counts in zip(groups, live_counts):
 
-            def work(c, rt=rt, counts=counts):
+            def work(c, group=group, counts=counts):
                 total = np.sum(c.allgather(counts), axis=0)
-                n_hot = rt.n_hot
-                if hot_fraction > 0.0:
-                    n_hot = int(round(hot_fraction * counts.size))
-                rt.repartition(c, learn_hot_ids(total, n_hot))
+                new_hot = []
+                for name, old in group.table_hot_ids().items():
+                    lo, hi = group.bounds[name]
+                    n_hot = len(old)
+                    if hot_fraction > 0.0:
+                        n_hot = int(round(hot_fraction * (hi - lo)))
+                    new_hot.append(learn_hot_ids(total[lo:hi], n_hot) + lo)
+                group.repartition(c, np.concatenate(new_hot))
 
             sched.submit(
-                work, priority=PRIORITY_URGENT, label=f"repartition:{name}"
+                work, priority=PRIORITY_URGENT, label=f"repartition:{group.name}"
             ).wait()
             counts[:] = 0
         sched.comm.obs.count("placement.repartitions", 1.0)
 
     # ------------------------------------------------------------------ #
-    def _validate(self, model, val_batches, runtimes) -> float:
+    def _validate(self, model, val_batches, groups) -> float:
         """Mean loss on held-out batches (gradients discarded).
 
         Under EmbRace the local replica only holds fresh values for rows
@@ -867,8 +880,8 @@ class RealTrainer:
         """
         losses = []
         for batch in val_batches:
-            for name in runtimes:
-                runtimes[name].refresh_rows(self._table_ids(model, name, batch))
+            for group in groups:
+                group.refresh_rows(self._group_ids(model, group, batch))
             losses.append(model.forward_backward(batch))
         model.zero_grad()
         return float(np.mean(losses))
@@ -949,7 +962,7 @@ class RealTrainer:
         return buckets
 
     @staticmethod
-    def _flush_delayed(runtimes, pending: list[tuple[str, CommHandle]]) -> None:
+    def _flush_delayed(pending: list[tuple[TableGroupRuntime, CommHandle]]) -> None:
         """Commit carried delayed parts (Algorithm 1's trailing half).
 
         ``final=True`` advances EmbraceAdam's ``step`` exactly as the
@@ -957,15 +970,25 @@ class RealTrainer:
         delayed(t) → prior(t+1) regardless of when the delayed exchange
         physically ran.
         """
-        for name, handle in pending:
-            runtimes[name].apply_part(handle.wait(), final=True)
+        for group, handle in pending:
+            group.apply_part(handle.wait(), final=True)
         pending.clear()
 
     def _embrace_sparse_step(
-        self, sched, coll, model, batch, next_batch, runtimes, pending_delayed,
+        self, sched, coll, model, batch, next_batch, groups, pending_delayed,
         hot_priority=0.0, live_counts=None,
-    ) -> dict[str, list[np.ndarray]] | None:
-        """Algorithm 1 + AlltoAll + EmbraceAdam on each table's shard.
+    ) -> list[list[np.ndarray]] | None:
+        """Algorithm 1 + AlltoAll + EmbraceAdam, once per table group.
+
+        Same-width tables share a virtual row space
+        (:class:`~repro.engine.embrace_runtime.TableGroupRuntime`): their
+        gradients and id sets are stacked with the table offsets, so one
+        coalesce, one split and one prior / delayed / hot work item
+        cover every member, with the per-table step's bits.  Judged on
+        the group rather than the table, all bit-safe
+        (``docs/mechanisms.md``, "Table groups"): the
+        ``delayed_min_rows`` fold, the ``dense_switch_density``
+        threshold and ``merge_coalesced``'s choice of finish.
 
         Hot rows (hybrid placement) leave first: their full-dimension
         AllReduce rides the dense lane at ``hot_priority`` and is
@@ -979,10 +1002,10 @@ class RealTrainer:
         *next* step boundary (:meth:`_flush_delayed`), so its exchange
         overlaps the next forward/backward.
 
-        All tables' next-iteration ids travel in **one** AllGather (per-
+        All groups' next-iteration ids travel in **one** AllGather (per-
         collective fixed cost dominates these tiny payloads), and the
-        gathered lists are returned so the hoisted refresh reuses them
-        instead of gathering the same ids a second time.
+        gathered lists (per group, per rank) are returned so the hoisted
+        refresh reuses them instead of gathering the same ids again.
 
         Averaging (``scale``) happens *after* the cross-rank sum, at the
         same point as the baseline path, so float rounding matches
@@ -990,43 +1013,42 @@ class RealTrainer:
         """
         inv_world = 1.0 / coll.world_size
         tables = model.embedding_tables()
-        gathered_next: dict[str, list[np.ndarray]] | None = None
+        obs = sched.comm.obs
+        gathered_next: list[list[np.ndarray]] | None = None
         if next_batch is not None:
             # D_next is the *gathered* next-iteration data (Alg. 1) —
-            # one fused collective for every table's id set.
-            local_next = {
-                name: self._table_ids(model, name, next_batch) for name in tables
-            }
-            per_rank = coll.allgather(local_next)
-            gathered_next = {
-                name: [rank_ids[name] for rank_ids in per_rank] for name in tables
-            }
-        for name, table in tables.items():
-            grad = table.weight.grad
-            current_ids = self._table_ids(model, name, batch)
-            sched.comm.obs.count_rows(name, current_ids)
+            # one fused collective for every group's id set.
+            local_next = [self._group_ids(model, g, next_batch) for g in groups]
+            gathered_next = [list(ids) for ids in zip(*coll.allgather(local_next))]
+        for i, group in enumerate(groups):
+            grad = group.stack_grads(
+                {name: tables[name].weight.grad for name in group.tables}
+            )
+            ids = {name: self._table_ids(model, name, batch) for name in group.tables}
+            for name, table_ids in ids.items():
+                obs.count_rows(name, table_ids)
+            current_ids = group.stack_ids(ids)
             if live_counts is not None:
-                np.add.at(live_counts[name], current_ids, 1)
+                np.add.at(live_counts[i], current_ids, 1)
             global_next = (
-                np.concatenate(gathered_next[name])
+                np.concatenate(gathered_next[i])
                 if gathered_next is not None
                 else None
             )
-            rt = runtimes[name]
             hot_h = None
-            if rt.n_hot:
+            if group.n_hot:
                 # Submitted unconditionally (SPMD-safe: n_hot is
                 # replicated), even when this rank's hot part is empty —
                 # peers may still have hot rows to merge, and the empty
                 # final apply keeps the hot Adam step advancing in
                 # lockstep with the shard step.
-                hot, grad = rt.split_hot_cold(grad)
+                hot, grad = group.split_hot_cold(grad)
                 hot_h = sched.submit(
-                    lambda c, g=hot, rt=rt: rt.exchange_hot(c, g, inv_world),
+                    lambda c, g=hot, rt=group: rt.exchange_hot(c, g, inv_world),
                     priority=hot_priority,
-                    label=f"hot:{name}",
+                    label=f"hot:{group.name}",
                 )
-            prior, delayed = rt.split(grad, current_ids, global_next)
+            prior, delayed = group.split(grad, current_ids, global_next)
             if (
                 self.knobs.delayed_min_rows
                 and 0 < delayed.nnz_rows < self.knobs.delayed_min_rows
@@ -1038,27 +1060,34 @@ class RealTrainer:
                 # prior-of-everything ≡ prior+delayed (see SchedKnobs).
                 # ``grad`` here is already the cold remainder, so the
                 # fold never resurrects hot rows.
-                prior, delayed = rt.split(grad, current_ids, None)
+                prior, delayed = group.split(grad, current_ids, None)
             dense_switch = self.knobs.dense_switch_density
             prior_h = sched.submit(
-                lambda c, g=prior, rt=rt: rt.exchange(
+                lambda c, g=prior, rt=group: rt.exchange(
                     c, g, inv_world, dense_switch
                 ),
                 priority=PRIORITY_PRIOR,
-                label=f"prior:{name}",
+                label=f"prior:{group.name}",
             )
             delayed_h = sched.submit(
-                lambda c, g=delayed, rt=rt: rt.exchange(
+                lambda c, g=delayed, rt=group: rt.exchange(
                     c, g, inv_world, dense_switch
                 ),
                 priority=PRIORITY_DELAYED,
-                label=f"delayed:{name}",
+                label=f"delayed:{group.name}",
             )
-            rt.apply_part(prior_h.wait(), final=False)
+            group.apply_part(prior_h.wait(), final=False)
             if hot_h is not None:
-                rt.apply_hot(hot_h.wait(), final=True)
-            pending_delayed.append((name, delayed_h))
+                group.apply_hot(hot_h.wait(), final=True)
+            pending_delayed.append((group, delayed_h))
         return gathered_next
+
+    # ------------------------------------------------------------------ #
+    def _group_ids(self, model, group, batch) -> np.ndarray:
+        """The rows ``batch`` touches, in ``group``'s virtual row space."""
+        return group.stack_ids(
+            {name: self._table_ids(model, name, batch) for name in group.tables}
+        )
 
     # ------------------------------------------------------------------ #
     def _table_ids(self, model, table_name: str, batch) -> np.ndarray:
@@ -1084,10 +1113,17 @@ class RealTrainer:
 
         return teacher_forced_argmax(model, batch)
 
-    def _final_state(self, model, runtimes) -> dict[str, np.ndarray]:
-        """Rank-0-equivalent state with embrace shards reassembled."""
-        state = model.state_dict()
-        key_of = {id(p): key for key, p in model.named_parameters()}
-        for rt in runtimes.values():
-            state[key_of[id(rt.table.weight)]] = rt.gather_full_table()
-        return state
+    def _final_state(self, model, groups) -> dict[str, np.ndarray]:
+        """Rank-0-equivalent state with embrace shards reassembled.
+
+        Group-owned tables are not copied out of the (stale) local
+        replica first: their rows come from the shard AllGathers.
+        """
+        gathered = {}
+        for group in groups:
+            for name, full in group.gather_tables().items():
+                gathered[id(group.tables[name].weight)] = full
+        return {
+            key: gathered[id(p)] if id(p) in gathered else p.data.copy()
+            for key, p in model.named_parameters()
+        }

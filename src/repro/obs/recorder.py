@@ -82,6 +82,9 @@ class NullRecorder:
     def count(self, name: str, value: float = 1.0) -> None:
         pass
 
+    def take(self, name: str) -> float:
+        return 0.0
+
     def count_bytes(self, obj) -> None:
         pass
 
@@ -228,6 +231,12 @@ class SpanRecorder:
     def count(self, name: str, value: float = 1.0) -> None:
         with self._lock:
             self.counters[name] = self.counters.get(name, 0.0) + value
+
+    def take(self, name: str) -> float:
+        """Remove a counter and return its value (0.0 when absent), so
+        the caller can re-credit it under finer-grained names."""
+        with self._lock:
+            return self.counters.pop(name, 0.0)
 
     def count_rows(self, table: str, ids) -> None:
         """Accumulate per-row access counts for ``table``.

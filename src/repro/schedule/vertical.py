@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.data.batching import Batch
-from repro.tensors import SparseRows, rows_intersect, rows_setdiff, unique_rows
+from repro.tensors import SparseRows, rows_intersect, rows_member, unique_rows
 from repro.utils.validation import check_positive
 
 
@@ -34,15 +34,28 @@ def vertical_split(
 
     ``current_ids`` are this rank's tokens for the just-finished step
     (``D_cur[n]``); ``next_ids`` the prefetched tokens of the upcoming
-    step (``D_next``).  Both may contain duplicates.
+    step (``D_next``).  Both may contain duplicates; gradient rows
+    outside ``current_ids`` belong to neither part.
+
+    Steps 2-6 are two membership masks over the coalesced indices —
+    ``D_u`` never has to be materialized — so the cost does not depend
+    on how many tables share the row space (a table group's stacked
+    gradient splits in this one call, see ``docs/mechanisms.md``).
     """
     coalesced = grad.coalesce()
-    d_u = unique_rows(current_ids)
-    i_prior = rows_intersect(d_u, next_ids)
-    i_delayed = rows_setdiff(d_u, i_prior)
-    g_p = coalesced.index_select(i_prior)
-    g_d = coalesced.index_select(i_delayed)
-    return g_p, g_d
+    current_ids = np.asarray(current_ids, dtype=np.int64)
+    if current_ids.size and (
+        current_ids.min() < 0 or current_ids.max() >= grad.num_rows
+    ):
+        raise ValueError(f"requested rows out of range [0, {grad.num_rows})")
+    idx, vals = coalesced.indices, coalesced.values
+    in_current = rows_member(idx, current_ids)
+    prior = in_current & rows_member(idx, next_ids)
+    delayed = in_current & ~prior
+    return (
+        SparseRows(idx[prior], vals[prior], grad.num_rows, coalesced=True),
+        SparseRows(idx[delayed], vals[delayed], grad.num_rows, coalesced=True),
+    )
 
 
 class VerticalScheduler:

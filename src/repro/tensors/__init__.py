@@ -11,6 +11,7 @@ from repro.tensors.coo import SparseRows, sorted_union
 from repro.tensors.dense import TensorSpec
 from repro.tensors.ops import (
     rows_intersect,
+    rows_member,
     rows_setdiff,
     scatter_add_rows,
     unique_rows,
@@ -21,6 +22,7 @@ __all__ = [
     "sorted_union",
     "TensorSpec",
     "rows_intersect",
+    "rows_member",
     "rows_setdiff",
     "scatter_add_rows",
     "unique_rows",

@@ -277,7 +277,7 @@ class SparseRows:
         mask = np.isin(self.indices, rows, assume_unique=False)
         return SparseRows(
             self.indices[mask],
-            self.values[mask].copy(),
+            self.values[mask],
             self.num_rows,
             coalesced=self.coalesced,
         )
@@ -292,10 +292,10 @@ class SparseRows:
         rows = np.unique(np.asarray(rows, dtype=np.int64))
         mask = np.isin(self.indices, rows)
         inside = SparseRows(
-            self.indices[mask], self.values[mask].copy(), self.num_rows, self.coalesced
+            self.indices[mask], self.values[mask], self.num_rows, self.coalesced
         )
         outside = SparseRows(
-            self.indices[~mask], self.values[~mask].copy(), self.num_rows, self.coalesced
+            self.indices[~mask], self.values[~mask], self.num_rows, self.coalesced
         )
         return inside, outside
 

@@ -33,6 +33,24 @@ def rows_setdiff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
+def rows_member(sorted_rows: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Mask over ``sorted_rows`` (sorted, unique): True where the row
+    occurs in ``ids`` (any order, duplicates allowed).
+
+    One ``searchsorted`` of ``ids`` into the rows — no sort, no table
+    over the row space — so it costs the same whether the rows index one
+    table or a group's whole stacked row space.
+    """
+    sorted_rows = np.asarray(sorted_rows, dtype=np.int64)
+    ids = np.asarray(ids, dtype=np.int64).ravel()
+    mask = np.zeros(len(sorted_rows), dtype=np.bool_)
+    if len(sorted_rows) and len(ids):
+        pos = np.searchsorted(sorted_rows, ids)
+        pos[pos == len(sorted_rows)] = 0
+        mask[pos[sorted_rows[pos] == ids]] = True
+    return mask
+
+
 def scatter_add_rows(
     table: np.ndarray, indices: np.ndarray, rows: np.ndarray, scale: float = 1.0
 ) -> None:

@@ -171,6 +171,11 @@ class TableLoad:
     lookup_bytes: float  # hoisted refresh: reassembled rows
     #: Table size in rows (basis for hot_fraction -> n_hot).
     vocab_rows: float = 0.0
+    #: Row width in elements.  The trainer stacks equal-width tables into
+    #: one :class:`~repro.engine.embrace_runtime.TableGroupRuntime`, so
+    #: they share one prior / delayed / hot / refresh exchange; 0
+    #: (unknown) keeps the table in a group of its own.
+    dim: int = 0
     #: Sampled hot-coverage curve ``(n_hot, access_coverage)`` from the
     #: trace's merged row counters: what fraction of row accesses the
     #: hottest ``n_hot`` rows absorb.  Empty = no trace row counts,
@@ -289,6 +294,7 @@ def measure_workload_from_run(config, world_size: int, result) -> MeasuredWorklo
                 ids_bytes=st.coalesced_rows * 8.0,
                 lookup_bytes=st.coalesced_rows * world_size * row_payload,
                 vocab_rows=float(st.vocab_size),
+                dim=int(st.dim),
                 hot_coverage=_coverage_curve(bundle, name),
             )
         )
@@ -317,6 +323,15 @@ def _coverage_curve(
         np.linspace(0, len(coverage) - 1, num=min(samples, len(coverage))).astype(int)
     )
     return tuple((int(i) + 1, float(coverage[i])) for i in idxs)
+
+
+def _table_groups(tables: tuple[TableLoad, ...]) -> list[list[TableLoad]]:
+    """The tables as the trainer exchanges them: one group per row width
+    (first-appearance order), unknown widths each alone."""
+    groups: dict[object, list[TableLoad]] = {}
+    for t in tables:
+        groups.setdefault(t.dim or t.name, []).append(t)
+    return list(groups.values())
 
 
 def _hot_coverage(load: TableLoad, hot_fraction: float) -> float:
@@ -577,7 +592,7 @@ def predict_candidate(
             )
             boundary_deps.append(host)
         sparse_done: list[str] = []
-        refresh_tasks: list[tuple[str, str]] = []
+        refresh_tasks: list[tuple[str, float, str]] = []
         if candidate.strategy == "embrace":
             ids = f"ids:{i}"
             g.add_task(
@@ -587,18 +602,29 @@ def predict_candidate(
                 priority=PRIORITY_URGENT, deps=[fwd],
             )
             dense_prio = min((p for p, _ in buckets), default=0.0)
-            for t in workload.tables:
+            # One prior / delayed / hot exchange per same-width table
+            # group, as the trainer issues them: a group pays one
+            # latency for its members' summed bytes.
+            for members in _table_groups(workload.tables):
+                gname = "+".join(t.name for t in members)
                 # Hybrid placement: the hot set absorbs `cover` of the
                 # row accesses — its gradient rows leave the AlltoAll /
                 # lookup lanes and ride a dense-lane allreduce (masks +
                 # value blocks + the reassembly allgather, ~2x the
                 # gradient payload for fully-shared rows).
-                cover = _hot_coverage(t, k.hot_fraction)
-                prior_b = t.prior_bytes * (1.0 - cover)
-                delayed_b = t.delayed_bytes * (1.0 - cover)
-                if cover > 0.0:
-                    hot = f"hot:{i}:{t.name}"
-                    hot_b = 2.0 * cover * (t.prior_bytes + t.delayed_bytes)
+                covers = [_hot_coverage(t, k.hot_fraction) for t in members]
+                prior_b = sum(
+                    t.prior_bytes * (1.0 - c) for t, c in zip(members, covers)
+                )
+                delayed_b = sum(
+                    t.delayed_bytes * (1.0 - c) for t, c in zip(members, covers)
+                )
+                hot_b = sum(
+                    2.0 * c * (t.prior_bytes + t.delayed_bytes)
+                    for t, c in zip(members, covers)
+                )
+                if hot_b > 0.0:
+                    hot = f"hot:{i}:{gname}"
                     hot_cost = (
                         cost.hierarchical_allreduce(hot_b)
                         if hier_hot
@@ -610,15 +636,16 @@ def predict_candidate(
                         priority=dense_prio, deps=[fwd],
                     )
                     sparse_done.append(hot)
-                if k.delayed_min_rows and 0 < t.delayed_rows < k.delayed_min_rows:
+                delayed_rows = sum(t.delayed_rows for t in members)
+                if k.delayed_min_rows and 0 < delayed_rows < k.delayed_min_rows:
                     prior_b, delayed_b = prior_b + delayed_b, 0.0
-                prior = f"prior:{i}:{t.name}"
+                prior = f"prior:{i}:{gname}"
                 g.add_task(
                     prior, sparse_alltoall_cost(prior_b),
                     resource="comm", kind="comm",
                     priority=PRIORITY_PRIOR, deps=[fwd, ids],
                 )
-                delayed = f"delayed:{i}:{t.name}"
+                delayed = f"delayed:{i}:{gname}"
                 g.add_task(
                     delayed, sparse_alltoall_cost(delayed_b),
                     resource="comm", kind="comm",
@@ -626,7 +653,12 @@ def predict_candidate(
                 )
                 prev_delayed.append(delayed)
                 sparse_done.append(prior)
-                refresh_tasks.append((t.name, prior))
+                # Hot rows are never stale, so they drop out of the
+                # hoisted refresh lookup entirely.
+                lookup_b = sum(
+                    t.lookup_bytes * (1.0 - c) for t, c in zip(members, covers)
+                )
+                refresh_tasks.append((gname, lookup_b, prior))
         elif candidate.strategy == "allgather":
             for t in workload.tables:
                 sp = f"sparse:{i}:{t.name}"
@@ -657,13 +689,7 @@ def predict_candidate(
             deps=boundary_deps + dense_chunks + sparse_done,
         )
         if candidate.strategy == "embrace":
-            for name, prior in refresh_tasks:
-                load = next(t for t in workload.tables if t.name == name)
-                # Hot rows are never stale, so they drop out of the
-                # hoisted refresh lookup entirely.
-                lookup_b = load.lookup_bytes * (
-                    1.0 - _hot_coverage(load, k.hot_fraction)
-                )
+            for name, lookup_b, prior in refresh_tasks:
                 r = f"refresh:{i}:{name}"
                 g.add_task(
                     r, cost.alltoall(lookup_b).seconds,

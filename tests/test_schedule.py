@@ -57,6 +57,19 @@ class TestVerticalSplit:
         assert prior.nnz_rows == 2
         assert delayed.nnz_rows == 0
 
+    def test_rows_outside_current_ids_are_dropped(self):
+        grad = sparse([1, 2, 8])
+        prior, delayed = vertical_split(grad, np.array([1, 2]), np.array([2, 8]))
+        assert prior.indices.tolist() == [2]
+        assert delayed.indices.tolist() == [1]
+
+    def test_out_of_range_current_ids_rejected(self):
+        grad = sparse([1, 2])
+        with pytest.raises(ValueError, match="out of range"):
+            vertical_split(grad, np.array([1, 20]), np.array([1]))
+        with pytest.raises(ValueError, match="out of range"):
+            vertical_split(grad, np.array([-1, 2]), np.array([1]))
+
     def test_duplicate_inputs_allowed(self):
         grad = sparse([4, 4, 6])
         prior, delayed = vertical_split(

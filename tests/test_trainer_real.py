@@ -35,6 +35,17 @@ class TestBitEquivalence:
         for key in ag.state:
             np.testing.assert_array_equal(ag.state[key], em.state[key], err_msg=key)
 
+    @pytest.mark.parametrize("world", [2, 3])
+    @pytest.mark.parametrize("paper_cfg", [DLRM, GNMT8], ids=["DLRM", "GNMT-8"])
+    def test_table_groups_equal_allgather(self, paper_cfg, world):
+        """Both models' tables share a width, so embrace exchanges them
+        as one table group; the per-table allgather baseline is the
+        reference (odd worlds: uneven column shards)."""
+        ag, em = run_pair(paper_cfg.tiny(), world=world, steps=2)
+        assert ag.losses == em.losses
+        for key in ag.state:
+            np.testing.assert_array_equal(ag.state[key], em.state[key], err_msg=key)
+
     def test_equivalence_three_workers(self):
         """Odd world sizes exercise uneven column shards."""
         ag, em = run_pair(GNMT8.tiny(), world=3, steps=2)

@@ -316,6 +316,32 @@ class TestSearch:
         )
         assert folded.step_time_s != pytest.approx(base.step_time_s, rel=1e-6)
 
+    def test_same_width_tables_price_as_one_group(self):
+        """Eight equal-width tables pay one latency per exchange, as the
+        trainer's table group does; unknown widths stay per table."""
+        from dataclasses import replace
+
+        p, w = make_profile(), make_workload()
+        (table,) = w.tables
+        eighth = replace(
+            table,
+            **{
+                f: getattr(table, f) / 8
+                for f in ("prior_bytes", "delayed_bytes", "coalesced_bytes",
+                          "dense_bytes", "delayed_rows", "ids_bytes", "lookup_bytes")
+            },
+        )
+
+        def split(dim):
+            tables = tuple(replace(eighth, name=f"t{i}", dim=dim) for i in range(8))
+            return predict_candidate(
+                p, replace(w, tables=tables), default_candidate(), n_steps=3
+            )
+
+        one = predict_candidate(p, w, default_candidate(), n_steps=3)
+        assert split(dim=16).step_time_s == pytest.approx(one.step_time_s)
+        assert split(dim=0).step_time_s > one.step_time_s
+
     def test_rank_candidates_deterministic_and_complete(self):
         p, w = make_profile(), make_workload()
         space = SearchSpace(
