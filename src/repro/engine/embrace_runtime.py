@@ -1,16 +1,23 @@
-"""Reusable EmbRace runtime: one table, or a group of same-width tables.
+"""Reusable EmbRace runtime for a group of same-width embedding tables.
 
-:class:`EmbraceTableRuntime` encapsulates the full lifecycle of one
-column-partitioned embedding table under EmbRace semantics, so any
-training loop (not just :class:`~repro.engine.trainer_real.RealTrainer`)
-can adopt it:
+:class:`TableGroupRuntime` encapsulates the full lifecycle of
+column-partitioned embedding tables under EmbRace semantics, so any
+training or serving loop — :class:`~repro.engine.trainer_real.RealTrainer`
+and :class:`~repro.serve.ShardedEmbeddingService` both run on it — can
+adopt it:
 
 * ``apply_gradient`` — Algorithm 1 split, the two AlltoAll column-shard
   exchanges, and the modified-Adam shard updates;
 * ``refresh_rows`` — the forward lookup-result AlltoAll that rewrites
   the local replica's rows for the upcoming batch;
-* ``gather_full_table`` — reassemble the authoritative table from all
-  ranks' column shards (checkpointing / evaluation).
+* ``gather_tables`` — reassemble every member's authoritative table from
+  all ranks' column shards (checkpointing / evaluation).
+
+The group stacks its tables into **one virtual row space** (row = table
+offset + row), so an iteration costs one split, one prior / delayed /
+hot exchange, one lookup AlltoAll and one shard update per *group*
+instead of per table (``docs/mechanisms.md``, "Table groups").  A group
+of one table is the per-table runtime.
 
 The local replica trick: each rank holds the full ``(vocab, dim)``
 array but only its column slice is authoritative; ``refresh_rows``
@@ -18,28 +25,19 @@ makes exactly the rows the next forward reads fresh, which is
 numerically identical to true model parallelism while letting the
 unmodified model code look up locally.
 
-Hybrid placement (:mod:`repro.placement`): a non-uniform
-:class:`~repro.placement.TablePlacement` marks a *hot set* of rows that
-are replicated — not sharded — on every rank.  Hot-row gradients travel
-on the dense lane (:func:`~repro.comm.allreduce_hot_rows`, bit-identical
-to the AlltoAll sum) and are applied full-dimension to the replica by a
-second :class:`~repro.optim.EmbraceAdam` on every rank identically, so
-hot rows never need refreshing; cold rows keep the sharded path above.
-Because the shard is a *view* of the replica's columns, hot updates are
-visible through it automatically and a hot→cold demotion migrates only
-optimizer moments, never values.
-
-:class:`TableGroupRuntime` runs all of the above **once for several
-tables**: it stacks same-width tables into one virtual row space and is
-itself an :class:`EmbraceTableRuntime` over the stacked rows, so an
-iteration costs one split, one prior / delayed / hot exchange, one
-lookup AlltoAll and one shard update per *group* instead of per table
-(``docs/mechanisms.md``, "Table groups").
+Hybrid placement (:mod:`repro.placement`): a non-uniform placement
+marks a *hot set* of rows that are replicated — not sharded — on every
+rank.  Hot-row gradients travel on the dense lane
+(:func:`~repro.comm.allreduce_hot_rows`, bit-identical to the AlltoAll
+sum) and are applied full-dimension to the replica by a second
+:class:`~repro.optim.EmbraceAdam` on every rank identically, so hot rows
+never need refreshing; cold rows keep the sharded path above.  Because
+the shard is a *view* of the replica's columns, hot updates are visible
+through it automatically and a hot→cold demotion migrates only optimizer
+moments, never values.
 """
 
 from __future__ import annotations
-
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -56,28 +54,58 @@ from repro.comm import (
 from repro.nn.embedding import Embedding
 from repro.nn.parameter import Parameter
 from repro.optim import EmbraceAdam
-from repro.placement import PlacementPlan, TablePlacement, as_placement
+from repro.placement import TablePlacement, as_placement, learn_hot_ids
 from repro.schedule.vertical import vertical_split
 from repro.tensors import SparseRows
 
 
-class EmbraceTableRuntime:
-    """EmbRace semantics for one embedding table on one rank."""
+class TableGroupRuntime:
+    """EmbRace semantics for several same-width tables in one row space.
+
+    The group owns one stacked ``(sum of vocab, dim)`` array, ``weight``
+    — virtual row = table offset + row — and rebinds every member's
+    ``table.weight.data`` to its row-slice view, so the unmodified model
+    keeps looking up locally while split, prior / delayed / hot
+    exchange, refresh, shard update, state gather and repartition each
+    run once for all members.  Offsets keep the tables' rows disjoint
+    and every fold on the path (``coalesce``, ``merge_coalesced``,
+    ``merge_grouped``, the Adam row update) is per-row, so the result is
+    bit-identical to one group per table.  A group of one table adopts
+    its array as is.
+
+    ``placement`` is anything :func:`repro.placement.as_placement`
+    accepts, in the member tables' own row ids.
+    """
 
     def __init__(
         self,
         comm: Communicator,
-        table: Embedding,
+        tables: dict[str, Embedding],
         lr: float = 1e-3,
         betas: tuple[float, float] = (0.9, 0.999),
-        placement: TablePlacement | PlacementPlan | None = None,
+        placement=None,
         topology=None,
         hier_sparse: bool | None = None,
         hier_hot: bool | None = None,
     ):
+        if not tables:
+            raise ValueError("a table group needs at least one table")
+        weights = [t.weight.data for t in tables.values()]
+        if len({(w.shape[1], w.dtype) for w in weights}) != 1:
+            raise ValueError(
+                f"tables {sorted(tables)} differ in width or dtype; group "
+                "them with TableGroupRuntime.by_width"
+            )
         self.comm = comm
-        self.table = table
-        # Node structure (tentpole): when a multi-node NodeTopology is
+        self.tables = dict(tables)
+        ends = np.cumsum([len(w) for w in weights])
+        #: ``name -> (first, past-last)`` virtual rows of each member.
+        self.bounds = {
+            name: (int(hi - len(w)), int(hi))
+            for name, w, hi in zip(tables, weights, ends)
+        }
+        self.name = "+".join(tables)
+        # Node structure: when a multi-node NodeTopology is
         # in force, the flat wires fold node-grouped (``fold_groups``)
         # so the physically two-level wires — selected per lane by the
         # ``hier_*`` flags, default on — produce bit-identical sums.
@@ -96,31 +124,63 @@ class EmbraceTableRuntime:
             bool(hier_sparse) and multi
         )
         self.hier_hot = multi if hier_hot is None else bool(hier_hot) and multi
-        self.name = table.weight.name.rsplit(".weight", 1)[0]
-        cols = column_slices(table.embedding_dim, comm.world_size)
+        self.weight = Parameter(
+            weights[0] if len(weights) == 1 else np.concatenate(weights),
+            name=f"{self.name}.weight",
+            sparse_grad=True,
+        )
+        plan = as_placement(placement)
+        hot = []
+        for member, table in tables.items():
+            lo, hi = self.bounds[member]
+            table.weight.data = self.weight.data[lo:hi]
+            ids = plan.for_table(member).hot_array
+            if ids.size and ids[-1] >= hi - lo:
+                raise ValueError(
+                    f"{member}: hot row {ids[-1]} outside its {hi - lo} rows"
+                )
+            hot.append(ids + lo)
+        cols = column_slices(self.weight.data.shape[1], comm.world_size)
         self.my_columns = cols[comm.rank]
         # A writable view of this rank's authoritative columns.
         self.shard = Parameter(
-            table.weight.data[:, self.my_columns],
-            name=f"{table.weight.name}.shard{comm.rank}",
+            self.weight.data[:, self.my_columns],
+            name=f"{self.weight.name}.shard{comm.rank}",
             sparse_grad=True,
         )
         self.optimizer = EmbraceAdam([self.shard], lr=lr, betas=betas)
         # Hot lane: the replicated rows update the *full replica* in
         # place, identically on every rank.  ``Parameter`` keeps the
         # float64 array by reference, so ``hot_param.data`` *is*
-        # ``table.weight.data`` and the shard view observes hot updates
+        # ``weight.data`` and the shard view observes hot updates
         # automatically.  Moment state is allocated lazily on first use.
-        if isinstance(placement, PlacementPlan):
-            placement = placement.for_table(self.name)
-        self.placement = placement or TablePlacement(table=self.name)
+        self.placement = TablePlacement(
+            table=self.name, hot_ids=tuple(int(i) for i in np.concatenate(hot))
+        )
         self.hot_ids = self.placement.hot_array
         self.hot_param = Parameter(
-            table.weight.data,
-            name=f"{table.weight.name}.hot",
+            self.weight.data,
+            name=f"{self.weight.name}.hot",
             sparse_grad=True,
         )
         self.hot_optimizer = EmbraceAdam([self.hot_param], lr=lr, betas=betas)
+
+    @classmethod
+    def by_width(
+        cls, comm: Communicator, tables: dict[str, Embedding], **kwargs
+    ) -> list["TableGroupRuntime"]:
+        """One group per ``(embedding_dim, dtype)`` class of ``tables``,
+        in first-appearance order (deterministic, so SPMD-safe)."""
+        classes: dict[tuple, dict[str, Embedding]] = {}
+        for name, table in tables.items():
+            key = (table.embedding_dim, table.weight.data.dtype)
+            classes.setdefault(key, {})[name] = table
+        return [cls(comm, members, **kwargs) for members in classes.values()]
+
+    @property
+    def num_rows(self) -> int:
+        """Size of the virtual row space (sum of the members' vocab)."""
+        return len(self.weight.data)
 
     @property
     def n_hot(self) -> int:
@@ -128,8 +188,31 @@ class EmbraceTableRuntime:
         return len(self.hot_ids)
 
     def hot_mask(self, ids: np.ndarray) -> np.ndarray:
-        """Boolean mask over ``ids``: True where the row is hot."""
+        """Boolean mask over virtual ``ids``: True where the row is hot."""
         return self.placement.hot_mask(ids)
+
+    def stack_ids(self, ids: dict[str, np.ndarray]) -> np.ndarray:
+        """Per-table row ids -> virtual rows, concatenated in table order."""
+        return np.concatenate(
+            [
+                np.asarray(ids[name], dtype=np.int64) + lo
+                for name, (lo, _) in self.bounds.items()
+            ]
+        )
+
+    def stack_grads(self, grads: dict[str, SparseRows]) -> SparseRows:
+        """Per-table sparse gradients -> one gradient over the virtual
+        rows.  Storage order within a table is kept, so ``coalesce``
+        folds each row's duplicates exactly as the per-table call does."""
+        parts = [grads[name] for name in self.bounds]
+        return SparseRows(
+            np.concatenate(
+                [g.indices + lo for g, (lo, _) in zip(parts, self.bounds.values())]
+            ),
+            np.concatenate([g.values for g in parts]),
+            self.num_rows,
+            coalesced=all(g.coalesced for g in parts),
+        )
 
     # ------------------------------------------------------------------ #
     # The three phases of one iteration's sparse update, separable so an
@@ -179,16 +262,19 @@ class EmbraceTableRuntime:
         the flag only moves bytes.
         """
         if self.hier_sparse:
-            return two_level_alltoall_shards(
+            out = two_level_alltoall_shards(
                 comm, part, self.topology, table=self.name
-            ).scale(scale)
-        return alltoall_column_shards(
-            comm,
-            part,
-            dense_switch=dense_switch,
-            table=self.name,
-            fold_groups=self.fold_groups,
-        ).scale(scale)
+            )
+        else:
+            out = alltoall_column_shards(
+                comm,
+                part,
+                dense_switch=dense_switch,
+                table=self.name,
+                fold_groups=self.fold_groups,
+            )
+        self._credit_tables(comm.obs, part)
+        return out.scale(scale)
 
     def split_hot_cold(self, grad: SparseRows) -> tuple[SparseRows, SparseRows]:
         """Partition a coalesced gradient into (hot, cold) row sets.
@@ -222,13 +308,33 @@ class EmbraceTableRuntime:
         node-grouped fold — bit-identical to each other.
         """
         if self.hier_hot:
-            return two_level_allreduce_hot_rows(
+            out = two_level_allreduce_hot_rows(
                 comm, self.hot_ids, part, self.topology, table=self.name
-            ).scale(scale)
-        return allreduce_hot_rows(
-            comm, self.hot_ids, part, table=self.name,
-            fold_groups=self.fold_groups,
-        ).scale(scale)
+            )
+        else:
+            out = allreduce_hot_rows(
+                comm, self.hot_ids, part, table=self.name,
+                fold_groups=self.fold_groups,
+            )
+        self._credit_tables(comm.obs, part)
+        return out.scale(scale)
+
+    def _credit_tables(self, obs, part: SparseRows) -> None:
+        """Move ``wire_bytes.table.<group>`` onto the member tables in
+        proportion to the rows each contributed to ``part`` (coalesced,
+        hence sorted: one ``searchsorted`` cuts it per table), so
+        ``TraceBundle.wire_bytes_by_table`` stays per table."""
+        if not obs.enabled or len(self.tables) == 1:
+            return
+        sent = obs.take(f"wire_bytes.table.{self.name}")
+        if not sent:
+            return
+        edges = [lo for lo, _ in self.bounds.values()] + [self.num_rows]
+        rows = np.diff(np.searchsorted(part.indices, edges))
+        if not rows.any():  # an empty part still sends masks / headers
+            rows = np.ones_like(rows)
+        for name, n in zip(self.bounds, rows):
+            obs.count(f"wire_bytes.table.{name}", float(sent * n / rows.sum()))
 
     def apply_part(self, shard_grad: SparseRows, final: bool) -> None:
         """Modified-Adam shard update for one exchanged part.
@@ -248,8 +354,8 @@ class EmbraceTableRuntime:
 
         Runs identically on every rank (the summed hot gradient is
         replicated), writing through ``hot_param`` into the shared
-        ``table.weight.data`` — the shard view sees the new values, so
-        no refresh is ever needed for hot rows.
+        ``weight.data`` — the shard view sees the new values, so no
+        refresh is ever needed for hot rows.
         """
         self.hot_optimizer.apply_sparse_part(self.hot_param, summed, final=final)
 
@@ -303,16 +409,27 @@ class EmbraceTableRuntime:
         fresh = alltoall_lookup_results(
             self.comm, all_ids, shard_lookup, own_count=len(local_ids)
         )
-        self.table.weight.data[local_ids] = fresh
+        self.weight.data[local_ids] = fresh
 
-    def _gather_columns(self, shard_rows: np.ndarray) -> np.ndarray:
-        """Collective: shard-width rows -> full-width rows (every rank's
-        columns side by side)."""
-        blocks = self.comm.allgather(np.ascontiguousarray(shard_rows))
-        return np.concatenate(blocks, axis=1)
+    def _gather_columns(self, shard_rows: np.ndarray) -> dict[str, np.ndarray]:
+        """Collective: shard-width group rows -> each member's full-width
+        rows (every rank's columns side by side).
 
-    def gather_full_table(self) -> np.ndarray:
-        """Authoritative full table assembled from every rank's shard.
+        One message per member table, not one for the stacked rows: a
+        message of N bytes pins a pooled shm segment of up to 2N bytes
+        on both ends for the life of the pool (docs/mechanisms.md).
+        """
+        return {
+            name: np.concatenate(
+                self.comm.allgather(np.ascontiguousarray(shard_rows[lo:hi])),
+                axis=1,
+            )
+            for name, (lo, hi) in self.bounds.items()
+        }
+
+    def gather_tables(self) -> dict[str, np.ndarray]:
+        """Every member's authoritative full table (collective), each
+        its own array — nothing the size of the stacked rows is built.
 
         Needs no hot-lane special case: hot updates write through the
         replica into this rank's shard columns, so the column allgather
@@ -320,11 +437,38 @@ class EmbraceTableRuntime:
         """
         return self._gather_columns(self.shard.data)
 
+    def table_hot_ids(self) -> dict[str, np.ndarray]:
+        """The hot set in force, per member table, in its own row ids."""
+        out = {}
+        for name, (lo, hi) in self.bounds.items():
+            a, b = np.searchsorted(self.hot_ids, (lo, hi))
+            out[name] = self.hot_ids[a:b] - lo
+        return out
+
+    def learn_hot_ids(self, counts: np.ndarray, hot_fraction: float) -> np.ndarray:
+        """The next hot set, in virtual rows, from access ``counts`` over
+        the virtual rows (identical on every rank that passes identical
+        counts).
+
+        Per member table: its ``round(hot_fraction * vocab)`` most
+        accessed rows, or as many as it holds now when ``hot_fraction``
+        is 0 (:func:`repro.placement.learn_hot_ids` breaks ties).
+        """
+        new = []
+        for name, old in self.table_hot_ids().items():
+            lo, hi = self.bounds[name]
+            n_hot = len(old)
+            if hot_fraction > 0.0:
+                n_hot = int(round(hot_fraction * (hi - lo)))
+            new.append(learn_hot_ids(counts[lo:hi], n_hot) + lo)
+        return np.concatenate(new)
+
     # ------------------------------------------------------------------ #
     # Placement-invariant optimizer state + live hot-set migration.
 
     def optimizer_state_full(self) -> tuple[dict[str, np.ndarray], int]:
-        """Collective: full-table-layout Adam moments + step counter.
+        """Collective: full-table-layout Adam moments + step counter,
+        over the virtual rows.
 
         Shard moments are column-allgathered; hot rows are overlaid from
         the replica-local hot state.  The result is independent of the
@@ -332,7 +476,7 @@ class EmbraceTableRuntime:
         """
         shard_st = self.optimizer.state_for(self.shard)
         full = {
-            key: self._gather_columns(shard_st[key])
+            key: np.concatenate(list(self._gather_columns(shard_st[key]).values()))
             for key in ("exp_avg", "exp_avg_sq")
         }
         step = int(shard_st["step"])
@@ -367,14 +511,15 @@ class EmbraceTableRuntime:
     def repartition(self, comm: Communicator, new_hot_ids: np.ndarray) -> None:
         """Collective: migrate to a new hot set, bit-exact mid-training.
 
-        Must run at a step boundary with no delayed parts outstanding
-        and with the same ``new_hot_ids`` on every rank.  Demotion moves
-        moment columns back into the shard state (values need no move —
-        the shard is a view of the replica, which is already fresh on
-        the owner).  Promotion allgathers each newly hot row's
-        authoritative value and moment columns into the replica and the
-        full-dimension hot state; per-row Adam arithmetic commutes with
-        column slicing, so training continues with unchanged bits.
+        ``new_hot_ids`` are virtual rows.  Must run at a step boundary
+        with no delayed parts outstanding and with the same
+        ``new_hot_ids`` on every rank.  Demotion moves moment columns
+        back into the shard state (values need no move — the shard is a
+        view of the replica, which is already fresh on the owner).
+        Promotion allgathers each newly hot row's authoritative value
+        and moment columns into the replica and the full-dimension hot
+        state; per-row Adam arithmetic commutes with column slicing, so
+        training continues with unchanged bits.
         """
         new = np.unique(np.asarray(new_hot_ids, dtype=np.int64))
         old = self.hot_ids
@@ -383,7 +528,7 @@ class EmbraceTableRuntime:
         if promoted.size or demoted.size:
             shard_st = self.optimizer.state_for(self.shard)
             hot_st = self.hot_optimizer.state_for(self.hot_param)
-            weight = self.table.weight.data
+            weight = self.weight.data
             if demoted.size:
                 for key in ("exp_avg", "exp_avg_sq"):
                     shard_st[key][demoted] = hot_st[key][demoted][
@@ -413,175 +558,3 @@ class EmbraceTableRuntime:
             table=self.name, hot_ids=tuple(int(i) for i in new)
         )
         self.hot_ids = self.placement.hot_array
-
-
-class TableGroupRuntime(EmbraceTableRuntime):
-    """EmbRace semantics for several same-width tables in one row space.
-
-    The group owns one stacked ``(sum of vocab, dim)`` array — virtual
-    row = table offset + row — and rebinds every member's
-    ``table.weight.data`` to its row-slice view, so the unmodified model
-    keeps looking up locally while the group *is* an
-    :class:`EmbraceTableRuntime` over the stacked rows: split, prior /
-    delayed / hot exchange, refresh, shard update, state gather and
-    repartition each run once for all members.  Offsets keep the tables'
-    rows disjoint and every fold on the path (``coalesce``,
-    ``merge_coalesced``, ``merge_grouped``, the Adam row update) is
-    per-row, so the result is bit-identical to one runtime per table.
-    A group of one table adopts its array as is.
-
-    ``placement`` is anything :func:`repro.placement.as_placement`
-    accepts, in the member tables' own row ids.
-    """
-
-    def __init__(
-        self,
-        comm: Communicator,
-        tables: dict[str, Embedding],
-        lr: float = 1e-3,
-        betas: tuple[float, float] = (0.9, 0.999),
-        placement=None,
-        topology=None,
-        hier_sparse: bool | None = None,
-        hier_hot: bool | None = None,
-    ):
-        if not tables:
-            raise ValueError("a table group needs at least one table")
-        weights = [t.weight.data for t in tables.values()]
-        if len({(w.shape[1], w.dtype) for w in weights}) != 1:
-            raise ValueError(
-                f"tables {sorted(tables)} differ in width or dtype; group "
-                "them with TableGroupRuntime.by_width"
-            )
-        self.tables = dict(tables)
-        ends = np.cumsum([len(w) for w in weights])
-        #: ``name -> (first, past-last)`` virtual rows of each member.
-        self.bounds = {
-            name: (int(hi - len(w)), int(hi))
-            for name, w, hi in zip(tables, weights, ends)
-        }
-        name = "+".join(tables)
-        stacked = Parameter(
-            weights[0] if len(weights) == 1 else np.concatenate(weights),
-            name=f"{name}.weight",
-            sparse_grad=True,
-        )
-        plan = as_placement(placement)
-        hot = []
-        for member, table in tables.items():
-            lo, hi = self.bounds[member]
-            table.weight.data = stacked.data[lo:hi]
-            ids = plan.for_table(member).hot_array
-            if ids.size and ids[-1] >= hi - lo:
-                raise ValueError(
-                    f"{member}: hot row {ids[-1]} outside its {hi - lo} rows"
-                )
-            hot.append(ids + lo)
-        super().__init__(
-            comm,
-            # All EmbraceTableRuntime reads of an Embedding.
-            SimpleNamespace(weight=stacked, embedding_dim=stacked.data.shape[1]),
-            lr=lr,
-            betas=betas,
-            placement=TablePlacement(
-                table=name, hot_ids=tuple(int(i) for i in np.concatenate(hot))
-            ),
-            topology=topology,
-            hier_sparse=hier_sparse,
-            hier_hot=hier_hot,
-        )
-
-    @classmethod
-    def by_width(
-        cls, comm: Communicator, tables: dict[str, Embedding], **kwargs
-    ) -> list["TableGroupRuntime"]:
-        """One group per ``(embedding_dim, dtype)`` class of ``tables``,
-        in first-appearance order (deterministic, so SPMD-safe)."""
-        classes: dict[tuple, dict[str, Embedding]] = {}
-        for name, table in tables.items():
-            key = (table.embedding_dim, table.weight.data.dtype)
-            classes.setdefault(key, {})[name] = table
-        return [cls(comm, members, **kwargs) for members in classes.values()]
-
-    @property
-    def num_rows(self) -> int:
-        """Size of the virtual row space (sum of the members' vocab)."""
-        return len(self.table.weight.data)
-
-    def stack_ids(self, ids: dict[str, np.ndarray]) -> np.ndarray:
-        """Per-table row ids -> virtual rows, concatenated in table order."""
-        return np.concatenate(
-            [
-                np.asarray(ids[name], dtype=np.int64) + lo
-                for name, (lo, _) in self.bounds.items()
-            ]
-        )
-
-    def stack_grads(self, grads: dict[str, SparseRows]) -> SparseRows:
-        """Per-table sparse gradients -> one gradient over the virtual
-        rows.  Storage order within a table is kept, so ``coalesce``
-        folds each row's duplicates exactly as the per-table call does."""
-        parts = [grads[name] for name in self.bounds]
-        return SparseRows(
-            np.concatenate(
-                [g.indices + lo for g, (lo, _) in zip(parts, self.bounds.values())]
-            ),
-            np.concatenate([g.values for g in parts]),
-            self.num_rows,
-            coalesced=all(g.coalesced for g in parts),
-        )
-
-    def _gather_columns(self, shard_rows: np.ndarray) -> np.ndarray:
-        # One message per member table, not one for the stacked rows: a
-        # message of N bytes pins a pooled shm segment of up to 2N bytes
-        # on both ends for the life of the pool (docs/mechanisms.md).
-        gather = super()._gather_columns
-        return np.concatenate(
-            [gather(shard_rows[lo:hi]) for lo, hi in self.bounds.values()]
-        )
-
-    def gather_tables(self) -> dict[str, np.ndarray]:
-        """Every member's authoritative full table (collective), each
-        its own array — nothing the size of the stacked rows is built."""
-        gather = super()._gather_columns
-        return {
-            name: gather(self.shard.data[lo:hi])
-            for name, (lo, hi) in self.bounds.items()
-        }
-
-    def table_hot_ids(self) -> dict[str, np.ndarray]:
-        """The hot set in force, per member table, in its own row ids."""
-        out = {}
-        for name, (lo, hi) in self.bounds.items():
-            a, b = np.searchsorted(self.hot_ids, (lo, hi))
-            out[name] = self.hot_ids[a:b] - lo
-        return out
-
-    # Wire attribution: the collectives label sent bytes with the
-    # runtime's name; a multi-table group re-credits them to its members
-    # so ``TraceBundle.wire_bytes_by_table`` stays per table.
-    def exchange(self, comm, part, scale=1.0, dense_switch=1.0):
-        out = super().exchange(comm, part, scale, dense_switch)
-        self._credit_tables(comm.obs, part)
-        return out
-
-    def exchange_hot(self, comm, part, scale=1.0):
-        out = super().exchange_hot(comm, part, scale)
-        self._credit_tables(comm.obs, part)
-        return out
-
-    def _credit_tables(self, obs, part: SparseRows) -> None:
-        """Move ``wire_bytes.table.<group>`` onto the member tables in
-        proportion to the rows each contributed to ``part`` (coalesced,
-        hence sorted: one ``searchsorted`` cuts it per table)."""
-        if not obs.enabled or len(self.tables) == 1:
-            return
-        sent = obs.take(f"wire_bytes.table.{self.name}")
-        if not sent:
-            return
-        edges = [lo for lo, _ in self.bounds.values()] + [self.num_rows]
-        rows = np.diff(np.searchsorted(part.indices, edges))
-        if not rows.any():  # an empty part still sends masks / headers
-            rows = np.ones_like(rows)
-        for name, n in zip(self.bounds, rows):
-            obs.count(f"wire_bytes.table.{name}", float(sent * n / rows.sum()))

@@ -73,7 +73,7 @@ from repro.engine.checkpoint import (
 from repro.engine.embrace_runtime import TableGroupRuntime
 from repro.faults import CommFailure, FaultPlan, FaultyCommunicator, RankCrashed
 from repro.optim import EmbraceAdam
-from repro.placement import as_placement, learn_hot_ids
+from repro.placement import as_placement
 from repro.data import Prefetcher
 from repro.engine.workload import batch_stream
 from repro.models.blocks import block_specs
@@ -736,7 +736,7 @@ class RealTrainer:
                 ):
                     # Drift boundary: commit trailing delayed parts, then
                     # migrate every table to its freshly learned hot set
-                    # (collective, bit-exact — see EmbraceTableRuntime.
+                    # (collective, bit-exact — see TableGroupRuntime.
                     # repartition).
                     self._flush_delayed(pending_delayed)
                     self._repartition(sched, groups, live_counts)
@@ -844,7 +844,8 @@ class RealTrainer:
 
         Per table group the per-rank counters are allgathered and summed
         (identical on every rank), every member table's hot set
-        re-learned from its slice, and the migration's allgathers run as
+        re-learned from its slice (:meth:`TableGroupRuntime.learn_hot_ids`,
+        which the service shares), and the migration's allgathers run as
         a single ``PRIORITY_URGENT`` work item — the prioritized
         broadcast — so it preempts any queued traffic.  Counters reset
         afterwards: each window detects *recent* drift.
@@ -854,14 +855,7 @@ class RealTrainer:
 
             def work(c, group=group, counts=counts):
                 total = np.sum(c.allgather(counts), axis=0)
-                new_hot = []
-                for name, old in group.table_hot_ids().items():
-                    lo, hi = group.bounds[name]
-                    n_hot = len(old)
-                    if hot_fraction > 0.0:
-                        n_hot = int(round(hot_fraction * (hi - lo)))
-                    new_hot.append(learn_hot_ids(total[lo:hi], n_hot) + lo)
-                group.repartition(c, np.concatenate(new_hot))
+                group.repartition(c, group.learn_hot_ids(total, hot_fraction))
 
             sched.submit(
                 work, priority=PRIORITY_URGENT, label=f"repartition:{group.name}"

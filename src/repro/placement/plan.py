@@ -278,7 +278,7 @@ class DriftMonitor:
     committed steps the monitor derives the new hot sets —
     ``round(hot_fraction * vocab)`` hottest rows per table, identical on
     every rank because the counters are identical — and the runtimes
-    migrate (:meth:`~repro.engine.embrace_runtime.EmbraceTableRuntime.
+    migrate (:meth:`~repro.engine.embrace_runtime.TableGroupRuntime.
     repartition`), bit-exact mid-training.
     """
 

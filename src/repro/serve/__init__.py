@@ -5,17 +5,18 @@ embedding tables live a double life: the same sharded parameters that
 training updates are simultaneously *read* by inference traffic.  This
 package stands that workload up on the repo's real communication stack:
 
-* a :class:`ShardedEmbeddingService` runs the existing column-sharded
-  tables (:class:`~repro.engine.embrace_runtime.EmbraceTableRuntime`) on
-  a persistent :func:`~repro.comm.open_group` pool and serves batched
-  row lookups *concurrently* with an online training loop driving
-  :class:`~repro.optim.EmbraceAdam` updates;
+* a :class:`ShardedEmbeddingService` runs the column-sharded tables on
+  the trainer's sparse runtime — one
+  :class:`~repro.engine.embrace_runtime.TableGroupRuntime` for all of
+  them — on a persistent :func:`~repro.comm.open_group` pool and serves
+  batched row lookups *concurrently* with an online training loop
+  driving :class:`~repro.optim.EmbraceAdam` updates;
 * lookups ride the async engine's channel multiplexing at
   :data:`~repro.comm.PRIORITY_SERVE` — preempting queued training
   exchanges, never a facade collective compute is blocked on;
 * an admission front end (:class:`AdmissionQueue`) coalesces requests
   per table under a max-batch / max-delay policy;
-* a per-table seqlock (:class:`VersionFence`) makes every read
+* one seqlock per group (:class:`VersionFence`) makes every read
   snapshot-consistent: a served batch reflects exactly one committed
   sharded-Adam step, never a half-applied one, and the batch's
   cross-rank shard blocks all carry the same version;

@@ -27,7 +27,13 @@ losses and final tables are therefore bit-identical to
 :func:`~repro.serve.online.offline_reference` replaying the same id
 streams, regardless of serve load — asserted in ``tests/test_serve.py``.
 
-**Snapshot consistency.**  Commits advance each table's
+**One sparse runtime.**  :class:`~repro.serve.ServeConfig` tables all
+share ``dim``, so every rank holds one
+:class:`~repro.engine.embrace_runtime.TableGroupRuntime` over all of
+them — the trainer's runtime — and a step makes one id gather, one
+refresh, one hot and one cold exchange and one commit for every table.
+
+**Snapshot consistency.**  Commits advance the group's
 :class:`~repro.serve.store.VersionFence`; serve reads are fenced and
 every rank tags its shard block with the version it read.  Because ops
 are totally ordered, all ranks answer at the same version — the driver
@@ -52,8 +58,7 @@ from repro.comm import (
     open_group,
 )
 from repro.data.zipf import ZipfSampler
-from repro.engine.embrace_runtime import EmbraceTableRuntime
-from repro.placement import as_placement, learn_hot_ids
+from repro.engine.embrace_runtime import TableGroupRuntime
 from repro.serve.batching import AdmissionQueue
 from repro.serve.config import ServeConfig
 from repro.serve.online import SparseEmbeddingTask, build_tables, train_stream_rng
@@ -71,31 +76,24 @@ _IDLE_POLL_S = 0.02
 class _WorkerState:
     """Per-rank execution state shared by the driver and follower loops."""
 
-    def __init__(self, comm, cfg: ServeConfig):
+    def __init__(self, comm, cfg: ServeConfig, sched: CommScheduler):
         self.comm = comm
         self.cfg = cfg
         self.obs = comm.obs
-        self.sched = CommScheduler(comm, overlap=cfg.overlap)
-        self.ctrl = SchedComm(self.sched, priority=PRIORITY_SERVE)
-        self.trainc = SchedComm(self.sched, priority=PRIORITY_URGENT)
-        tables = build_tables(cfg)
-        plan = as_placement(cfg.placement)
-        self.stores = {
-            name: VersionedShardStore(
-                EmbraceTableRuntime(
-                    self.trainc,
-                    tables[name],
-                    lr=cfg.lr,
-                    placement=plan.for_table(name),
-                )
-            )
-            for name in cfg.tables
-        }
-        # Drift monitor (rank 0 only): exact row counters over both the
-        # gathered training ids and the served ids; the repartition op
-        # broadcast carries the learned hot sets to the followers.
+        self.sched = sched
+        self.ctrl = SchedComm(sched, priority=PRIORITY_SERVE)
+        self.trainc = SchedComm(sched, priority=PRIORITY_URGENT)
+        # Every table shares cfg.dim: one group, one version fence.
+        self.group = TableGroupRuntime(
+            self.trainc, build_tables(cfg), lr=cfg.lr, placement=cfg.placement
+        )
+        self.store = VersionedShardStore(self.group)
+        # Drift monitor (rank 0 only): exact row counters over the
+        # group's rows, fed by the gathered training ids and the served
+        # ids; the repartition op broadcast carries the learned hot set
+        # to the followers.
         self.row_counts = (
-            {name: np.zeros(cfg.vocab, dtype=np.int64) for name in cfg.tables}
+            np.zeros(self.group.num_rows, dtype=np.int64)
             if cfg.repartition_interval > 0 and comm.rank == 0
             else None
         )
@@ -107,7 +105,8 @@ class _WorkerState:
             name: train_stream_rng(cfg, comm.rank, ti)
             for ti, name in enumerate(cfg.tables)
         }
-        #: (loss_handle, {table: exchange_handle}) of the in-flight step.
+        #: (loss, exchange, hot exchange or None) handles of the
+        #: in-flight step.
         self.pending: tuple | None = None
         self.steps_done = 0
         self.losses: list[float] = []
@@ -132,9 +131,9 @@ def _execute_op(
     if kind == "serve":
         _, table, ids = op
         with state.obs.span("serve_batch", resource="serve", kind="compute"):
-            version, hot_sel, block, hot_vals = state.stores[
-                table
-            ].read_rows_placed(ids)
+            version, hot_sel, block, hot_vals = state.store.read_rows_placed(
+                ids + state.group.bounds[table][0]
+            )
             # Only the cold blocks travel; hot rows are answered from
             # the local replica at the same fenced version.
             if state.obs.enabled:
@@ -154,12 +153,11 @@ def _execute_op(
         _commit_step(state)
         return True
     if kind == "repartition":
-        _, new_sets = op
+        _, hot_ids = op
         with state.obs.span("repartition", resource="compute"):
-            for table, ids in new_sets.items():
-                # Migration allgathers ride the urgent training facade —
-                # the prioritized broadcast lane.
-                state.stores[table].repartition(state.trainc, ids)
+            # Migration allgathers ride the urgent training facade — the
+            # prioritized broadcast lane.
+            state.store.repartition(state.trainc, hot_ids)
         state.repartitions += 1
         state.obs.count("serve.repartitions")
         return True
@@ -184,7 +182,7 @@ def _complete_batch(state, table, ids, hot_sel, hot_vals, gathered, requests) ->
     if hot_sel.any():
         state.obs.count("serve.hot_rows", float(hot_sel.sum()))
     if state.row_counts is not None:
-        np.add.at(state.row_counts[table], ids, 1)
+        np.add.at(state.row_counts, ids + state.group.bounds[table][0], 1)
     if version < 0:
         state.torn_batches += 1
         state.obs.count("serve.torn_batches")
@@ -205,33 +203,28 @@ def _complete_batch(state, table, ids, hot_sel, hot_vals, gathered, requests) ->
 
 def _start_step(state: _WorkerState) -> None:
     """Refresh + forward/backward; submit the exchange without waiting."""
-    cfg, world = state.cfg, state.comm.world_size
+    cfg, group, world = state.cfg, state.group, state.comm.world_size
     local_ids = {
         name: state.sampler.sample(state.train_rngs[name], cfg.train_batch)
         for name in cfg.tables
     }
     for name, ids in local_ids.items():
         state.obs.count_rows(name, ids)
-    # One fused urgent gather covers Algorithm 1's id exchange for every
-    # table; refresh reuses it instead of gathering again.
-    gathered = state.trainc.allgather(local_ids)
+    # One urgent gather of the group's rows covers every table's ids;
+    # refresh reuses it instead of gathering again.
+    gathered = state.trainc.allgather(group.stack_ids(local_ids))
     if state.row_counts is not None:
-        for per_rank in gathered:
-            for name, ids in per_rank.items():
-                np.add.at(state.row_counts[name], ids, 1)
+        np.add.at(state.row_counts, np.concatenate(gathered), 1)
     with state.obs.span("online_step", resource="compute"):
+        group.refresh_rows(gathered[state.comm.rank], all_ids=gathered)
         rank_loss = 0.0
         grads = {}
-        for name in cfg.tables:
-            store = state.stores[name]
-            store.runtime.refresh_rows(
-                local_ids[name], all_ids=[per_rank[name] for per_rank in gathered]
-            )
-            loss, grad = state.task.loss_and_grad(
-                store.runtime.table.weight.data, local_ids[name]
+        for name, table in group.tables.items():
+            loss, grads[name] = state.task.loss_and_grad(
+                table.weight.data, local_ids[name]
             )
             rank_loss += loss
-            grads[name] = grad
+        grad = group.stack_grads(grads)
     step = state.steps_done
     loss_handle = state.sched.submit(
         lambda c, v=rank_loss: c.allgather(v),
@@ -239,65 +232,35 @@ def _start_step(state: _WorkerState) -> None:
         label=f"loss:{step}",
     )
     # Hot rows leave on their replicated dense lane; the cold remainder
-    # takes the AlltoAll column-shard exchange as before.  Both are
-    # submitted without waiting — the commit op collects them.
-    hot_exchange = {}
-    for name in cfg.tables:
-        rt = state.stores[name].runtime
-        if rt.n_hot:
-            hot_g, grads[name] = rt.split_hot_cold(grads[name])
-            hot_exchange[name] = state.sched.submit(
-                lambda c, rt=rt, g=hot_g: rt.exchange_hot(c, g, 1.0 / world),
-                priority=PRIORITY_TRAIN,
-                label=f"hot:{name}:{step}",
-            )
-    exchange = {
-        name: state.sched.submit(
-            lambda c, rt=state.stores[name].runtime, g=grads[name]: rt.exchange(
-                c, g, scale=1.0 / world
-            ),
+    # takes the AlltoAll column-shard exchange.  Both are submitted
+    # without waiting — the commit op collects them.
+    hot_handle = None
+    if group.n_hot:
+        hot, grad = group.split_hot_cold(grad)
+        hot_handle = state.sched.submit(
+            lambda c, g=hot: group.exchange_hot(c, g, 1.0 / world),
             priority=PRIORITY_TRAIN,
-            label=f"exchange:{name}:{step}",
+            label=f"hot:{step}",
         )
-        for name in cfg.tables
-    }
-    state.pending = (loss_handle, exchange, hot_exchange)
+    exchange = state.sched.submit(
+        lambda c, g=grad: group.exchange(c, g, scale=1.0 / world),
+        priority=PRIORITY_TRAIN,
+        label=f"exchange:{step}",
+    )
+    state.pending = (loss_handle, exchange, hot_handle)
 
 
 def _commit_step(state: _WorkerState) -> None:
-    """Wait on the in-flight exchange; apply it under the write fences."""
-    loss_handle, exchange, hot_exchange = state.pending
+    """Wait on the in-flight exchange; apply it under the write fence."""
+    loss_handle, exchange, hot_handle = state.pending
     state.pending = None
     with state.obs.span("commit_step", resource="compute"):
-        for name in state.cfg.tables:
-            hot = (
-                hot_exchange[name].wait() if name in hot_exchange else None
-            )
-            state.stores[name].apply_parts(
-                exchange[name].wait(), hot, final=True
-            )
+        hot = hot_handle.wait() if hot_handle is not None else None
+        state.store.apply_parts(exchange.wait(), hot, final=True)
         parts = loss_handle.wait()
     state.losses.append(sum(parts) / state.comm.world_size)
     state.steps_done += 1
     state.obs.count("serve.steps")
-
-
-def _learn_new_hot_sets(state: _WorkerState) -> dict[str, np.ndarray]:
-    """Rank 0: top-count hot set per table from the live counters.
-
-    Counters reset afterwards so each window reflects *recent* access
-    drift, not the whole run.
-    """
-    cfg = state.cfg
-    new_sets = {}
-    for name in cfg.tables:
-        counts = state.row_counts[name]
-        n_hot = state.stores[name].runtime.n_hot
-        if cfg.hot_fraction > 0.0:
-            n_hot = int(round(cfg.hot_fraction * cfg.vocab))
-        new_sets[name] = learn_hot_ids(counts, n_hot)
-        counts[:] = 0
-    return new_sets
 
 
 # --------------------------------------------------------------------- #
@@ -329,10 +292,15 @@ def _drive_loop(state: _WorkerState, queue: AdmissionQueue, clients) -> None:
             and state.steps_done > state.last_repartition_step
             and state.steps_done % cfg.repartition_interval == 0
         ):
-            # Drift boundary (no step in flight): learn each table's new
-            # hot set from the live counters; the op broadcast carries
+            # Drift boundary (no step in flight): learn every table's new
+            # hot set from the live counters, which then reset so each
+            # window reflects *recent* drift; the op broadcast carries
             # the ids so followers migrate to the identical set.
-            op = ("repartition", _learn_new_hot_sets(state))
+            op = (
+                "repartition",
+                state.group.learn_hot_ids(state.row_counts, cfg.hot_fraction),
+            )
+            state.row_counts[:] = 0
             state.last_repartition_step = state.steps_done
         elif state.steps_done < cfg.train_steps:
             op = ("train",)
@@ -418,17 +386,15 @@ def _follow(state: _WorkerState) -> None:
 
 def _serve_worker(comm, cfg: ServeConfig) -> dict:
     """Per-rank entry point (module-level: persistent pools pickle it)."""
-    state = _WorkerState(comm, cfg)
+    sched = CommScheduler(comm, overlap=cfg.overlap)
     try:
+        state = _WorkerState(comm, cfg, sched)
         report = _drive(state) if comm.rank == 0 else None
         if comm.rank != 0:
             _follow(state)
-        final = {
-            name: state.stores[name].runtime.gather_full_table()
-            for name in cfg.tables
-        }
+        final = state.group.gather_tables()
     finally:
-        state.sched.close()
+        sched.close()
     out: dict[str, Any] = {
         "losses": state.losses,
         "steps_done": state.steps_done,

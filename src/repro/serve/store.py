@@ -4,9 +4,10 @@ A sharded-Adam commit rewrites many rows of the authoritative column
 slice; a lookup racing it could return some rows pre-update and some
 post-update — a *torn read* that corresponds to no table state that
 ever existed.  :class:`VersionFence` is a seqlock preventing exactly
-that, and :class:`VersionedShardStore` wraps an
-:class:`~repro.engine.embrace_runtime.EmbraceTableRuntime` so every
-read carries the version (= committed optimizer steps) it observed.
+that, and :class:`VersionedShardStore` wraps a
+:class:`~repro.engine.embrace_runtime.TableGroupRuntime` — all of the
+service's tables in one row space, so one fence — and every read
+carries the version (= committed optimizer steps) it observed.
 
 Cross-rank consistency is the service's job: because the sequencer
 orders serve ops against commit ops identically on every rank, all
@@ -21,7 +22,7 @@ import time
 
 import numpy as np
 
-from repro.engine.embrace_runtime import EmbraceTableRuntime
+from repro.engine.embrace_runtime import TableGroupRuntime
 from repro.tensors import SparseRows
 
 
@@ -75,35 +76,22 @@ class VersionFence:
 
 
 class VersionedShardStore:
-    """One table's runtime plus its version fence.
+    """A table group's runtime plus its version fence.
 
-    Reads return **only this rank's authoritative columns** — the
-    service reassembles full-dimension vectors by AllGathering every
-    rank's block.  The local replica's other columns are refreshed
-    lazily for training forwards and may be stale; serving from the
-    authoritative slice sidesteps that entirely.
+    Reads take virtual row ids and return **only this rank's
+    authoritative columns** — the service reassembles full-dimension
+    vectors by AllGathering every rank's block.  The local replica's
+    other columns are refreshed lazily for training forwards and may be
+    stale; serving from the authoritative slice sidesteps that entirely.
     """
 
-    def __init__(self, runtime: EmbraceTableRuntime):
+    def __init__(self, runtime: TableGroupRuntime):
         self.runtime = runtime
         self.fence = VersionFence()
 
     @property
     def version(self) -> int:
         return self.fence.version
-
-    def read_rows(self, ids: np.ndarray) -> tuple[int, np.ndarray]:
-        """Snapshot-consistent ``(version, rows[:, my_columns])`` copy."""
-        ids = np.asarray(ids, dtype=np.int64)
-        weight = self.runtime.table.weight.data
-        cols = self.runtime.my_columns
-
-        def copy_block():
-            # Fancy indexing copies; the column slice of the copy is
-            # then made contiguous for the wire.
-            return np.ascontiguousarray(weight[ids][:, cols])
-
-        return self.fence.read(copy_block)
 
     def read_rows_placed(
         self, ids: np.ndarray
@@ -119,7 +107,7 @@ class VersionedShardStore:
         """
         ids = np.asarray(ids, dtype=np.int64)
         rt = self.runtime
-        weight = rt.table.weight.data
+        weight = rt.weight.data
         cols = rt.my_columns
         hot_sel = rt.hot_mask(ids)
         cold_ids = ids[~hot_sel]
@@ -133,14 +121,6 @@ class VersionedShardStore:
 
         version, (cold_block, hot_values) = self.fence.read(copy_blocks)
         return version, hot_sel, cold_block, hot_values
-
-    def apply_part(self, shard_grad: SparseRows, final: bool = True) -> None:
-        """Commit one exchanged gradient part under the write fence."""
-        self.fence.begin_write()
-        try:
-            self.runtime.apply_part(shard_grad, final=final)
-        finally:
-            self.fence.end_write()
 
     def apply_parts(
         self,

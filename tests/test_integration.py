@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.comm import run_threaded
 from repro.engine.checkpoint import load_checkpoint, save_checkpoint
-from repro.engine.embrace_runtime import EmbraceTableRuntime
+from repro.engine.embrace_runtime import TableGroupRuntime
 from repro.engine.step_simulator import simulate_step
 from repro.engine.trainer_real import RealTrainer
 from repro.engine.trainer_sim import make_context
@@ -20,14 +20,15 @@ from repro.tensors import SparseRows
 
 
 class TestEmbraceTableRuntime:
-    """Direct tests of the reusable per-table runtime."""
+    """Direct tests of the reusable EmbRace runtime on one table (a
+    group of one)."""
 
     @staticmethod
     def _run(world, vocab=12, dim=6, steps=2, seed=0):
         def fn(comm):
             rng = np.random.default_rng(seed)
             table = Embedding(vocab, dim, rng=np.random.default_rng(seed))
-            runtime = EmbraceTableRuntime(comm, table, lr=0.01)
+            runtime = TableGroupRuntime(comm, {"t": table}, lr=0.01)
             reference = Parameter(table.weight.data.copy(), sparse_grad=True)
             ref_opt = EmbraceAdam([reference], lr=0.01)
             for step in range(steps):
@@ -56,7 +57,7 @@ class TestEmbraceTableRuntime:
                 reference.grad = total.scale(1.0 / comm.world_size)
                 ref_opt.step()
                 reference.zero_grad()
-            return runtime.gather_full_table(), reference.data
+            return runtime.gather_tables()["t"], reference.data
 
         return run_threaded(world, fn)
 
@@ -68,7 +69,7 @@ class TestEmbraceTableRuntime:
     def test_refresh_rows_propagates_updates(self):
         def fn(comm):
             table = Embedding(10, 4, rng=np.random.default_rng(0))
-            runtime = EmbraceTableRuntime(comm, table, lr=0.1)
+            runtime = TableGroupRuntime(comm, {"t": table}, lr=0.1)
             grad = SparseRows(np.array([2]), np.ones((1, 4)), 10)
             runtime.apply_gradient(grad, np.array([2]), np.array([2]), scale=0.5)
             runtime.refresh_rows(np.array([2]))

@@ -21,6 +21,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.comm import open_group
 from repro.nn.embedding import Embedding
 from repro.optim import EmbraceAdam
 from repro.serve import (
@@ -145,12 +146,15 @@ class _FakeRuntime:
     """Single-rank runtime stand-in: full table is 'this rank's shard'."""
 
     def __init__(self, table, lr=5e-2):
-        self.table = table
+        self.weight = table.weight
         self.my_columns = slice(0, table.embedding_dim)
         self._opt = EmbraceAdam([table.weight], lr=lr)
 
+    def hot_mask(self, ids):
+        return np.zeros(len(ids), dtype=bool)
+
     def apply_part(self, shard_grad, final):
-        self._opt.apply_sparse_part(self.table.weight, shard_grad, final=final)
+        self._opt.apply_sparse_part(self.weight, shard_grad, final=final)
 
 
 class TestVersionFenceHammer:
@@ -166,7 +170,7 @@ class TestVersionFenceHammer:
 
         def reader():
             while not stop.is_set():
-                version, block = store.read_rows(ids)
+                version, _, block, _ = store.read_rows_placed(ids)
                 expect = snapshots.get(version)
                 if expect is None:
                     failures.append(f"unknown version {version}")
@@ -305,6 +309,43 @@ class TestShardedEmbeddingService:
         assert report.requests_served == cfg.total_requests
         _assert_bit_identical_and_consistent(cfg, report)
 
+    @pytest.mark.parametrize("world, backend", [(3, "thread"), (2, "process")])
+    def test_three_tables_hot_rows_and_repartition(self, world, backend):
+        cfg = ServeConfig(
+            vocab=256,
+            dim=16,
+            tables=("a", "b", "c"),
+            world_size=world,
+            backend=backend,
+            placement={"a": range(8), "c": [0, 3, 17]},
+            hot_fraction=0.05,
+            repartition_interval=2,
+            zipf_exponent=1.2,
+            clients=2,
+            requests_per_client=10,
+            train_steps=6,
+            record_serve_results=True,
+        )
+        with ShardedEmbeddingService(cfg) as service:
+            report = service.run()
+        assert report.requests_served == cfg.total_requests
+        assert report.repartitions >= 1
+        _assert_bit_identical_and_consistent(cfg, report)
+
+    @pytest.mark.parametrize("interval", [0, 2])
+    def test_rejects_out_of_range_hot_rows(self, interval):
+        cfg = ServeConfig(
+            vocab=64, dim=8, world_size=2, backend="thread",
+            placement={"embedding": [0, 1, 500]},
+            repartition_interval=interval, clients=1,
+            requests_per_client=2, train_steps=4,
+        )
+        with ShardedEmbeddingService(cfg) as service:
+            with pytest.raises(
+                RuntimeError, match=r"ValueError\('embedding: hot row 500 outside"
+            ):
+                service.run()
+
     @pytest.mark.slow
     def test_process_backend_four_ranks(self):
         cfg = ServeConfig(
@@ -320,6 +361,32 @@ class TestShardedEmbeddingService:
         assert report.requests_served == cfg.total_requests
         _assert_bit_identical_and_consistent(cfg, report)
         assert glob.glob("/dev/shm/repro-*") == []
+
+
+class TestCollectiveCount:
+    """Comm-lane collectives per committed step of a traced 2-rank
+    service (one lookup, six steps).  A function of the op script, not
+    of timing, so the bounds cannot flake."""
+
+    @pytest.mark.parametrize(
+        "tables, hot, bound",
+        [
+            # 14.0 with one exchange per table; one group now.
+            (("a", "b", "c"), True, 8.0),
+            (("a",), True, 7.67),
+            (("a",), False, 6.67),
+        ],
+    )
+    def test_one_exchange_per_step_for_all_tables(self, tables, hot, bound):
+        cfg = ServeConfig(
+            vocab=64, dim=8, world_size=2, tables=tables,
+            placement={name: range(4) for name in tables} if hot else None,
+            clients=1, requests_per_client=1, train_steps=6,
+        )
+        with open_group(2, backend="thread", trace=True) as g:
+            report = ShardedEmbeddingService(cfg, group=g).run()
+        per_step = len(report.trace.trace.by_resource("comm:0")) / cfg.train_steps
+        assert per_step <= bound
 
 
 # --------------------------------------------------------------------- #

@@ -4,9 +4,8 @@
 same-width tables into one virtual row space and runs Algorithm 1, the
 exchanges, the refresh and the shard update once per group.  Everything
 here asserts the contract that makes that legal: the grouped step is
-**bit-identical** — losses, tables, Adam moments — to one
-:class:`~repro.engine.embrace_runtime.EmbraceTableRuntime` per table,
-and never sends more bytes.
+**bit-identical** — losses, tables, Adam moments — to one group of one
+table per table, and never sends more bytes.
 """
 
 import numpy as np
@@ -14,12 +13,11 @@ import pytest
 
 from repro.comm import NodeTopology, open_group
 from repro.comm.sched import SchedKnobs
-from repro.engine.embrace_runtime import EmbraceTableRuntime, TableGroupRuntime
+from repro.engine.embrace_runtime import TableGroupRuntime
 from repro.engine.trainer_real import RealTrainer
 from repro.faults import FaultPlan
 from repro.models.config import DLRM
 from repro.nn.embedding import Embedding
-from repro.placement import TablePlacement
 from repro.tensors import SparseRows
 
 STEPS = 4
@@ -28,9 +26,7 @@ SAME_WIDTH = ((40, 8), (24, 8), (56, 8))
 
 
 def _sparse_update(rt, comm, grad, current, global_next, inv):
-    """One iteration's sparse update on ``rt`` — a table runtime or a
-    group, which is the point: the group *is* a runtime over its stacked
-    rows, so the same calls drive both."""
+    """One iteration's sparse update on the group ``rt``."""
     if not rt.n_hot:
         rt.apply_gradient(grad, current, global_next, scale=inv)
         return
@@ -59,19 +55,9 @@ def _drive(comm, case, grouped):
         assert len(units) == len({dim for _, dim in sizes})
     else:
         units = [
-            EmbraceTableRuntime(
-                comm, t, placement=TablePlacement(name, tuple(hot.get(name, ()))), **kw
-            )
+            TableGroupRuntime(comm, {name: t}, placement=hot, **kw)
             for name, t in tables.items()
         ]
-
-    def members(unit):
-        return list(unit.tables) if grouped else [unit.name]
-
-    def ids_of(unit, per_table):
-        if grouped:
-            return unit.stack_ids(per_table)
-        return per_table[unit.name]
 
     # Per-rank id streams; ``idle`` names a table that draws nothing on
     # odd steps (its part of every exchange is empty).
@@ -110,14 +96,14 @@ def _drive(comm, case, grouped):
                     ),
                     tables[name].num_embeddings,
                 )
-                for name in members(unit)
+                for name in unit.tables
             }
-            grad = unit.stack_grads(grads) if grouped else grads[unit.name]
+            grad = unit.stack_grads(grads)
             all_next = (
-                [ids_of(unit, ids) for ids in per_rank] if per_rank is not None else None
+                [unit.stack_ids(ids) for ids in per_rank] if per_rank is not None else None
             )
             _sparse_update(
-                unit, comm, grad, ids_of(unit, unique),
+                unit, comm, grad, unit.stack_ids(unique),
                 np.concatenate(all_next) if all_next is not None else None, inv,
             )
             if all_next is not None:
@@ -125,32 +111,25 @@ def _drive(comm, case, grouped):
         if s + 1 == case.get("repartition_at"):
             new_hot = case["new_hot"]
             for unit in units:
-                if grouped:
-                    unit.repartition(
-                        comm,
-                        np.concatenate(
-                            [np.asarray(new_hot[n]) + unit.bounds[n][0] for n in unit.tables]
-                        ),
-                    )
-                else:
-                    unit.repartition(comm, np.asarray(new_hot[unit.name]))
+                unit.repartition(
+                    comm,
+                    np.concatenate(
+                        [np.asarray(new_hot[n]) + unit.bounds[n][0] for n in unit.tables]
+                    ),
+                )
     sent = comm.bytes_sent - sent_before
 
     values, moments = {}, {}
     for unit in units:
         full, step = unit.optimizer_state_full()
-        if grouped:
-            values.update(unit.gather_tables())
-            hot_now = unit.table_hot_ids()
-            for name, (lo, hi) in unit.bounds.items():
-                moments[name] = (full["exp_avg"][lo:hi], full["exp_avg_sq"][lo:hi], step)
-                np.testing.assert_array_equal(
-                    hot_now[name],
-                    np.asarray(case.get("new_hot", hot).get(name, ()), dtype=np.int64),
-                )
-        else:
-            values[unit.name] = unit.gather_full_table()
-            moments[unit.name] = (full["exp_avg"], full["exp_avg_sq"], step)
+        values.update(unit.gather_tables())
+        hot_now = unit.table_hot_ids()
+        for name, (lo, hi) in unit.bounds.items():
+            moments[name] = (full["exp_avg"][lo:hi], full["exp_avg_sq"][lo:hi], step)
+            np.testing.assert_array_equal(
+                hot_now[name],
+                np.asarray(case.get("new_hot", hot).get(name, ()), dtype=np.int64),
+            )
     return losses, values, moments, sent
 
 
@@ -225,7 +204,7 @@ class TestGroupRuntime:
             for name, (lo, hi) in group.bounds.items():
                 data = tables[name].weight.data
                 np.testing.assert_array_equal(data, before[name])
-                assert np.shares_memory(data, group.table.weight.data)
+                assert np.shares_memory(data, group.weight.data)
                 assert hi - lo == len(data)
             ids = group.stack_ids({"t0": [3], "t1": [0, 5], "t2": [7]})
             assert ids.tolist() == [3, 40, 45, 71]
@@ -240,7 +219,7 @@ class TestGroupRuntime:
 
         def fn(comm):
             (group,) = TableGroupRuntime.by_width(comm, tables)
-            return group.name == "t0" and group.table.weight.data is array
+            return group.name == "t0" and group.weight.data is array
 
         with open_group(1, backend="thread") as g:
             assert g.run(fn) == [True]

@@ -322,16 +322,16 @@ class TestOverlapScheduling:
 
 
 def _runtime_worker(comm, deferred):
-    """Drive one EmbraceTableRuntime for a few synthetic steps, either
+    """Drive one table's TableGroupRuntime for a few synthetic steps, either
     fused (apply_gradient) or with the delayed part genuinely carried
     across the step boundary like the overlapped trainer does."""
-    from repro.engine.embrace_runtime import EmbraceTableRuntime
+    from repro.engine.embrace_runtime import TableGroupRuntime
     from repro.nn.embedding import Embedding
     from repro.tensors import SparseRows
 
     vocab, dim, steps = 48, 8, 4
     table = Embedding(vocab, dim, rng=np.random.default_rng(7), name="emb")
-    rt = EmbraceTableRuntime(comm, table)
+    rt = TableGroupRuntime(comm, {"emb": table})
     inv = 1.0 / comm.world_size
     rng = np.random.default_rng(100 + comm.rank)
     ids = [rng.integers(0, vocab, size=12) for _ in range(steps)]
@@ -357,7 +357,7 @@ def _runtime_worker(comm, deferred):
             rt.refresh_rows(nxt)  # deferred mode: pending still unapplied
     if pending is not None:
         rt.apply_part(pending, final=True)
-    return rt.gather_full_table()
+    return rt.gather_tables()["emb"]
 
 
 class TestDelayedStepBoundary:
