@@ -124,7 +124,7 @@ class SampledSoftmax(nn.Module):
         loss, grad_logits, _ = F.cross_entropy(logits, mapped, ignore_index=-1)
 
         def back(upstream=1.0):
-            g = grad_logits * upstream
+            g = grad_logits if upstream == 1.0 else grad_logits * upstream
             grad_h = g @ weights
             grad_w = g.T @ flat_h  # (C, dim)
             self.table.weight.accumulate(

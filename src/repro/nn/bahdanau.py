@@ -54,7 +54,8 @@ class BahdanauAttention(Module):
         q_proj = queries @ self.w_query.data  # (b, tq, a)
         k_proj = memory @ self.w_key.data  # (b, ts, a)
         # Broadcast add: (b, tq, ts, a)
-        pre = np.tanh(q_proj[:, :, None, :] + k_proj[:, None, :, :])
+        pre = q_proj[:, :, None, :] + k_proj[:, None, :, :]
+        np.tanh(pre, out=pre)
         scores = pre @ self.v.data  # (b, tq, ts)
         probs = F.softmax(scores, axis=-1)
         context = probs @ memory  # (b, tq, enc)
@@ -69,7 +70,7 @@ class BahdanauAttention(Module):
                 np.einsum("bqs,bqsa->a", grad_scores, pre)
             )
             grad_pre = grad_scores[..., None] * self.v.data  # (b, tq, ts, a)
-            grad_pre = grad_pre * (1.0 - pre**2)  # tanh'
+            grad_pre *= 1.0 - pre**2  # tanh'
             grad_qproj = grad_pre.sum(axis=2)  # (b, tq, a)
             grad_kproj = grad_pre.sum(axis=1)  # (b, ts, a)
             bq = queries.reshape(-1, queries.shape[-1])

@@ -36,12 +36,11 @@ def gelu_backward(grad: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Overflow-free logistic: ``1 / (1 + e^-x)`` for ``x >= 0`` and
+    ``e^x / (1 + e^x)`` below, both from one ``e = exp(-|x|)``."""
+    e = np.exp(-np.abs(x))
+    denom = 1.0 + e
+    return np.where(x >= 0, 1.0 / denom, e / denom)
 
 
 def sigmoid_backward(grad: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -60,9 +59,10 @@ def tanh_backward(grad: np.ndarray, out: np.ndarray) -> np.ndarray:
 # Softmax family
 # --------------------------------------------------------------------- #
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - x.max(axis=axis, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / ex.sum(axis=axis, keepdims=True)
+    out = x - x.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
 
 
 def softmax_backward(grad: np.ndarray, out: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -98,6 +98,11 @@ def cross_entropy(
     (loss, grad_logits, n_valid):
         mean loss over non-ignored positions, gradient of that mean loss
         w.r.t. ``logits``, and the number of positions counted.
+
+    One logits-sized buffer is shifted, exponentiated and normalised in
+    place and ends as the gradient.  It takes the same IEEE operations,
+    in the same order, as ``log_softmax`` followed by ``softmax``: each
+    max/exp/sum pass runs once instead of twice, with the same bits.
     """
     num_classes = logits.shape[-1]
     flat_logits = logits.reshape(-1, num_classes)
@@ -111,14 +116,18 @@ def cross_entropy(
     else:
         valid = np.ones_like(flat_targets, dtype=bool)
     n_valid = int(valid.sum())
-    log_probs = log_softmax(flat_logits, axis=-1)
-    grad = softmax(flat_logits, axis=-1)
     if n_valid == 0:
         return 0.0, np.zeros_like(logits), 0
     rows = np.nonzero(valid)[0]
-    picked = log_probs[rows, flat_targets[rows]]
+    cols = flat_targets[rows]
+    grad = flat_logits - flat_logits.max(axis=-1, keepdims=True)
+    picked = grad[rows, cols]  # shifted target scores
+    np.exp(grad, out=grad)
+    total = grad.sum(axis=-1, keepdims=True)
+    picked -= np.log(total)[rows, 0]  # target log-probabilities
     loss = float(-picked.sum() / n_valid)
-    grad[rows, flat_targets[rows]] -= 1.0
+    grad /= total  # softmax
+    grad[rows, cols] -= 1.0
     grad[~valid] = 0.0
     grad /= n_valid
     return loss, grad.reshape(logits.shape), n_valid

@@ -47,7 +47,7 @@ class Linear(Module):
             )
         out = x @ self.weight.data
         if self.bias is not None:
-            out = out + self.bias.data
+            out += self.bias.data
 
         def back(grad):
             grad = np.asarray(grad)

@@ -28,7 +28,9 @@ class CrossEntropyLoss(Module):
             logits, targets, ignore_index=self.ignore_index
         )
         self.last_token_count = n_valid
-        self._back = lambda upstream=1.0: grad * upstream
+        # The usual upstream of 1 hands the buffer over uncopied
+        # (``grad * 1.0`` has the same bits).
+        self._back = lambda upstream=1.0: grad if upstream == 1.0 else grad * upstream
         return loss
 
     def backward(self, upstream: float = 1.0) -> np.ndarray:  # type: ignore[override]

@@ -54,6 +54,8 @@ class Parameter:
                 )
             if self.grad is None:
                 self.grad = grad.copy()
+            elif np.result_type(self.grad, grad) == self.grad.dtype:
+                self.grad += grad
             else:
                 self.grad = self.grad + grad
 

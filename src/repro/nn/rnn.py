@@ -79,15 +79,12 @@ class LSTMCell(Module):
         di = dc * g
         df = dc * cache["c"]
         dg = dc * i
-        d_gates = np.concatenate(
-            [
-                di * i * (1 - i),
-                df * f * (1 - f),
-                dg * (1 - g**2),
-                do * o * (1 - o),
-            ],
-            axis=1,
-        )
+        hd = self.hidden_dim
+        d_gates = np.empty((dc.shape[0], 4 * hd), dtype=dc.dtype)
+        d_gates[:, :hd] = di * i * (1 - i)
+        d_gates[:, hd : 2 * hd] = df * f * (1 - f)
+        d_gates[:, 2 * hd : 3 * hd] = dg * (1 - g**2)
+        d_gates[:, 3 * hd :] = do * o * (1 - o)
         if accumulate:
             self.w_x.accumulate(cache["x"].T @ d_gates)
             self.w_h.accumulate(cache["h"].T @ d_gates)
