@@ -8,9 +8,6 @@ Measures, on real worker processes:
   ``BENCHMARK.json`` (``comm_step`` / ``dlrm_sparse`` rates and the
   ``comm.bulk_allreduce_MBps`` / ``comm.sparse.a2a_shards_us`` /
   ``comm.ping_us`` layer rows), not a ratio taken here;
-* adaptive sparse allreduce vs the ring-allgather reference at three
-  gradient densities (low/mid/high) — the adaptive path must win at two
-  of the three;
 * a zero-allocation audit: 20 steady-state AlltoAll steps under
   ``tracemalloc`` (numpy domain, filtered to ``src/repro/comm``) — the
   wire path must perform no numpy allocations once the buffer arena and
@@ -37,26 +34,13 @@ import numpy as np
 
 from repro.comm import open_group, run_multiprocess
 from repro.comm.arena import default_arena
-from repro.comm.sparse import (
-    allreduce_sparse_adaptive,
-    allreduce_sparse_via_allgather,
-    alltoall_column_shards,
-)
+from repro.comm.sparse import alltoall_column_shards
 from repro.tensors import SparseRows
 
 WORLD = 4
 PAYLOAD_MB = 64
 SPARSE_ROWS = 40_000
 SPARSE_DIM = 96
-
-#: Gradient-density scenarios for the adaptive allreduce: index draws
-#: per rank, as a fraction of the table.  rows/8 draws ≈ 0.12 distinct
-#: density (stays sparse), rows/2 ≈ 0.39 (crosses a 0.25 switch), and
-#: 2*rows ≈ 0.86 (nearly dense — the stream split's home turf).
-SPARSE_SCENARIOS = {"low": 0.125, "mid": 0.5, "high": 2.0}
-
-#: The SchedKnobs.dense_switch_density the adaptive scenarios run at.
-ADAPTIVE_DENSE_SWITCH = 0.25
 
 #: Steady-state steps audited by the zero-allocation gate.
 ZERO_ALLOC_STEPS = 20
@@ -102,28 +86,6 @@ def _sparse_grad(rank: int, rows: int, dim: int, samples: int) -> SparseRows:
         rng.normal(size=(samples, dim)).astype(np.float32),
         rows,
     )
-
-
-def _timed_sparse_allreduce(
-    comm, rows: int, dim: int, samples: int, iters: int, dense_switch: float
-) -> tuple[list[float], list[float]]:
-    """Per-iteration seconds of (reference allgather, adaptive) allreduce."""
-    grad = _sparse_grad(comm.rank, rows, dim, samples)
-    ref_times: list[float] = []
-    ada_times: list[float] = []
-    for _ in range(2):
-        allreduce_sparse_via_allgather(comm, grad)
-        allreduce_sparse_adaptive(comm, grad, dense_switch=dense_switch)
-    for _ in range(iters):
-        comm.barrier()
-        start = time.perf_counter()
-        allreduce_sparse_via_allgather(comm, grad)
-        ref_times.append(time.perf_counter() - start)
-        comm.barrier()
-        start = time.perf_counter()
-        allreduce_sparse_adaptive(comm, grad, dense_switch=dense_switch)
-        ada_times.append(time.perf_counter() - start)
-    return ref_times, ada_times
 
 
 def _audit_zero_alloc(comm, rows: int, dim: int, steps: int) -> dict:
@@ -210,10 +172,6 @@ def measure(world: int, payload_mb: float, iters: int) -> dict:
             "cpus": os.cpu_count(),
             "sparse": {"rows": SPARSE_ROWS, "dim": SPARSE_DIM},
         },
-        "sparse_adaptive": {
-            "dense_switch": ADAPTIVE_DENSE_SWITCH,
-            "scenarios": {},
-        },
     }
     with open_group(world, backend="process") as group:
         steps = _step_seconds(group.run(_timed_allreduce, n_elems, iters))
@@ -225,30 +183,6 @@ def measure(world: int, payload_mb: float, iters: int) -> dict:
         results["sparse_alltoall"] = {"latency_s": float(np.median(steps))}
         pings = [max(group.run(_ping)) for _ in range(3)]
         results["ping"] = {"latency_s": float(np.median(pings))}
-        # Adaptive allreduce vs the ring-allgather reference at the
-        # three density scenarios, then the zero-allocation audit.
-        for name, fraction in SPARSE_SCENARIOS.items():
-            samples = int(SPARSE_ROWS * fraction)
-            per_rank = group.run(
-                _timed_sparse_allreduce,
-                SPARSE_ROWS,
-                SPARSE_DIM,
-                samples,
-                iters,
-                ADAPTIVE_DENSE_SWITCH,
-            )
-            ref = float(np.median(_step_seconds([r for r, _ in per_rank])))
-            ada = float(np.median(_step_seconds([a for _, a in per_rank])))
-            results["sparse_adaptive"]["scenarios"][name] = {
-                "samples": samples,
-                "reference_s": ref,
-                "adaptive_s": ada,
-                "speedup": ref / ada,
-            }
-        scen = results["sparse_adaptive"]["scenarios"]
-        results["sparse_adaptive"]["wins"] = sum(
-            1 for s in scen.values() if s["speedup"] > 1.0
-        )
         audits = group.run(
             _audit_zero_alloc, SPARSE_ROWS, SPARSE_DIM, ZERO_ALLOC_STEPS
         )
@@ -280,17 +214,7 @@ def measure(world: int, payload_mb: float, iters: int) -> dict:
     }
 
     # The machine-portable numbers the CI regression gate guards.
-    results["guarded"] = {
-        "dispatch_speedup": results["dispatch"]["speedup"],
-        "adaptive_allgather_speedup": float(
-            np.median(
-                [
-                    s["speedup"]
-                    for s in results["sparse_adaptive"]["scenarios"].values()
-                ]
-            )
-        ),
-    }
+    results["guarded"] = {"dispatch_speedup": results["dispatch"]["speedup"]}
     return results
 
 
@@ -337,21 +261,6 @@ def render(results: dict) -> str:
         f"dispatch: one-shot {d['one_shot_s']*1e3:.1f} ms/run vs persistent "
         f"{d['persistent_s']*1e3:.1f} ms/run ({d['speedup']:.1f}x)",
     ]
-    adaptive = results.get("sparse_adaptive", {}).get("scenarios")
-    if adaptive:
-        lines.append("")
-        lines.append(
-            f"adaptive allreduce (dense_switch="
-            f"{results['sparse_adaptive']['dense_switch']}):"
-        )
-        for name, s in adaptive.items():
-            lines.append(
-                f"{name:>18} {s['reference_s']:>12.4f} {s['adaptive_s']:>12.4f} "
-                f"{s['speedup']:>8.1f}x  ({s['samples']} draws)"
-            )
-        lines.append(
-            f"{'wins':>18} {results['sparse_adaptive']['wins']}/3 scenarios"
-        )
     if "zero_alloc" in results:
         z = results["zero_alloc"]
         lines.append(

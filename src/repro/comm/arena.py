@@ -1,9 +1,9 @@
 """Preallocated scratch-buffer arena for the sparse wire path.
 
-Every sparse collective needs send/recv/coalesce scratch — packed value
-blocks, merged index unions, growing row appenders.  Allocating those
-with ``np.empty`` per call puts a malloc (and eventually a page fault)
-on every hop of every step.  :class:`BufferArena` keeps a pool of
+Sparse collectives need scratch — the hot-row lane's presence masks and
+owner accumulators, owned copies of received recursive-doubling parts.
+Allocating those with ``np.empty`` per call puts a malloc (and
+eventually a page fault) on every hop of every step.  :class:`BufferArena` keeps a pool of
 reusable byte buffers bucketed by power-of-two size class (the same
 scheme as :class:`~repro.comm.shm.SegmentPool`, but process-local):
 ``take()`` hands out an ndarray view of a pooled buffer, ``put()``

@@ -291,7 +291,6 @@ def two_level_alltoall_shards(
     grad: SparseRows,
     topology: NodeTopology,
     *,
-    arena: BufferArena | None = None,
     table: str | None = None,
     comms: NodeComms | None = None,
 ) -> SparseRows:
@@ -321,7 +320,7 @@ def two_level_alltoall_shards(
             f"topology world {topology.world_size} != comm world {comm.world_size}"
         )
     if not topology.multi_node:
-        return alltoall_column_shards(comm, grad, arena=arena, table=table)
+        return alltoall_column_shards(comm, grad, table=table)
     nc = _comms(comm, topology, comms)
     rank, world = comm.rank, comm.world_size
     num_rows, dim, vdtype = grad.num_rows, grad.dim, grad.values.dtype

@@ -96,6 +96,12 @@ DEFAULT_MAX_CHUNKS = 8
 DEFAULT_BUCKET_ELEMS = 65536
 
 
+#: Fields earlier releases wrote into knob dicts (tuned profiles, saved
+#: run configs) that have since been removed, each with the one value a
+#: saved dict may still carry: the removed behaviour's inert default.
+_REMOVED_FIELDS = {"dense_switch_density": 1.0}
+
+
 @dataclass(frozen=True)
 class SchedKnobs:
     """The scheduler's tunable constants, gathered into one value.
@@ -112,17 +118,6 @@ class SchedKnobs:
     rows are disjoint — whereas delaying *more* rows would change which
     shards the next step's refresh observes, so the knob only moves
     bytes in the bit-identical direction.
-
-    ``dense_switch_density`` is SparCML's stream-splitting threshold for
-    the adaptive sparse collectives
-    (:func:`~repro.comm.sparse.allreduce_sparse_adaptive`): once the
-    merged index set of a recursive-doubling hop reaches this fraction
-    of the table's rows, the remaining hops carry a dense packed
-    representation instead of growing COO parts.  ``1.0`` (the default)
-    never switches and reproduces the rank-ordered sparse sum
-    bit-for-bit; below 1.0 the densified tail is documented
-    ``allclose``-exact (the dense accumulator's ``0.0 + x`` identity
-    only rewrites ``-0.0`` to ``+0.0``).
 
     ``hot_fraction`` / ``repartition_interval`` drive hybrid hot/cold
     placement (:mod:`repro.placement`): every ``repartition_interval``
@@ -150,7 +145,6 @@ class SchedKnobs:
     max_chunks: int = DEFAULT_MAX_CHUNKS
     bucket_elems: int = DEFAULT_BUCKET_ELEMS
     delayed_min_rows: int = 0
-    dense_switch_density: float = 1.0
     hot_fraction: float = 0.0
     repartition_interval: int = 0
     hier_dense: bool | None = None
@@ -184,15 +178,6 @@ class SchedKnobs:
             raise ValueError(
                 f"delayed_min_rows must be an int >= 0, "
                 f"got {self.delayed_min_rows!r}"
-            )
-        if (
-            not isinstance(self.dense_switch_density, (int, float))
-            or isinstance(self.dense_switch_density, bool)
-            or not 0.0 <= self.dense_switch_density <= 1.0
-        ):
-            raise ValueError(
-                f"dense_switch_density must be a float in [0, 1], "
-                f"got {self.dense_switch_density!r}"
             )
         if (
             not isinstance(self.hot_fraction, (int, float))
@@ -254,7 +239,22 @@ class SchedKnobs:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SchedKnobs":
-        """Build from a mapping, rejecting unknown keys."""
+        """Build from a mapping, rejecting unknown keys.
+
+        Dicts written by earlier releases may carry a field listed in
+        :data:`_REMOVED_FIELDS`: its inert default is dropped, any other
+        value is refused.
+        """
+        d = dict(d)
+        for key, default in _REMOVED_FIELDS.items():
+            if key in d:
+                value = d.pop(key)
+                if value != default:
+                    raise ValueError(
+                        f"{key}={value!r}: the sparse collectives' dense "
+                        f"switch was removed, so only its never-switching "
+                        f"default {default!r} still loads"
+                    )
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(d) - known
         if unknown:

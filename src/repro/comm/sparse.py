@@ -5,36 +5,31 @@
 * :func:`allreduce_sparse_via_allgather` — gather + deterministic
   rank-ordered sum (what the baseline's optimizer consumes);
 * :func:`allreduce_sparse_adaptive` — the same sum over a
-  recursive-doubling sparse allgather (log N hops) with SparCML-style
-  stream splitting: per-hop density tracking switches the remaining
-  hops to a dense packed representation once the merged index set
-  crosses ``dense_switch``;
+  recursive-doubling sparse allgather (log N hops);
 * :func:`alltoall_column_shards` — EmbRace's hybrid path: each rank
   sends each peer the *column slice* that peer owns, and receives the
   slices of its own columns from everyone (one AlltoAll of §4.1.1),
-  moving indices and values as raw frames with all scratch drawn from
-  a :class:`~repro.comm.arena.BufferArena`.
+  moving indices and values as raw frames with no scratch buffers.
 
-Determinism contract: with ``dense_switch=1.0`` (the default) every
-collective here reproduces the canonical rank-ordered sum **bit for
-bit**: locally-coalesced parts merged left-to-right per row via
+Every sparse message is a plain ``(indices, values)`` pair — or, on the
+recursive-doubling path, ``(parts, union)`` — so ``payload_nbytes`` /
+``obs.count_bytes`` account exactly the arrays that travel.
+
+Determinism contract: every collective here reproduces the canonical
+rank-ordered sum **bit for bit**: locally-coalesced parts merged
+left-to-right per row via
 :meth:`~repro.tensors.SparseRows.merge_coalesced` (the historical
 ``np.add.at`` scatter grouping).  The adaptive path carries the
 per-rank parts unsummed and performs one final rank-ordered merge.
-Below 1.0, densified hops accumulate through a zeros-initialized dense
-buffer in the same rank order; the only deviation from the reference
-bits is the IEEE ``0.0 + x`` identity (exact everywhere except that
-``-0.0`` becomes ``+0.0``) and, past the first dense hop, pairwise
-instead of left-to-right grouping — both documented ``allclose``-exact,
-like :meth:`~repro.tensors.SparseRows.coalesce`.
 
-Allocation contract: steady state, every send/recv/assembly buffer
-comes from the arena (``arena=None`` uses the process-wide
-:func:`~repro.comm.arena.default_arena`), so the wire path performs
-zero numpy allocations once the arena's size classes are warm — gated
-by ``benchmarks/check_comm_regression.py``.  The final
-``coalesce()``/fancy-index that builds the caller-owned result is
-compute, not wire, and allocates normally.
+Allocation contract: steady state, the wire path performs zero numpy
+allocations — outgoing column slices are strided views packed at byte
+capture, received parts are pinned transport views, and the scratch
+the recursive-doubling and hot-row paths need comes from a
+:class:`~repro.comm.arena.BufferArena` (``arena=None`` uses the
+process-wide :func:`~repro.comm.arena.default_arena`) — gated by
+``benchmarks/check_comm_regression.py``.  The final merge that builds
+the caller-owned result is compute, not wire, and allocates normally.
 """
 
 from __future__ import annotations
@@ -45,13 +40,6 @@ from repro.comm.arena import BufferArena, default_arena
 from repro.comm.backend import Communicator
 from repro.obs.instrument import traced_collective
 from repro.tensors import SparseRows, sorted_union
-
-#: Wire tags of the adaptive collectives' self-describing messages.
-#: Kept as small ints so ``payload_nbytes`` / ``obs.count_bytes`` see
-#: tuples of real ndarrays and account the *actual* on-wire
-#: representation of every hop — sparse or densified.
-_SPARSE_PART = 0  # (_SPARSE_PART, [(indices, values), ...], union)
-_DENSE_PART = 1  # (_DENSE_PART, accumulator, presence mask)
 
 
 def column_slices(dim: int, world_size: int) -> list[slice]:
@@ -68,21 +56,12 @@ def column_slices(dim: int, world_size: int) -> list[slice]:
 def _merge_unions(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Sorted-unique union of two sorted-unique index sets (vectorized)."""
     merged = sorted_union([a, b])
-    # Micro-assert: the density decision and presence masks both assume
-    # the merged set stays sorted-unique at every hop.
+    # Micro-assert: the final merge_coalesced(union=) assumes the merged
+    # set stays sorted-unique at every hop.
     assert merged.size == 0 or bool(np.all(np.diff(merged) > 0)), (
         "merged index union is not sorted-unique"
     )
     return merged
-
-
-def _crossed(union_size: int, num_rows: int, dense_switch: float) -> bool:
-    """True once the merged index set reaches the density threshold."""
-    return (
-        dense_switch < 1.0
-        and num_rows > 0
-        and union_size >= dense_switch * num_rows
-    )
 
 
 def _check_fold_groups(fold_groups, world: int) -> tuple[int, ...] | None:
@@ -182,28 +161,22 @@ def allreduce_sparse_adaptive(
     comm: Communicator,
     grad: SparseRows,
     *,
-    dense_switch: float = 1.0,
     arena: BufferArena | None = None,
 ) -> SparseRows:
-    """Adaptive sparse allreduce: recursive doubling + stream splitting.
+    """Sparse allreduce by recursive doubling.
 
-    Power-of-two worlds run ``log2(N)`` hops of recursive doubling:
-    each hop exchanges the accumulated rank-ordered part list with the
-    partner block and merges (the index union is tracked vectorized via
-    :func:`np.union1d`).  Once the union's density reaches
-    ``dense_switch`` (SparCML's stream split; searchable as
-    ``SchedKnobs.dense_switch_density``), the remaining hops carry a
-    dense ``(num_rows, dim)`` accumulator plus a presence mask — the
-    mask keeps the result's index set exact, so rows whose contributions
-    sum to zero stay present.  Non-power-of-two worlds fall back to the
-    ring-allgather reference.
+    Power-of-two worlds run ``log2(N)`` hops: each hop exchanges the
+    accumulated rank-ordered part list, plus the sorted-unique union of
+    its indices, with the partner block.  After the last hop every rank
+    holds every rank's locally-coalesced part in rank order and finishes
+    with one :meth:`~repro.tensors.SparseRows.merge_coalesced` over the
+    tracked union.  Non-power-of-two worlds fall back to the
+    ring-allgather reference.  Either way the result is bit-identical
+    to :func:`allreduce_sparse_via_allgather`.
 
-    With ``dense_switch=1.0`` the result is bit-identical to
-    :func:`allreduce_sparse_via_allgather`; densified hops are
-    ``allclose``-exact (module docstring).
+    ``arena`` supplies the copies of received parts on transports whose
+    receive views die at the next communication call.
     """
-    if not 0.0 <= dense_switch <= 1.0:
-        raise ValueError(f"dense_switch must be in [0, 1], got {dense_switch!r}")
     grad = grad.coalesce()
     world, rank = comm.world_size, comm.rank
     if world == 1:
@@ -216,105 +189,49 @@ def allreduce_sparse_adaptive(
     vdtype = grad.values.dtype
     taken: list[np.ndarray] = []  # every arena buffer, returned at the end
 
-    def _take(shape, dtype) -> np.ndarray:
-        buf = arena.take(shape, dtype)
-        taken.append(buf)
-        return buf
-
-    # Sparse state: locally-coalesced (indices, values) parts in rank
-    # order, plus the sorted-unique union of their indices.
+    # Locally-coalesced (indices, values) parts in rank order, plus the
+    # sorted-unique union of their indices.
     parts: list[tuple[np.ndarray, np.ndarray]] = [(grad.indices, grad.values)]
     union = grad.indices
-    acc = mask = None  # dense state, once switched
-
-    def _densify_into(target, pairs) -> None:
-        """Scatter-add coalesced parts in list order (= rank order)."""
-        for p_idx, p_vals in pairs:
-            target[p_idx] += p_vals  # indices unique within a part
-
-    def _switch_dense() -> None:
-        nonlocal acc, mask, parts
-        acc = _take((num_rows, dim), vdtype)
-        mask = _take(num_rows, np.bool_)
-        acc[...] = 0
-        mask[...] = False
-        _densify_into(acc, parts)
-        mask[union] = True
-        parts = []
-
-    if _crossed(len(union), num_rows, dense_switch):
-        _switch_dense()
-
     hop = 1
     while hop < world:
         partner = rank ^ hop
         i_am_low = not (rank & hop)  # my block covers the lower rank range
-        if acc is None:
-            msg = (
-                _SPARSE_PART,
+        comm.send(
+            partner,
+            (
                 [(comm.snapshot(i), comm.snapshot(v)) for i, v in parts],
                 comm.snapshot(union),
-            )
-        else:
-            msg = (_DENSE_PART, comm.snapshot(acc), comm.snapshot(mask))
-        comm.send(partner, msg)
-        theirs = comm.recv_view(partner)
+            ),
+        )
+        their_parts, their_union = comm.recv_view(partner)
         # On snapshot-free transports the received arrays may alias
         # transport memory that dies at the next comm call — copy those
         # into arena scratch; elsewhere the arrays are already owned.
-        owned = not comm.SEND_SNAPSHOTS
-
-        if acc is None and theirs[0] == _SPARSE_PART:
-            _, their_parts, their_union = theirs
-            if not owned:
-                copied = []
-                for p_idx, p_vals in their_parts:
-                    c_idx = _take(len(p_idx), np.int64)
-                    c_vals = _take(p_vals.shape, vdtype)
-                    c_idx[...] = p_idx
-                    c_vals[...] = p_vals
-                    copied.append((c_idx, c_vals))
-                their_parts = copied
-                their_union = np.asarray(their_union).copy()
-            parts = parts + their_parts if i_am_low else their_parts + parts
-            union = _merge_unions(union, np.asarray(their_union))
-            if _crossed(len(union), num_rows, dense_switch):
-                _switch_dense()
-        else:
-            if acc is None:
-                _switch_dense()
-            if theirs[0] == _SPARSE_PART:
-                _, their_parts, their_union = theirs
-                p_acc = _take((num_rows, dim), vdtype)
-                p_mask = _take(num_rows, np.bool_)
-                p_acc[...] = 0
-                p_mask[...] = False
-                _densify_into(p_acc, their_parts)
-                p_mask[np.asarray(their_union)] = True
-            else:
-                _, p_acc, p_mask = theirs  # consumed before the next hop
-            if i_am_low:
-                np.add(acc, p_acc, out=acc)
-            else:
-                np.add(p_acc, acc, out=acc)
-            np.logical_or(mask, np.asarray(p_mask), out=mask)
+        if comm.SEND_SNAPSHOTS:
+            copied = []
+            for p_idx, p_vals in their_parts:
+                c_idx = arena.take(len(p_idx), np.int64)
+                c_vals = arena.take(p_vals.shape, vdtype)
+                taken += (c_idx, c_vals)
+                c_idx[...] = p_idx
+                c_vals[...] = p_vals
+                copied.append((c_idx, c_vals))
+            their_parts = copied
+            their_union = np.asarray(their_union).copy()
+        parts = parts + their_parts if i_am_low else their_parts + parts
+        union = _merge_unions(union, np.asarray(their_union))
         hop *= 2
 
-    if acc is not None:
-        out_idx = np.flatnonzero(mask)
-        out_vals = acc[out_idx]  # fancy index: fresh, caller-owned
-        arena.put(*taken)
-        return SparseRows(out_idx, out_vals, num_rows, coalesced=True)
-
     if sum(len(i) for i, _ in parts) == 0:
-        arena.put(*taken)
-        return grad  # every rank was empty; grad is the coalesced empty
-    # The union was tracked hop by hop, so the finish is a straight
-    # merge of the sorted per-rank runs (bit-identical to the
-    # rank-ordered concat + coalesce, several times cheaper).
-    result = SparseRows.merge_coalesced(
-        parts, num_rows, dim, dtype=vdtype, union=union
-    )
+        result = grad  # every rank was empty; grad is the coalesced empty
+    else:
+        # The union was tracked hop by hop, so the finish is a straight
+        # merge of the sorted per-rank runs (bit-identical to the
+        # rank-ordered concat + coalesce, several times cheaper).
+        result = SparseRows.merge_coalesced(
+            parts, num_rows, dim, dtype=vdtype, union=union
+        )
     arena.put(*taken)
     return result
 
@@ -324,8 +241,6 @@ def alltoall_column_shards(
     comm: Communicator,
     grad: SparseRows,
     *,
-    dense_switch: float = 1.0,
-    arena: BufferArena | None = None,
     table: str | None = None,
     fold_groups: tuple[int, ...] | None = None,
 ) -> SparseRows:
@@ -345,14 +260,6 @@ def alltoall_column_shards(
     views* of the coalesced gradient — the frame layer packs them only
     at byte capture, fusing the pack into the wire copy.
 
-    A rank whose local density has already crossed ``dense_switch``
-    sends dense ``(block, presence mask)`` column slices instead — the
-    row index vector disappears from the wire and the receiver skips
-    the giant coalesce (SparCML's stream split applied to the AlltoAll;
-    only worth it near density 1).  Messages are self-describing, so
-    densities may differ per rank.  ``dense_switch=1.0`` never
-    densifies and stays bit-identical to the historical path.
-
     ``table`` (optional) labels this exchange's sent bytes with the
     owning table (``wire_bytes.alltoall_sparse`` and
     ``wire_bytes.table.<name>`` counters) so placement studies can
@@ -361,122 +268,54 @@ def alltoall_column_shards(
     ``fold_groups`` (a topology's node sizes) switches the receive
     merge to the node-grouped fold of :func:`merge_grouped`, matching
     :func:`~repro.comm.hierarchy.two_level_alltoall_shards` bit for
-    bit.  Grouped folds require the fully-sparse wire
-    (``dense_switch=1.0``): the densified path accumulates in rank
-    order only.
+    bit.
     """
-    if not 0.0 <= dense_switch <= 1.0:
-        raise ValueError(f"dense_switch must be in [0, 1], got {dense_switch!r}")
     groups = _check_fold_groups(fold_groups, comm.world_size)
-    if groups is not None and dense_switch < 1.0:
-        raise ValueError(
-            "fold_groups requires dense_switch=1.0 (the densified wire "
-            "cannot reproduce the node-grouped fold)"
-        )
     grad = grad.coalesce()
     world, rank = comm.world_size, comm.rank
     if world == 1:
         return grad
-    if arena is None:
-        arena = default_arena()
     slices = column_slices(grad.dim, world)
     my_width = slices[rank].stop - slices[rank].start
     num_rows, n = grad.num_rows, len(grad.indices)
     vdtype = grad.values.dtype
-    taken: list[np.ndarray] = []
 
-    def _take(shape, dtype) -> np.ndarray:
-        buf = arena.take(shape, dtype)
-        taken.append(buf)
-        return buf
-
-    # -- pack & send ---------------------------------------------------- #
-    dense_send = _crossed(n, num_rows, dense_switch)
-    if dense_send:
-        send_mask = _take(num_rows, np.bool_)
-        send_mask[...] = False
-        send_mask[grad.indices] = True
-        for dst in range(world):
-            if dst == rank:
-                continue
-            block = _take((num_rows, slices[dst].stop - slices[dst].start), vdtype)
-            block[...] = 0
-            block[grad.indices] = grad.values[:, slices[dst]]
+    # -- send ------------------------------------------------------------ #
+    # Column slices go out as strided views: the frame layer packs them
+    # at byte capture (shm gathers straight into the segment), so there
+    # is no separate pack copy.  ``snapshot`` is the identity there;
+    # transports that defer capture copy here instead.
+    for dst in range(world):
+        if dst != rank:
             comm.send(
-                dst, (_DENSE_PART, comm.snapshot(block), comm.snapshot(send_mask))
+                dst, (grad.indices, comm.snapshot(grad.values[:, slices[dst]]))
             )
-        own_block = _take((n, my_width), vdtype)
-        own_block[...] = grad.values[:, slices[rank]]
-    else:
-        # Column slices go out as strided views: the frame layer packs
-        # them at byte capture (shm gathers straight into the segment),
-        # so there is no separate pack copy.  ``snapshot`` is the identity
-        # there; transports that defer capture copy here instead.
-        for dst in range(world):
-            if dst == rank:
-                continue
-            comm.send(
-                dst,
-                (_SPARSE_PART, grad.indices, comm.snapshot(grad.values[:, slices[dst]])),
-            )
-        own_block = grad.values[:, slices[rank]]
 
     obs = comm.obs
     if obs.enabled:
         itemsize = np.dtype(vdtype).itemsize
         peer_cols = grad.dim - my_width  # value columns leaving this rank
-        if dense_send:
-            sent = (world - 1) * num_rows + num_rows * peer_cols * itemsize
-        else:
-            sent = (world - 1) * grad.indices.nbytes + n * peer_cols * itemsize
+        sent = (world - 1) * grad.indices.nbytes + n * peer_cols * itemsize
         obs.count("wire_bytes.alltoall_sparse", float(sent))
         if table is not None:
             obs.count(f"wire_bytes.table.{table}", float(sent))
 
     # -- receive & merge straight from transport memory ------------------ #
-    # Received sparse parts stay *pinned views* of transport-owned memory
-    # (on shm: the sender's pooled segment) until the merge has consumed
+    # Received parts stay *pinned views* of transport-owned memory (on
+    # shm: the sender's pooled segment) until the merge has consumed
     # them, so each incoming byte is copied exactly once — into the
-    # merged result.  A mid-stream switch to dense replays the parts
-    # collected so far in rank order.
+    # merged result.
     parts: list[tuple[np.ndarray, np.ndarray]] = []
-    acc = mask = None
-
-    def _switch_dense() -> None:
-        nonlocal acc, mask
-        acc = _take((num_rows, my_width), vdtype)
-        mask = _take(num_rows, np.bool_)
-        acc[...] = 0
-        mask[...] = False
-        for p_idx, p_vals in parts:
-            acc[p_idx] += p_vals  # unique within a part; rank order
-            mask[p_idx] = True
-
     try:
         for src in range(world):
             if src == rank:
-                part = (_SPARSE_PART, grad.indices, own_block)
-            else:
-                part = comm.recv_view_pinned(src)
-            if part[0] == _SPARSE_PART:
-                p_idx = np.asarray(part[1])
-                p_vals = np.asarray(part[2]).reshape(len(p_idx), my_width)
-                if acc is None:
-                    parts.append((p_idx, p_vals))
-                else:
-                    acc[p_idx] += p_vals  # unique within a part; rank order
-                    mask[p_idx] = True
-            else:
-                if acc is None:
-                    _switch_dense()
-                _, p_block, p_mask = part
-                np.add(acc, np.asarray(p_block), out=acc)
-                np.logical_or(mask, np.asarray(p_mask), out=mask)
-
-        if acc is not None:
-            out_idx = np.flatnonzero(mask)
-            out_vals = acc[out_idx]
-            return SparseRows(out_idx, out_vals, num_rows, coalesced=True)
+                parts.append((grad.indices, grad.values[:, slices[rank]]))
+                continue
+            p_idx, p_vals = comm.recv_view_pinned(src)
+            p_idx = np.asarray(p_idx)
+            parts.append(
+                (p_idx, np.asarray(p_vals).reshape(len(p_idx), my_width))
+            )
         # Every received part is a coalesced (sorted-unique) run: merge
         # the runs directly instead of sorting their concatenation —
         # bit-identical, and it skips the argsort + reduceat that
@@ -486,7 +325,6 @@ def alltoall_column_shards(
         return SparseRows.merge_coalesced(parts, num_rows, my_width, dtype=vdtype)
     finally:
         comm.release_views()
-        arena.put(*taken)
 
 
 @traced_collective("alltoall_lookup_results")

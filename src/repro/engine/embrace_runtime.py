@@ -243,16 +243,13 @@ class TableGroupRuntime:
         comm: Communicator,
         part: SparseRows,
         scale: float = 1.0,
-        dense_switch: float = 1.0,
     ) -> SparseRows:
         """AlltoAll one split part into this rank's scaled column shard.
 
         Takes the communicator explicitly so the same code runs inline
         (``self.comm``) or inside a scheduled work item on its channel
         communicator; the arithmetic — exchange then scale — is
-        identical either way.  ``dense_switch`` forwards
-        ``SchedKnobs.dense_switch_density`` to the collective's adaptive
-        dense path (1.0 = historical bit-exact sparse wire format).
+        identical either way.
 
         Under a multi-node topology the exchange is node-aware: the
         two-level wire (``hier_sparse``, the default) coalesces each
@@ -267,11 +264,7 @@ class TableGroupRuntime:
             )
         else:
             out = alltoall_column_shards(
-                comm,
-                part,
-                dense_switch=dense_switch,
-                table=self.name,
-                fold_groups=self.fold_groups,
+                comm, part, table=self.name, fold_groups=self.fold_groups
             )
         self._credit_tables(comm.obs, part)
         return out.scale(scale)

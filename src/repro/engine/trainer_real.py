@@ -1,10 +1,11 @@
 """Real data-parallel training on the multi-worker backend.
 
-Two communication strategies, both *actually executed* over the real
+Three communication strategies, all *actually executed* over the real
 collectives in :mod:`repro.comm`:
 
 * ``"allgather"`` — the Horovod-AllGather baseline: dense gradients ring-
-  AllReduced, sparse gradients AllGathered and summed on every replica;
+  AllReduced, sparse gradients AllGathered (recursive doubling on
+  power-of-two worlds) and summed on every replica;
 * ``"allreduce"`` — the Horovod-AllReduce baseline: sparse gradients are
   *densified* to full-table arrays and ring-AllReduced (the §2.2
   "communicate and sum all data including zeros" regime — the wire-byte
@@ -27,11 +28,12 @@ collectives in :mod:`repro.comm`:
     and written into the local replica — numerically identical to true
     model parallelism, with all the real communication happening.
 
-Because the two strategies sum gradients in the same (rank) order and
-EmbraceAdam's split update is bit-equal to a fused update, training
-under either strategy produces **bit-identical models** — the strongest
-possible version of the paper's Fig. 11 convergence claim, asserted in
-``tests/test_trainer_real.py``.
+Because ``"allgather"`` and ``"embrace"`` sum sparse gradients in the
+same (rank) order and EmbraceAdam's split update is bit-equal to a
+fused update, training under either produces **bit-identical models**
+— the strongest possible version of the paper's Fig. 11 convergence
+claim, asserted in ``tests/test_trainer_real.py``.  ``"allreduce"``
+sums in ring-chunk order and matches them to float rounding.
 """
 
 from __future__ import annotations
@@ -674,19 +676,13 @@ class RealTrainer:
                 if self.strategy == "allgather":
                     for name, table in tables.items():
                         grad = table.weight.grad
-                        # Adaptive recursive-doubling allgather; with the
-                        # default knob (dense_switch_density=1.0) the
-                        # result is bit-identical to the historical
-                        # allreduce_sparse_via_allgather path.  Submitted
-                        # as one urgent work item: the collective's
+                        # Recursive-doubling allgather, bit-identical to
+                        # allreduce_sparse_via_allgather.  Submitted as
+                        # one urgent work item: the collective's
                         # point-to-point hops must run on the scheduler's
                         # channel communicator, not the facade.
                         summed = sched.submit(
-                            lambda c, g=grad: allreduce_sparse_adaptive(
-                                c,
-                                g,
-                                dense_switch=self.knobs.dense_switch_density,
-                            ),
+                            lambda c, g=grad: allreduce_sparse_adaptive(c, g),
                             priority=PRIORITY_URGENT,
                             label=f"sparse:{name}",
                         ).wait()
@@ -981,8 +977,8 @@ class RealTrainer:
         cover every member, with the per-table step's bits.  Judged on
         the group rather than the table, all bit-safe
         (``docs/mechanisms.md``, "Table groups"): the
-        ``delayed_min_rows`` fold, the ``dense_switch_density``
-        threshold and ``merge_coalesced``'s choice of finish.
+        ``delayed_min_rows`` fold and ``merge_coalesced``'s choice of
+        finish.
 
         Hot rows (hybrid placement) leave first: their full-dimension
         AllReduce rides the dense lane at ``hot_priority`` and is
@@ -1055,18 +1051,13 @@ class RealTrainer:
                 # ``grad`` here is already the cold remainder, so the
                 # fold never resurrects hot rows.
                 prior, delayed = group.split(grad, current_ids, None)
-            dense_switch = self.knobs.dense_switch_density
             prior_h = sched.submit(
-                lambda c, g=prior, rt=group: rt.exchange(
-                    c, g, inv_world, dense_switch
-                ),
+                lambda c, g=prior, rt=group: rt.exchange(c, g, inv_world),
                 priority=PRIORITY_PRIOR,
                 label=f"prior:{group.name}",
             )
             delayed_h = sched.submit(
-                lambda c, g=delayed, rt=group: rt.exchange(
-                    c, g, inv_world, dense_switch
-                ),
+                lambda c, g=delayed, rt=group: rt.exchange(c, g, inv_world),
                 priority=PRIORITY_DELAYED,
                 label=f"delayed:{group.name}",
             )

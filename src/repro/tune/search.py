@@ -53,8 +53,6 @@ class Candidate:
         ]
         if k.delayed_min_rows:
             parts.append(f"fold<{k.delayed_min_rows}")
-        if k.dense_switch_density < 1.0:
-            parts.append(f"dense<{k.dense_switch_density:g}")
         if k.hot_fraction > 0.0:
             parts.append(f"hot={k.hot_fraction:g}")
         if k.repartition_interval:
@@ -85,7 +83,6 @@ class SearchSpace:
     max_chunks: tuple[int, ...] = (4, 8, 16)
     bucket_elems: tuple[int, ...] = (65_536, 262_144)
     delayed_min_rows: tuple[int, ...] = (0,)
-    dense_switch_density: tuple[float, ...] = (1.0,)
     hot_fraction: tuple[float, ...] = (0.0,)
     repartition_interval: tuple[int, ...] = (0,)
     #: Two-level collective selection applied to all three ``hier_*``
@@ -107,7 +104,7 @@ class SearchSpace:
     def __post_init__(self):
         for name in (
             "chunk_elems", "max_chunks", "bucket_elems",
-            "delayed_min_rows", "dense_switch_density", "hot_fraction",
+            "delayed_min_rows", "hot_fraction",
             "repartition_interval", "hier", "strategy",
             "schedule", "pipeline_stages", "microbatches",
         ):
@@ -128,10 +125,9 @@ class SearchSpace:
         validation happens in each :class:`~repro.comm.SchedKnobs`."""
         out = []
         seen: set[Candidate] = set()
-        for ce, mc, be, dm, ds, hf, ri, hi, st, sc, ps, mb in itertools.product(
+        for ce, mc, be, dm, hf, ri, hi, st, sc, ps, mb in itertools.product(
             self.chunk_elems, self.max_chunks, self.bucket_elems,
-            self.delayed_min_rows, self.dense_switch_density,
-            self.hot_fraction, self.repartition_interval,
+            self.delayed_min_rows, self.hot_fraction, self.repartition_interval,
             self.hier, self.strategy,
             self.schedule, self.pipeline_stages, self.microbatches,
         ):
@@ -141,7 +137,6 @@ class SearchSpace:
                 knobs=SchedKnobs(
                     chunk_elems=ce, max_chunks=mc,
                     bucket_elems=be, delayed_min_rows=dm,
-                    dense_switch_density=ds,
                     hot_fraction=hf, repartition_interval=ri,
                     hier_dense=hi, hier_sparse=hi, hier_hot=hi,
                     schedule=sc, pipeline_stages=ps, microbatches=mb,
@@ -662,14 +657,8 @@ def predict_candidate(
         elif candidate.strategy == "allgather":
             for t in workload.tables:
                 sp = f"sparse:{i}:{t.name}"
-                # The adaptive collective's densified hops never ship
-                # more than the dense representation, so the searchable
-                # dense_switch_density caps the priced payload there.
-                sparse_b = t.coalesced_bytes
-                if k.dense_switch_density < 1.0:
-                    sparse_b = min(sparse_b, t.dense_bytes)
                 g.add_task(
-                    sp, sparse_allgather_cost(sparse_b),
+                    sp, sparse_allgather_cost(t.coalesced_bytes),
                     resource="comm", kind="comm",
                     priority=PRIORITY_URGENT, deps=[fwd],
                 )

@@ -1,19 +1,13 @@
-"""Adaptive sparse collectives: bit-identity, dense switching, arena.
+"""Sparse collectives: bit-identity, wire accounting, arena.
 
-Covers ISSUE 7's satellite matrix:
-
-* adaptive sparse allreduce bit-identical to
-  ``allreduce_sparse_via_allgather`` across thread / queue / shm;
-* densities on both sides of the ``dense_switch`` threshold (the
-  switched path is index-exact and value-``allclose``, like
-  ``coalesce``);
+* recursive-doubling sparse allreduce bit-identical to
+  ``allreduce_sparse_via_allgather`` on the thread and process backends;
 * world sizes 1 / 2 / 4 plus the non-power-of-two fallback (3);
 * drops + delays from a seeded :class:`~repro.faults.plan.FaultPlan`;
 * arena starvation: an arena smaller than the payload falls back to
   plain allocation with a counter bump, never a crash;
-* wire accounting: ``bytes_sent`` equals the obs ``wire_bytes.*`` sum
-  on both sparse and densified hops, and densified hops actually
-  change the on-wire byte count.
+* wire accounting: ``bytes_sent`` equals the obs ``wire_bytes.*`` sums,
+  so every message carries exactly its arrays and nothing else.
 """
 
 from __future__ import annotations
@@ -23,10 +17,10 @@ import pytest
 
 from repro.comm import (
     BufferArena,
+    allreduce_hot_rows,
     allreduce_sparse_adaptive,
     allreduce_sparse_via_allgather,
     alltoall_column_shards,
-    column_slices,
     open_group,
     run_threaded,
 )
@@ -56,127 +50,98 @@ def _grad(rank: int, nnz: int = 24, num_rows: int = NUM_ROWS) -> SparseRows:
 
 
 # Module-level so the process backend can pickle them.
-def run_both(comm, dense_switch, nnz=24):
+def run_both(comm, nnz=24):
     g = _grad(comm.rank, nnz=nnz)
     ref = allreduce_sparse_via_allgather(comm, g)
-    ada = allreduce_sparse_adaptive(comm, g, dense_switch=dense_switch)
+    ada = allreduce_sparse_adaptive(comm, g)
     return ref, ada
 
 
-def run_adaptive(comm, dense_switch, nnz=24):
-    return allreduce_sparse_adaptive(
-        comm, _grad(comm.rank, nnz=nnz), dense_switch=dense_switch
-    )
+def run_adaptive(comm, nnz=24):
+    return allreduce_sparse_adaptive(comm, _grad(comm.rank, nnz=nnz))
 
 
-def run_shard(comm, dense_switch, nnz=24):
-    return alltoall_column_shards(
-        comm, _grad(comm.rank, nnz=nnz), dense_switch=dense_switch
-    )
+def run_shard(comm, nnz=24):
+    return alltoall_column_shards(comm, _grad(comm.rank, nnz=nnz))
 
 
-def run_accounting(comm, dense_switch):
-    """Adaptive allreduce under a recorder; returns (bytes_sent, counters)."""
+def _accounted(comm, collective):
+    """Run ``collective(comm)`` under a recorder; (bytes_sent, counters)."""
     recorder = SpanRecorder(rank=comm.rank)
     install_recorder(comm, recorder)
     before = comm.bytes_sent
-    allreduce_sparse_adaptive(
-        comm, _grad(comm.rank), dense_switch=dense_switch
-    )
+    collective(comm)
     return comm.bytes_sent - before, dict(recorder.counters)
+
+
+def run_accounting(comm):
+    return _accounted(comm, run_adaptive)
+
+
+def run_shard_accounting(comm):
+    return _accounted(comm, run_shard)
 
 
 class TestBitIdentity:
     @pytest.mark.parametrize("world", [1, 2, 4])
     def test_matches_reference_thread(self, world):
-        for ref, ada in run_threaded(world, run_both, 1.0):
+        for ref, ada in run_threaded(world, run_both):
             assert np.array_equal(ref.indices, ada.indices)
             assert np.array_equal(ref.values, ada.values)
 
     def test_non_power_of_two_falls_back(self):
-        # World 3 routes through the ring-allgather reference path —
-        # still bit-identical, whatever the threshold.
-        for ref, ada in run_threaded(3, run_both, 0.0):
+        # World 3 routes through the ring-allgather reference path.
+        for ref, ada in run_threaded(3, run_both):
             assert np.array_equal(ref.indices, ada.indices)
             assert np.array_equal(ref.values, ada.values)
 
     def test_below_threshold_stays_exact(self):
-        # nnz=4 over 64 rows never reaches density 0.9: no dense switch,
-        # so the recursive-doubling path must stay bit-exact.
-        for ref, ada in run_threaded(4, run_both, 0.9, 4):
+        # nnz=4 over 64 rows: most ranks' parts are disjoint, so the
+        # finish merges runs that barely overlap.
+        for ref, ada in run_threaded(4, run_both, 4):
             assert np.array_equal(ref.indices, ada.indices)
             assert np.array_equal(ref.values, ada.values)
 
     def test_process_backend_matches_thread(self):
-        reference = run_threaded(4, run_adaptive, 1.0)
+        reference = run_threaded(4, run_adaptive)
         with open_group(4, backend="process") as group:
-            got = group.run(run_adaptive, 1.0)
+            got = group.run(run_adaptive)
         for ref, g in zip(reference, got):
             assert np.array_equal(ref.indices, g.indices)
             assert np.array_equal(ref.values, g.values)
 
 
-class TestDenseSwitch:
-    @pytest.mark.parametrize("dense_switch", [0.0, 0.3])
-    def test_switched_path_allclose(self, dense_switch):
-        for ref, ada in run_threaded(4, run_both, dense_switch):
-            assert np.array_equal(ref.indices, ada.indices)  # presence exact
-            assert np.allclose(ref.values, ada.values)
-
-    @pytest.mark.parametrize("dense_switch", [0.0, 1.0])
-    def test_alltoall_dense_switch(self, dense_switch):
-        full = run_threaded(4, run_adaptive, 1.0)
-        shards = run_threaded(4, run_shard, dense_switch)
-        for rank, shard in enumerate(shards):
-            s = column_slices(DIM, 4)[rank]
-            assert np.array_equal(shard.indices, full[rank].indices)
-            if dense_switch == 1.0:
-                assert np.array_equal(shard.values, full[rank].values[:, s])
-            else:
-                assert np.allclose(shard.values, full[rank].values[:, s])
-
-    def test_switch_changes_wire_bytes(self):
-        sparse_bytes = run_threaded(2, run_accounting, 1.0)
-        dense_bytes = run_threaded(2, run_accounting, 0.0)
-        # Densified hops ship (num_rows, dim) accumulator + bool mask
-        # instead of the COO parts + union — different byte counts.
-        assert sparse_bytes[0][0] != dense_bytes[0][0]
-        expected_dense = NUM_ROWS * DIM * 8 + NUM_ROWS + 8  # acc + mask + tag
-        assert dense_bytes[0][0] == expected_dense
-
-
 class TestWireAccounting:
-    @pytest.mark.parametrize("dense_switch", [1.0, 0.0])
-    def test_obs_matches_payload_nbytes(self, dense_switch):
-        # Satellite 1: the wire-bytes-by-dtype counters and bytes_sent
-        # must agree on the actual on-wire representation of every hop,
-        # sparse or densified.
-        for sent, counters in run_threaded(4, run_accounting, dense_switch):
+    def test_obs_matches_payload_nbytes(self):
+        # The wire-bytes-by-dtype counters and bytes_sent must agree on
+        # every hop, and no scalar rides beside the arrays.
+        for sent, counters in run_threaded(4, run_accounting):
             wire = sum(
                 v for k, v in counters.items() if k.startswith("wire_bytes.")
             )
             assert wire == sent
-        if dense_switch == 0.0:
-            # Densified hops are visible as bool-mask traffic.
-            _, counters = run_threaded(2, run_accounting, 0.0)[0]
-            assert counters.get("wire_bytes.bool", 0) > 0
+            assert "wire_bytes.other" not in counters
+
+    @pytest.mark.parametrize("world", [2, 3, 4])
+    def test_shard_counter_matches_bytes_sent(self, world):
+        # The AlltoAll's own tally (indices + value columns per peer) is
+        # exactly what the transport counted: a message is
+        # (indices, values) and nothing else.
+        for sent, counters in run_threaded(world, run_shard_accounting):
+            assert counters["wire_bytes.alltoall_sparse"] == sent
 
 
 class TestFaulted:
     def test_adaptive_under_drops_and_delays(self):
-        reference = run_threaded(4, run_adaptive, 1.0)
-        got = run_threaded_with_faults(
-            4, run_adaptive, FaultPlan(**FAULT_PLAN), 1.0
-        )
+        reference = run_threaded(4, run_adaptive)
+        got = run_threaded_with_faults(4, run_adaptive, FaultPlan(**FAULT_PLAN))
         for ref, g in zip(reference, got):
             assert np.array_equal(ref.indices, g.indices)
             assert np.array_equal(ref.values, g.values)
 
     def test_shard_fast_path_under_faults(self):
-        reference = run_threaded(4, run_shard, 1.0)
-        got = run_threaded_with_faults(
-            4, run_shard, FaultPlan(**FAULT_PLAN), 1.0
-        )
+        reference = run_threaded(4, run_shard)
+        got = run_threaded_with_faults(4, run_shard, FaultPlan(**FAULT_PLAN))
         for ref, g in zip(reference, got):
             assert np.array_equal(ref.indices, g.indices)
             assert np.array_equal(ref.values, g.values)
@@ -215,23 +180,21 @@ class TestArena:
 
     def test_collectives_survive_starved_arena(self):
         # An arena far smaller than the payload: every take falls back,
-        # results stay correct, fallback counter bumps, no crash.  The
-        # purely-sparse lanes no longer need scratch at all, so the
-        # dense-switched paths (which take accumulators and masks) are
-        # the ones driven through the starved arena.
+        # results stay bit-exact, fallback counter bumps, no crash.  The
+        # hot-row lane takes its masks and owner accumulators from the
+        # arena, so it is the collective driven through the starved one.
         arena = BufferArena(capacity_bytes=0)
+        hot_ids = np.arange(0, NUM_ROWS, 2, dtype=np.int64)
 
         def run(comm):
             g = _grad(comm.rank)
+            g = SparseRows(hot_ids[g.indices // 2], g.values, NUM_ROWS)
             ref = allreduce_sparse_via_allgather(comm, g)
-            ada = allreduce_sparse_adaptive(comm, g, dense_switch=0.1, arena=arena)
-            shard = alltoall_column_shards(comm, g, dense_switch=0.1, arena=arena)
-            return ref, ada, shard
+            hot = allreduce_hot_rows(comm, hot_ids, g, arena=arena)
+            return ref, hot
 
-        for rank, (ref, ada, shard) in enumerate(run_threaded(4, run)):
-            assert np.array_equal(ref.indices, ada.indices)
-            assert np.allclose(ref.values, ada.values, rtol=1e-6, atol=1e-9)
-            s = column_slices(DIM, 4)[rank]
-            assert np.allclose(shard.values, ref.values[:, s], rtol=1e-6, atol=1e-9)
+        for ref, hot in run_threaded(4, run):
+            assert np.array_equal(ref.indices, hot.indices)
+            assert np.array_equal(ref.values, hot.values)
         assert arena.counters()["arena.fallbacks"] > 0
         assert arena.counters()["arena.misses"] == 0

@@ -237,6 +237,25 @@ class TestSchedKnobs:
         with pytest.raises(ValueError, match="unknown"):
             SchedKnobs.from_dict({"bogus": 1})
 
+    def test_saved_dense_switch_default_is_dropped(self):
+        # Knob dicts and profiles saved before the dense wire was removed
+        # carry its never-switching threshold; they still load.
+        saved = dict(SchedKnobs(chunk_elems=1024).to_dict(), dense_switch_density=1.0)
+        assert SchedKnobs.from_dict(saved) == SchedKnobs(chunk_elems=1024)
+        d = json.loads(make_profile(knobs=SchedKnobs(chunk_elems=1024)).to_json())
+        d["knobs"]["dense_switch_density"] = 1.0
+        assert TunedProfile.from_json(json.dumps(d)).knobs == SchedKnobs(
+            chunk_elems=1024
+        )
+
+    @pytest.mark.parametrize("value", [0.25, 0.0])
+    def test_saved_dense_switch_threshold_is_refused(self, value):
+        saved = dict(SchedKnobs().to_dict(), dense_switch_density=value)
+        with pytest.raises(ValueError, match="dense switch was removed"):
+            SchedKnobs.from_dict(saved)
+        with pytest.raises(ValueError, match="dense switch was removed"):
+            RealTrainer(GNMT8.tiny(), knobs=saved)
+
     def test_trainer_rejects_bad_knobs_type(self):
         with pytest.raises(TypeError):
             RealTrainer(GNMT8.tiny(), knobs="fast please")
