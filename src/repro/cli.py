@@ -19,6 +19,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.utils.blas import pin_blas_threads
+
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     from repro.experiments.harness import (
@@ -560,6 +562,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Every entry point (``repro``, ``python -m repro``, ``python -m
+    # repro.cli``) lands here: one BLAS thread per process unless the
+    # user set a thread count (repro.utils.blas).
+    pin_blas_threads()
     parser = build_parser()
     args = parser.parse_args(argv)
     return args.func(args)

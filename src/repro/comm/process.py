@@ -102,6 +102,7 @@ from repro.comm.shm import (
     fill_frames,
     frame_layout,
 )
+from repro.utils.blas import pin_blas_threads
 from repro.utils.validation import check_positive
 
 DEFAULT_TIMEOUT = 120.0
@@ -555,6 +556,9 @@ def _service_loop(
     ``initial`` — captured at fork, so it needs no pickling — and exits
     after reporting.  Persistent mode loops on ``cmd_queue``.
     """
+    # One BLAS thread per rank: unpinned, every forked rank spins a pool
+    # sized to the machine and the ranks fight over the cores.
+    pin_blas_threads()
     runtime = _WorkerRuntime(rank, world_size, inboxes, owner_tag)
     try:
         epoch = 0

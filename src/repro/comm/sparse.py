@@ -518,7 +518,7 @@ def allreduce_hot_rows(
     comm.release_views()
     arena.put(*taken)
     if not idx_parts:
-        return SparseRows.empty(num_rows, dim, vdtype)
+        return SparseRows.empty(num_rows, dim, dtype=vdtype)
     return SparseRows(
         np.concatenate(idx_parts),
         np.concatenate(val_parts),

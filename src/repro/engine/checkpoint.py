@@ -4,7 +4,9 @@ Synchronous training must be resumable bit-for-bit (a crashed worker
 restarts from the last checkpoint and the cluster continues as if
 nothing happened).  Checkpoints are ``.npz`` archives holding every
 parameter plus flattened optimizer state (step counters and moment
-buffers), written atomically.
+buffers), written atomically.  Arrays are stored in the model's dtype
+and loaded into the dtype of the parameters they restore, so a
+checkpoint written by a float64 model resumes a float32 one.
 """
 
 from __future__ import annotations
@@ -77,7 +79,13 @@ def load_checkpoint(
                 for name in keys:
                     key = name[len(prefix) :]
                     value = archive[name]
-                    st[key] = int(value) if value.ndim == 0 else value.copy()
+                    # Moments take their parameter's dtype, so a float64
+                    # checkpoint resumes a float32 model in float32.
+                    st[key] = (
+                        int(value)
+                        if value.ndim == 0
+                        else value.astype(p.data.dtype, copy=True)
+                    )
         return int(archive["__step__"])
 
 

@@ -150,8 +150,8 @@ class TableGroupRuntime:
         )
         self.optimizer = EmbraceAdam([self.shard], lr=lr, betas=betas)
         # Hot lane: the replicated rows update the *full replica* in
-        # place, identically on every rank.  ``Parameter`` keeps the
-        # float64 array by reference, so ``hot_param.data`` *is*
+        # place, identically on every rank.  ``Parameter`` keeps a
+        # floating array by reference, so ``hot_param.data`` *is*
         # ``weight.data`` and the shard view observes hot updates
         # automatically.  Moment state is allocated lazily on first use.
         self.placement = TablePlacement(
@@ -234,7 +234,7 @@ class TableGroupRuntime:
         """
         if next_ids is None:
             return grad.coalesce(), SparseRows.empty(
-                grad.num_rows, grad.dim, grad.values.dtype
+                grad.num_rows, grad.dim, dtype=grad.values.dtype
             )
         return vertical_split(grad, current_ids, next_ids)
 
@@ -278,7 +278,7 @@ class TableGroupRuntime:
         """
         g = grad if grad.coalesced else grad.coalesce()
         if not self.n_hot or not g.nnz_rows:
-            return SparseRows.empty(g.num_rows, g.dim, g.values.dtype), g
+            return SparseRows.empty(g.num_rows, g.dim, dtype=g.values.dtype), g
         hot_sel = self.placement.hot_mask(g.indices)
         hot = SparseRows(
             g.indices[hot_sel], g.values[hot_sel], g.num_rows, coalesced=True
@@ -487,11 +487,15 @@ class TableGroupRuntime:
     def restore_optimizer_state(
         self, exp_avg: np.ndarray, exp_avg_sq: np.ndarray, step: int
     ) -> None:
-        """Load full-table-layout moments under the current placement."""
+        """Load full-table-layout moments under the current placement,
+        in the shard's dtype (a float64 checkpoint resumes float32)."""
+        dtype = self.shard.data.dtype
         shard_st = self.optimizer.state_for(self.shard)
-        shard_st["exp_avg"] = np.ascontiguousarray(exp_avg[:, self.my_columns])
+        shard_st["exp_avg"] = np.ascontiguousarray(
+            exp_avg[:, self.my_columns], dtype=dtype
+        )
         shard_st["exp_avg_sq"] = np.ascontiguousarray(
-            exp_avg_sq[:, self.my_columns]
+            exp_avg_sq[:, self.my_columns], dtype=dtype
         )
         shard_st["step"] = int(step)
         if self.n_hot:

@@ -191,7 +191,7 @@ def run_realbytes() -> ExperimentResult:
     config = GNMT8.scaled(vocab=512, dim_divisor=32)
     table = Table(
         ["strategy"] + [f"{w} workers" for w in REALBYTES_WORLDS],
-        title="Measured rank-0 wire bytes, 3 training steps (GNMT-8, vocab 512)",
+        title="Measured rank-0 wire bytes, float32, 3 training steps (GNMT-8, vocab 512)",
     )
     data: dict = {}
     for strategy in REALBYTES_STRATEGIES:

@@ -98,7 +98,7 @@ class DLRMModel(BaseNLPModel):
         dense = self.bottom_mlp(batch.streams["__dense__"])  # (B, dim)
         x = np.concatenate([dense] + pooled, axis=1)
         logits = self.top_mlp(x).reshape(-1)  # (B,)
-        y = np.asarray(batch.targets, dtype=np.float64).reshape(-1)
+        y = np.asarray(batch.targets, dtype=logits.dtype).reshape(-1)
         p = F.sigmoid(logits)
         eps = 1e-12
         loss = float(-np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)))

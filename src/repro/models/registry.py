@@ -36,6 +36,13 @@ def build_model(
     config: ModelConfig, rng: np.random.Generator | None = None, **kwargs
 ) -> BaseNLPModel:
     """Instantiate the runnable model for ``config`` (use ``config.tiny()``
-    for real-execution scales)."""
+    for real-execution scales).
+
+    The model trains in float32, the paper's precision: weights are
+    drawn in double precision from ``rng`` and rounded once, and every
+    layer computes in its weights' dtype.  A test that needs double
+    precision (finite differences, say) converts the result with
+    :meth:`~repro.nn.Module.astype`.
+    """
     cls = _FAMILIES[config.family]
-    return cls(config, rng=rng, **kwargs)
+    return cls(config, rng=rng, **kwargs).astype(np.float32)

@@ -10,12 +10,16 @@ from repro.models.base import BaseNLPModel
 from repro.models.config import ModelConfig
 
 
-def sinusoidal_positions(seq_len: int, dim: int) -> np.ndarray:
-    """Standard fixed sinusoidal positional encoding ``(seq_len, dim)``."""
-    pos = np.arange(seq_len)[:, None].astype(np.float64)
-    i = np.arange(dim)[None, :].astype(np.float64)
+def sinusoidal_positions(seq_len: int, dim: int, dtype=float) -> np.ndarray:
+    """Standard fixed sinusoidal positional encoding ``(seq_len, dim)``.
+
+    Angles are computed in double precision and stored in ``dtype`` —
+    the embeddings' dtype, so adding the table never promotes them.
+    """
+    pos = np.arange(seq_len)[:, None]
+    i = np.arange(dim)[None, :]
     angle = pos / np.power(10000.0, (2 * (i // 2)) / dim)
-    enc = np.empty((seq_len, dim))
+    enc = np.empty((seq_len, dim), dtype=dtype)
     enc[:, 0::2] = np.sin(angle[:, 0::2])
     enc[:, 1::2] = np.cos(angle[:, 1::2])
     return enc
@@ -63,20 +67,23 @@ class TransformerMTModel(BaseNLPModel):
         self.loss_fn = nn.CrossEntropyLoss(ignore_index=0)
 
     # ------------------------------------------------------------------ #
+    @staticmethod
+    def _embed(table: nn.Embedding, ids: np.ndarray) -> np.ndarray:
+        """Token lookup plus positions, in the table's dtype."""
+        emb = table(ids)
+        return emb + sinusoidal_positions(ids.shape[1], emb.shape[-1], emb.dtype)
+
     def forward_backward(self, batch: Batch) -> float:
         src, tgt = batch.inputs, batch.targets
         dec_in = tgt[:, :-1]
         dec_target = tgt[:, 1:]
-        dim = self.config.hidden_dim
 
-        enc_h = self.encoder_embedding(src) + sinusoidal_positions(src.shape[1], dim)
+        enc_h = self._embed(self.encoder_embedding, src)
         for layer in self.encoder_layers:
             enc_h = layer(enc_h)
         memory = enc_h
 
-        dec_h = self.decoder_embedding(dec_in) + sinusoidal_positions(
-            dec_in.shape[1], dim
-        )
+        dec_h = self._embed(self.decoder_embedding, dec_in)
         for layer in self.decoder_layers:
             dec_h = layer(dec_h, memory=memory, causal=True)
         logits = self.output_projection(dec_h)
@@ -102,13 +109,10 @@ class TransformerMTModel(BaseNLPModel):
 
         Not re-entrant with a pending backward (see GNMTModel.decode_logits).
         """
-        dim = self.config.hidden_dim
-        enc_h = self.encoder_embedding(src) + sinusoidal_positions(src.shape[1], dim)
+        enc_h = self._embed(self.encoder_embedding, src)
         for layer in self.encoder_layers:
             enc_h = layer(enc_h)
-        dec_h = self.decoder_embedding(tgt_in) + sinusoidal_positions(
-            tgt_in.shape[1], dim
-        )
+        dec_h = self._embed(self.decoder_embedding, tgt_in)
         for layer in self.decoder_layers:
             dec_h = layer(dec_h, memory=enc_h, causal=True)
         return self.output_projection(dec_h)

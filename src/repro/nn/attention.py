@@ -51,9 +51,10 @@ class MultiHeadAttention(Module):
         kv_in: np.ndarray | None = None,
         causal: bool = False,
     ) -> np.ndarray:
-        q_in = np.asarray(q_in, dtype=np.float64)
+        dtype = self.wq.weight.data.dtype
+        q_in = np.asarray(q_in, dtype=dtype)
         self_attention = kv_in is None
-        kv = q_in if self_attention else np.asarray(kv_in, dtype=np.float64)
+        kv = q_in if self_attention else np.asarray(kv_in, dtype=dtype)
         if q_in.ndim != 3 or kv.ndim != 3:
             raise ValueError("attention inputs must be (batch, seq, dim)")
 
@@ -61,7 +62,8 @@ class MultiHeadAttention(Module):
         k = self._split_heads(self.wk(kv))
         v = self._split_heads(self.wv(kv))
 
-        scale = 1.0 / np.sqrt(self.head_dim)
+        # A Python float, so it scales in the activations' dtype.
+        scale = float(1.0 / np.sqrt(self.head_dim))
         scores = (q @ k.transpose(0, 1, 3, 2)) * scale
         if causal:
             sq, sk = scores.shape[-2], scores.shape[-1]

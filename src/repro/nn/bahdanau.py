@@ -46,8 +46,9 @@ class BahdanauAttention(Module):
         )
 
     def forward(self, queries: np.ndarray, memory: np.ndarray) -> np.ndarray:
-        queries = np.asarray(queries, dtype=np.float64)
-        memory = np.asarray(memory, dtype=np.float64)
+        dtype = self.w_query.data.dtype
+        queries = np.asarray(queries, dtype=dtype)
+        memory = np.asarray(memory, dtype=dtype)
         if queries.ndim != 3 or memory.ndim != 3:
             raise ValueError("queries and memory must be (batch, len, dim)")
 

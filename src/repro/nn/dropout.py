@@ -23,6 +23,6 @@ class Dropout(Module):
             self._back = lambda grad: grad
             return x
         keep = 1.0 - self.p
-        mask = (self.rng.random(x.shape) < keep) / keep
+        mask = ((self.rng.random(x.shape) < keep) / keep).astype(x.dtype, copy=False)
         self._back = lambda grad: grad * mask
         return x * mask

@@ -21,14 +21,18 @@ def relu_backward(grad: np.ndarray, x: np.ndarray) -> np.ndarray:
     return grad * (x > 0.0)
 
 
+#: GELU's ``sqrt(2 / pi)`` as a Python float: a numpy scalar would
+#: promote float32 activations to float64.
+_GELU_C = float(np.sqrt(2.0 / np.pi))
+
+
 def gelu(x: np.ndarray) -> np.ndarray:
     """Tanh-approximation GELU (the variant used by BERT)."""
-    c = np.sqrt(2.0 / np.pi)
-    return 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x**3)))
+    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + 0.044715 * x**3)))
 
 
 def gelu_backward(grad: np.ndarray, x: np.ndarray) -> np.ndarray:
-    c = np.sqrt(2.0 / np.pi)
+    c = _GELU_C
     inner = c * (x + 0.044715 * x**3)
     t = np.tanh(inner)
     dinner = c * (1.0 + 3 * 0.044715 * x**2)

@@ -21,7 +21,7 @@ class LayerNorm(Module):
         self.beta = Parameter(np.zeros(dim), name=f"{name}.beta")
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=self.gamma.data.dtype)
         if x.shape[-1] != self.dim:
             raise ValueError(f"{self.gamma.name}: last dim {x.shape[-1]} != {self.dim}")
         mean = x.mean(axis=-1, keepdims=True)

@@ -40,7 +40,7 @@ class Linear(Module):
         )
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=self.weight.data.dtype)
         if x.shape[-1] != self.in_features:
             raise ValueError(
                 f"{self.weight.name}: input last dim {x.shape[-1]} != {self.in_features}"

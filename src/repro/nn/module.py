@@ -108,6 +108,21 @@ class Module:
         return self.train(False)
 
     # ------------------------------------------------------------------ #
+    # Precision
+    # ------------------------------------------------------------------ #
+    def astype(self, dtype) -> "Module":
+        """Convert every parameter to ``dtype`` in place; returns ``self``.
+
+        Layers cast their inputs to their own weights' dtype, so the
+        forward/backward pass — activations, gradients and optimizer
+        state — follows.  Call it between steps (pending gradients are
+        not converted).
+        """
+        for p in self.parameters():
+            p.data = p.data.astype(dtype, copy=False)
+        return self
+
+    # ------------------------------------------------------------------ #
     # State
     # ------------------------------------------------------------------ #
     def state_dict(self) -> dict[str, np.ndarray]:
@@ -124,7 +139,9 @@ class Module:
                 raise ValueError(
                     f"{name}: shape {state[name].shape} != {p.data.shape}"
                 )
-            p.data = np.array(state[name], dtype=np.float64, copy=True)
+            # Each parameter keeps its dtype: a double-precision
+            # checkpoint loads into a single-precision model.
+            p.data = np.array(state[name], dtype=p.data.dtype, copy=True)
 
 
 class Sequential(Module):

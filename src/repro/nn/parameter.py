@@ -13,10 +13,14 @@ class Parameter:
     ``sparse_grad=True`` marks embedding-style parameters whose gradient is
     accumulated as a :class:`~repro.tensors.SparseRows` instead of a dense
     array — the distinction EmbRace's hybrid communication is built on.
+
+    A floating array keeps its dtype and is held by reference; any other
+    input (ints, nested lists of ints) becomes float64.
     """
 
     def __init__(self, data: np.ndarray, name: str = "", sparse_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.name = name
         self.sparse_grad = bool(sparse_grad)
         if self.sparse_grad and self.data.ndim != 2:

@@ -96,11 +96,12 @@ class LSTMCell(Module):
 
     def forward(self, x, state=None):
         """Module-protocol single step over ``(batch, input_dim)``."""
-        x = np.asarray(x, dtype=np.float64)
+        dtype = self.w_x.data.dtype
+        x = np.asarray(x, dtype=dtype)
         batch = x.shape[0]
         if state is None:
-            h = np.zeros((batch, self.hidden_dim))
-            c = np.zeros((batch, self.hidden_dim))
+            h = np.zeros((batch, self.hidden_dim), dtype=dtype)
+            c = np.zeros((batch, self.hidden_dim), dtype=dtype)
         else:
             h, c = state
         h_next, c_next, cache = self.step(x, h, c)
@@ -148,16 +149,17 @@ class LSTM(Module):
         ]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        dtype = self.cells[0].w_x.data.dtype
+        x = np.asarray(x, dtype=dtype)
         if x.ndim != 3:
             raise ValueError(f"LSTM input must be (batch, seq, dim), got {x.shape}")
         batch, seq, _ = x.shape
         caches: list[list[dict]] = [[] for _ in self.cells]
         layer_in = x
         for li, cell in enumerate(self.cells):
-            h = np.zeros((batch, self.hidden_dim))
-            c = np.zeros((batch, self.hidden_dim))
-            outs = np.empty((batch, seq, self.hidden_dim))
+            h = np.zeros((batch, self.hidden_dim), dtype=dtype)
+            c = np.zeros((batch, self.hidden_dim), dtype=dtype)
+            outs = np.empty((batch, seq, self.hidden_dim), dtype=dtype)
             for t in range(seq):
                 h, c, cache = cell.step(layer_in[:, t], h, c)
                 caches[li].append(cache)
@@ -169,11 +171,9 @@ class LSTM(Module):
             grad_seq = grad
             for li in range(self.num_layers - 1, -1, -1):
                 cell = self.cells[li]
-                grad_in = np.zeros(
-                    (batch, seq, cell.input_dim)
-                )
-                gh = np.zeros((batch, self.hidden_dim))
-                gc = np.zeros((batch, self.hidden_dim))
+                grad_in = np.zeros((batch, seq, cell.input_dim), dtype=dtype)
+                gh = np.zeros((batch, self.hidden_dim), dtype=dtype)
+                gc = np.zeros((batch, self.hidden_dim), dtype=dtype)
                 for t in range(seq - 1, -1, -1):
                     gx, gh, gc = cell.step_backward(
                         grad_seq[:, t] + gh, gc, caches[li][t]

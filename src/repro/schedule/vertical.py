@@ -76,7 +76,7 @@ class VerticalScheduler:
         current_ids = current_batch.token_ids[table_name]
         if next_batch is None:
             coalesced = grad.coalesce()
-            return coalesced, SparseRows.empty(grad.num_rows, grad.dim, grad.values.dtype)
+            return coalesced, SparseRows.empty(grad.num_rows, grad.dim, dtype=grad.values.dtype)
         next_ids = next_batch.token_ids[table_name]
         return vertical_split(grad, current_ids, next_ids)
 

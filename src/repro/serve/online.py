@@ -39,11 +39,12 @@ def build_tables(cfg: ServeConfig) -> dict[str, Embedding]:
 
     One generator seeded with ``cfg.seed`` is threaded through the
     tables in declaration order, so every rank — and the offline
-    replay — materializes identical weights.
+    replay — materializes identical weights, in float32 like the
+    trainer's.
     """
     rng = np.random.default_rng(cfg.seed)
     return {
-        name: Embedding(cfg.vocab, cfg.dim, rng=rng, name=name)
+        name: Embedding(cfg.vocab, cfg.dim, rng=rng, name=name).astype(np.float32)
         for name in cfg.tables
     }
 
@@ -70,7 +71,7 @@ class SparseEmbeddingTask:
 
     def __init__(self, vocab: int, dim: int, seed: int):
         rng = np.random.default_rng((seed, 99))
-        self.targets = rng.standard_normal((vocab, dim)) * 0.1
+        self.targets = (rng.standard_normal((vocab, dim)) * 0.1).astype(np.float32)
 
     def loss_and_grad(
         self, weight: np.ndarray, ids: np.ndarray
@@ -135,6 +136,7 @@ def offline_reference(
                 [(g.indices, g.values) for g in grad_parts[name]],
                 cfg.vocab,
                 cfg.dim,
+                dtype=tables[name].weight.data.dtype,
             ).scale(1.0 / cfg.world_size)
             optimizers[name].apply_sparse_part(
                 tables[name].weight, total, final=True

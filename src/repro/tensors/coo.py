@@ -80,8 +80,8 @@ class SparseRows:
     # Constructors
     # ------------------------------------------------------------------ #
     @classmethod
-    def empty(cls, num_rows: int, dim: int, dtype=np.float64) -> "SparseRows":
-        """A sparse tensor with no stored rows."""
+    def empty(cls, num_rows: int, dim: int, *, dtype) -> "SparseRows":
+        """A sparse tensor with no stored rows, of value type ``dtype``."""
         return cls(
             indices=np.empty(0, dtype=np.int64),
             values=np.empty((0, dim), dtype=dtype),
@@ -95,10 +95,14 @@ class SparseRows:
         parts: list[tuple[np.ndarray, np.ndarray]],
         num_rows: int,
         dim: int,
-        dtype=np.float64,
+        *,
+        dtype,
         union: np.ndarray | None = None,
     ) -> "SparseRows":
         """Merge sorted-unique ``(indices, values)`` runs into one tensor.
+
+        ``dtype`` is the accumulator's value type — required, so a
+        float32 merge never silently runs in a float64 accumulator.
 
         Each part is a sorted run (an already-coalesced gradient);
         positions come from a ``searchsorted`` into the merged index

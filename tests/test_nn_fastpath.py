@@ -94,7 +94,7 @@ def ref_step_backward(self, grad_h, grad_c, cache, accumulate=True):
 
 
 def ref_linear_forward(self, x):
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=self.weight.data.dtype)
     out = x @ self.weight.data
     if self.bias is not None:
         out = out + self.bias.data
@@ -128,8 +128,8 @@ def ref_loss_forward(self, logits, targets):
 
 
 def ref_attention_forward(self, queries, memory):
-    queries = np.asarray(queries, dtype=np.float64)
-    memory = np.asarray(memory, dtype=np.float64)
+    queries = np.asarray(queries, dtype=self.w_query.data.dtype)
+    memory = np.asarray(memory, dtype=self.w_query.data.dtype)
     q_proj = queries @ self.w_query.data
     k_proj = memory @ self.w_key.data
     pre = np.tanh(q_proj[:, :, None, :] + k_proj[:, None, :, :])

@@ -320,7 +320,7 @@ class TestAdamWeightDecay:
     def test_sparse_params_not_decayed(self):
         p = sparse_param()
         before = p.data.copy()
-        p.grad = SparseRows.empty(8, 3)
+        p.grad = SparseRows.empty(8, 3, dtype=p.data.dtype)
         Adam([p], lr=0.1, weight_decay=0.5).step()
         np.testing.assert_array_equal(p.data, before)
 

@@ -164,7 +164,7 @@ class TestHotLaneBitIdentity:
                 SparseRows(ids, rng.normal(size=(len(ids), dim)), vocab).coalesce()
             )
         expected = SparseRows.merge_coalesced(
-            [(p.indices, p.values) for p in parts], vocab, dim
+            [(p.indices, p.values) for p in parts], vocab, dim, dtype=np.float64
         )
         with open_group(world, backend="thread") as g:
             outs = g.run(_hot_lane_worker, (hot_ids, parts))

@@ -111,7 +111,9 @@ class TestBeamDecode:
         src = batch.inputs[:1]
         ids, score = beam_decode(model, src, beam_size=2, max_len=5)
         recomputed = sequence_log_prob(model, src, ids)
-        assert recomputed == pytest.approx(score, abs=1e-9)
+        # A float32 model: one full-sequence pass vs per-prefix passes
+        # round differently (different GEMM shapes), to float32 ulps.
+        assert recomputed == pytest.approx(score, abs=1e-5)
 
     def test_sequence_log_prob_validation(self):
         cfg, model, batch = make_model_and_batch(GNMT8)

@@ -97,7 +97,7 @@ class TestSparseRowsConstruction:
             SparseRows(np.zeros(2, dtype=np.int64), np.zeros(2), 5)
 
     def test_empty(self):
-        s = SparseRows.empty(100, 16)
+        s = SparseRows.empty(100, 16, dtype=np.float32)
         assert s.nnz_rows == 0
         assert s.dim == 16
         assert s.density == 0.0
@@ -133,8 +133,17 @@ class TestCoalesce:
         assert s.coalesce() is s
 
     def test_empty_coalesce(self):
-        s = SparseRows.empty(4, 2)
+        s = SparseRows.empty(4, 2, dtype=np.float32)
         assert s.coalesce().nnz_rows == 0
+        assert s.values.dtype == np.float32
+
+    def test_empty_and_merge_require_dtype(self):
+        # No silent float64 default: a float32 merge must never run in a
+        # float64 accumulator.
+        with pytest.raises(TypeError):
+            SparseRows.empty(4, 2)
+        with pytest.raises(TypeError):
+            SparseRows.merge_coalesced([], 4, 2)
 
     def test_reduces_size(self):
         # Table 3's "coalesced size" effect: duplicates shrink the payload.

@@ -194,14 +194,15 @@ class TestValidationLoop:
 class TestDensifiedAllReduceStrategy:
     def test_converges_and_matches_allgather_closely(self):
         """The densified baseline is numerically equivalent up to float
-        summation order (ring chunks vs rank-ordered sparse sums)."""
+        summation order (ring chunks vs rank-ordered sparse sums) — a
+        few float32 ulps."""
         cfg = GNMT8.tiny()
         kw = dict(world_size=2, steps=4, seed=3)
         ag = RealTrainer(cfg, strategy="allgather", **kw).train()
         ar = RealTrainer(cfg, strategy="allreduce", **kw).train()
         for key in ag.state:
             np.testing.assert_allclose(
-                ag.state[key], ar.state[key], atol=1e-9, err_msg=key
+                ag.state[key], ar.state[key], atol=1e-6, err_msg=key
             )
 
     def test_dense_format_moves_more_bytes(self):
