@@ -79,8 +79,7 @@ def main() -> None:
     if args.out:
         report.tuned_profile.save(args.out)
         print(f"\nwrote {args.out} — reuse it with "
-              f"RealTrainer(..., profile=TunedProfile.load({args.out!r})) "
-              f"or repro train")
+              f"RealTrainer(..., knobs=TunedProfile.load({args.out!r}).knobs)")
 
 
 if __name__ == "__main__":

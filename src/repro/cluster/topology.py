@@ -75,10 +75,6 @@ class ClusterSpec:
             return self.intra_bw
         return min(self.intra_bw, self.inter_bw / self.gpus_per_node)
 
-    def bottleneck_bandwidth(self) -> float:
-        """Back-compat alias for :meth:`pairwise_bandwidth`."""
-        return self.pairwise_bandwidth()
-
     def latency(self) -> float:
         """Per-message start latency (the paper's beta) for the worst link."""
         return self.inter_latency if self.multi_node else self.intra_latency
@@ -123,20 +119,6 @@ class ClusterSpec:
             self,
             name=f"{self.name}-{world_size}gpu",
             num_nodes=world_size // self.gpus_per_node,
-        )
-
-    def node_topology(self, world_size: int | None = None):
-        """The :class:`~repro.comm.NodeTopology` of this cluster (for
-        ``open_group(..., topology=)``); see :meth:`nodes` for the rank
-        grouping and the spec's link constants for per-level alpha/beta."""
-        from repro.comm.topology import NodeTopology
-
-        return NodeTopology(
-            nodes=self.nodes(world_size),
-            intra_latency=self.intra_latency,
-            intra_bandwidth=self.intra_bw,
-            inter_latency=self.inter_latency,
-            inter_bandwidth=self.inter_bw,
         )
 
 

@@ -299,38 +299,6 @@ class CostModel:
         return CollectiveCost(wire_bytes=wire, seconds=seconds,
                               num_messages=(m - 1) + 2 * (w - 1))
 
-    def hierarchical_allgather(
-        self, payload_bytes: float, node_dedup: float = 1.0
-    ) -> CollectiveCost:
-        """Node-coalesced sparse allgather (``two_level_allreduce_sparse``).
-
-        ``w-1`` intra gathers of ``payload_bytes``, a leader-level
-        allgather of the merged node payload (``m-1`` NIC transfers of
-        ``node_dedup * w * payload``), and an intra broadcast of the
-        merged global result.
-        """
-        check_non_negative("payload_bytes", payload_bytes)
-        if not 0.0 < node_dedup <= 1.0:
-            raise ValueError(
-                f"node_dedup must be in (0, 1], got {node_dedup!r}"
-            )
-        c = self.cluster
-        if self.N == 1:
-            return CollectiveCost(0.0, 0.0, 0)
-        if not c.multi_node:
-            return self.allgather(payload_bytes)
-        w, m = c.gpus_per_node, c.num_nodes
-        node_payload = node_dedup * w * payload_bytes
-        global_payload = node_dedup * self.N * payload_bytes
-        seconds = (
-            (w - 1) * self._transfer_on(payload_bytes, c.intra_bw, c.intra_latency)
-            + (m - 1) * self._transfer_on(node_payload, c.inter_bw, c.inter_latency)
-            + (w - 1) * self._transfer_on(global_payload, c.intra_bw, c.intra_latency)
-        )
-        wire = (m - 1) * node_payload + (w - 1) * global_payload
-        return CollectiveCost(wire_bytes=wire, seconds=seconds,
-                              num_messages=(m - 1) + 2 * (w - 1))
-
     # ------------------------------------------------------------------ #
     # Inter-node wire accounting (the BENCH_scale ``>=30%`` gate)
     # ------------------------------------------------------------------ #

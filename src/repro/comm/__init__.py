@@ -29,7 +29,6 @@ from repro.comm.group import BACKENDS, CommGroup, open_group
 from repro.comm.hierarchy import (
     two_level_allreduce,
     two_level_allreduce_hot_rows,
-    two_level_allreduce_sparse,
     two_level_alltoall_shards,
 )
 from repro.comm.local import ThreadGroup, run_threaded
@@ -103,6 +102,5 @@ __all__ = [
     "node_comms",
     "two_level_allreduce",
     "two_level_allreduce_hot_rows",
-    "two_level_allreduce_sparse",
     "two_level_alltoall_shards",
 ]

@@ -15,8 +15,8 @@ boundary once per *node* instead of once per *rank*:
   replayed verbatim — no sum is formed that the flat path would not
   form — the result is bit-identical to ``comm.allreduce`` on every
   input, not merely ``allclose``.
-* :func:`two_level_alltoall_shards` / :func:`two_level_allreduce_sparse`
-  / :func:`two_level_allreduce_hot_rows` — sparse exchanges that
+* :func:`two_level_alltoall_shards` /
+  :func:`two_level_allreduce_hot_rows` — sparse exchanges that
   coalesce each node's contributions with
   :meth:`~repro.tensors.SparseRows.merge_coalesced` *before* rows cross
   the node boundary, so inter-node wire bytes shrink by the intra-node
@@ -41,7 +41,6 @@ from repro.comm.arena import BufferArena, default_arena
 from repro.comm.backend import Communicator, ring_chunk_bounds
 from repro.comm.sparse import (
     allreduce_hot_rows,
-    allreduce_sparse_via_allgather,
     alltoall_column_shards,
     column_slices,
 )
@@ -240,51 +239,6 @@ def _scatter_result(nc: NodeComms, result: SparseRows | None, num_rows: int, dim
     )
 
 
-@traced_collective("two_level_allreduce_sparse")
-def two_level_allreduce_sparse(
-    comm: Communicator,
-    grad: SparseRows,
-    topology: NodeTopology,
-    *,
-    comms: NodeComms | None = None,
-) -> SparseRows:
-    """Hierarchical sparse allreduce (the AllGather strategy's exchange).
-
-    Node members' coalesced gradients merge at the leader (rank order),
-    leaders allgather the **node** gradients and merge those in node
-    order, and the result broadcasts within each node — the node-grouped
-    fold, bit-identical to ``allreduce_sparse_via_allgather(...,
-    fold_groups=topology.node_sizes)``.  Only deduplicated node sums
-    cross the node boundary.
-    """
-    grad = grad.coalesce()
-    if comm.world_size == 1:
-        return grad
-    if topology.world_size != comm.world_size:
-        raise ValueError(
-            f"topology world {topology.world_size} != comm world {comm.world_size}"
-        )
-    if not topology.multi_node:
-        return allreduce_sparse_via_allgather(comm, grad)
-    nc = _comms(comm, topology, comms)
-    num_rows, dim, vdtype = grad.num_rows, grad.dim, grad.values.dtype
-    parts = _gather_node_parts(nc, grad)
-    result: SparseRows | None = None
-    if parts is not None:
-        node_grad = _merge_node(parts, grad)
-        inter = nc.inter
-        assert inter is not None
-        gathered = inter.allgather(
-            (node_grad.indices, inter.snapshot(node_grad.values))
-        )
-        node_parts = [
-            (np.asarray(i), np.asarray(v).reshape(len(np.asarray(i)), dim))
-            for i, v in gathered
-        ]
-        result = SparseRows.merge_coalesced(node_parts, num_rows, dim, dtype=vdtype)
-    return _scatter_result(nc, result, num_rows, dim, vdtype)
-
-
 @traced_collective("two_level_alltoall_shards")
 def two_level_alltoall_shards(
     comm: Communicator,
@@ -463,6 +417,5 @@ def two_level_allreduce_hot_rows(
 __all__ = [
     "two_level_allreduce",
     "two_level_allreduce_hot_rows",
-    "two_level_allreduce_sparse",
     "two_level_alltoall_shards",
 ]

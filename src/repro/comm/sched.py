@@ -101,6 +101,14 @@ DEFAULT_BUCKET_ELEMS = 65536
 #: saved dict may still carry: the removed behaviour's inert default.
 _REMOVED_FIELDS = {"dense_switch_density": 1.0}
 
+#: The pipeline fields, which moved to :class:`repro.tune.Candidate`
+#: (the real trainer never ran them): same rule, data-parallel defaults.
+_PIPELINE_FIELDS = {"schedule": "data_parallel", "pipeline_stages": 1, "microbatches": 1}
+
+#: The per-lane wire switches ``hierarchical`` replaced (tri-states:
+#: ``None`` meant automatic, which is what ``True`` does).
+_PER_LANE_HIER = ("hier_dense", "hier_sparse", "hier_hot")
+
 
 @dataclass(frozen=True)
 class SchedKnobs:
@@ -128,17 +136,12 @@ class SchedKnobs:
     ``0.0`` / ``0`` (the defaults) keep uniform column sharding unless
     an explicit ``placement=`` plan is passed.
 
-    ``hier_dense`` / ``hier_sparse`` / ``hier_hot`` select the two-level
-    collectives of :mod:`repro.comm.hierarchy` for the dense bucket
-    lane, the prior/delayed sparse exchanges, and the hot-row lane
-    respectively.  Tri-state: ``None`` (the default) means *automatic* —
-    hierarchical whenever the run has a multi-node
-    :class:`~repro.comm.NodeTopology`, flat otherwise; ``True`` /
-    ``False`` pin the choice so ``repro.tune`` can search
-    flat-vs-hierarchical per exchange.  With a topology present both
-    settings produce bit-identical results (the flat paths then use the
-    node-grouped ``fold_groups`` merge); without one, forcing ``True``
-    is a no-op.
+    ``hierarchical`` selects the two-level collectives of
+    :mod:`repro.comm.hierarchy` for the dense bucket, prior/delayed
+    sparse and hot-row lanes whenever the run has a multi-node
+    :class:`~repro.comm.NodeTopology`; ``False`` keeps the flat wires,
+    which then fold node-grouped (``fold_groups``), so both settings
+    train bit-identically.  Without a multi-node topology it is a no-op.
     """
 
     chunk_elems: int = DEFAULT_CHUNK_ELEMS
@@ -147,19 +150,7 @@ class SchedKnobs:
     delayed_min_rows: int = 0
     hot_fraction: float = 0.0
     repartition_interval: int = 0
-    hier_dense: bool | None = None
-    hier_sparse: bool | None = None
-    hier_hot: bool | None = None
-    #: Pipeline schedule dimension (searchable via ``repro.tune``): the
-    #: ``"data_parallel"`` default reproduces historical behaviour;
-    #: ``"gpipe"`` / ``"1f1b"`` / ``"nested"`` select a
-    #: :class:`~repro.schedule.tabular.TabularSchedule` of
-    #: ``pipeline_stages`` stages x ``microbatches`` microbatches.
-    #: Pipeline schedules are simulator-only — the real trainer rejects
-    #: them with a clear error.
-    schedule: str = "data_parallel"
-    pipeline_stages: int = 1
-    microbatches: int = 1
+    hierarchical: bool = True
 
     def __post_init__(self):
         if not isinstance(self.chunk_elems, int) or self.chunk_elems <= 0:
@@ -196,42 +187,10 @@ class SchedKnobs:
                 f"repartition_interval must be an int >= 0, "
                 f"got {self.repartition_interval!r}"
             )
-        for name in ("hier_dense", "hier_sparse", "hier_hot"):
-            value = getattr(self, name)
-            if value is not None and not isinstance(value, bool):
-                raise ValueError(
-                    f"{name} must be True, False, or None (auto), got {value!r}"
-                )
-        if self.schedule not in (
-            "data_parallel", "gpipe", "1f1b", "nested"
-        ):
+        if not isinstance(self.hierarchical, bool):
             raise ValueError(
-                f"schedule must be one of 'data_parallel', 'gpipe', "
-                f"'1f1b', 'nested', got {self.schedule!r}"
+                f"hierarchical must be True or False, got {self.hierarchical!r}"
             )
-        for name in ("pipeline_stages", "microbatches"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValueError(
-                    f"{name} must be an int >= 1, got {value!r}"
-                )
-        if self.schedule == "data_parallel" and (
-            self.pipeline_stages != 1 or self.microbatches != 1
-        ):
-            raise ValueError(
-                "data_parallel schedule requires pipeline_stages == 1 and "
-                f"microbatches == 1, got {self.pipeline_stages} stages x "
-                f"{self.microbatches} microbatches"
-            )
-
-    def hierarchical(self, lane: str, multi_node: bool) -> bool:
-        """Resolve a ``hier_*`` tri-state for one lane (``"dense"``,
-        ``"sparse"``, ``"hot"``): explicit setting wins, ``None`` means
-        hierarchical exactly when the topology is multi-node."""
-        value = getattr(self, f"hier_{lane}")
-        if value is None:
-            return multi_node
-        return bool(value) and multi_node
 
     def to_dict(self) -> dict:
         """Plain-dict form (JSON-ready); inverse of ``from_dict``."""
@@ -242,19 +201,34 @@ class SchedKnobs:
         """Build from a mapping, rejecting unknown keys.
 
         Dicts written by earlier releases may carry a field listed in
-        :data:`_REMOVED_FIELDS`: its inert default is dropped, any other
-        value is refused.
+        :data:`_REMOVED_FIELDS` or :data:`_PIPELINE_FIELDS`: its inert
+        default is dropped, any other value is refused.  Their per-lane
+        ``hier_*`` switches load when the lanes agree: all automatic or
+        ``True`` is the default, all ``False`` is ``hierarchical=False``;
+        a per-lane mix is refused.
         """
         d = dict(d)
-        for key, default in _REMOVED_FIELDS.items():
-            if key in d:
-                value = d.pop(key)
-                if value != default:
-                    raise ValueError(
-                        f"{key}={value!r}: the sparse collectives' dense "
-                        f"switch was removed, so only its never-switching "
-                        f"default {default!r} still loads"
-                    )
+        for fields, why in (
+            (_REMOVED_FIELDS, "the sparse collectives' dense switch was removed"),
+            (_PIPELINE_FIELDS, "pipeline schedules are simulator-only"),
+        ):
+            for key, default in fields.items():
+                if key in d:
+                    value = d.pop(key)
+                    if value != default:
+                        raise ValueError(
+                            f"{key}={value!r}: {why}, so only the default "
+                            f"{default!r} still loads"
+                        )
+        if any(key in d for key in _PER_LANE_HIER):
+            lanes = {d.pop(key, None) for key in _PER_LANE_HIER}
+            if lanes == {False}:
+                d["hierarchical"] = False
+            elif not lanes <= {None, True}:
+                raise ValueError(
+                    f"per-lane hier_* settings {sorted(map(repr, lanes))} "
+                    "differ: one `hierarchical` switch now covers every lane"
+                )
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(d) - known
         if unknown:

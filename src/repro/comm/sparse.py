@@ -120,12 +120,7 @@ def allgather_sparse(comm: Communicator, grad: SparseRows) -> list[SparseRows]:
 
 
 @traced_collective("allreduce_sparse")
-def allreduce_sparse_via_allgather(
-    comm: Communicator,
-    grad: SparseRows,
-    *,
-    fold_groups: tuple[int, ...] | None = None,
-) -> SparseRows:
+def allreduce_sparse_via_allgather(comm: Communicator, grad: SparseRows) -> SparseRows:
     """Sum of all ranks' sparse gradients, coalesced, rank-ordered.
 
     Each rank's gradient is coalesced locally before the exchange (as
@@ -134,22 +129,11 @@ def allreduce_sparse_via_allgather(
     contributions accumulate left-to-right in rank order.  That merge is
     *the* canonical cross-rank grouping: any strategy summing the same
     per-rank gradients the same way produces bit-identical results.
-
-    ``fold_groups`` (a topology's node sizes) switches the grouping to
-    the node-grouped nested fold of :func:`merge_grouped` — the order
-    the two-level sparse collectives produce — so flat and hierarchical
-    runs over the same topology stay bit-identical to each other.
     """
-    groups = _check_fold_groups(fold_groups, comm.world_size)
     parts = allgather_sparse(comm, grad.coalesce())
     first = parts[0]
-    pairs = [(p.indices, p.values) for p in parts]
-    if groups is not None:
-        return merge_grouped(
-            pairs, first.num_rows, first.dim, first.values.dtype, groups
-        )
     return SparseRows.merge_coalesced(
-        pairs,
+        [(p.indices, p.values) for p in parts],
         first.num_rows,
         first.dim,
         dtype=first.values.dtype,

@@ -85,8 +85,7 @@ class TableGroupRuntime:
         betas: tuple[float, float] = (0.9, 0.999),
         placement=None,
         topology=None,
-        hier_sparse: bool | None = None,
-        hier_hot: bool | None = None,
+        hierarchical: bool = True,
     ):
         if not tables:
             raise ValueError("a table group needs at least one table")
@@ -107,8 +106,8 @@ class TableGroupRuntime:
         self.name = "+".join(tables)
         # Node structure: when a multi-node NodeTopology is
         # in force, the flat wires fold node-grouped (``fold_groups``)
-        # so the physically two-level wires — selected per lane by the
-        # ``hier_*`` flags, default on — produce bit-identical sums.
+        # so the physically two-level wires — selected by
+        # ``hierarchical``, default on — produce bit-identical sums.
         topology = as_topology(topology)
         if topology is None:
             topology = getattr(comm, "topology", None)
@@ -120,10 +119,7 @@ class TableGroupRuntime:
         self.topology = topology
         multi = topology is not None and topology.multi_node
         self.fold_groups = topology.fold_groups if multi else None
-        self.hier_sparse = multi if hier_sparse is None else (
-            bool(hier_sparse) and multi
-        )
-        self.hier_hot = multi if hier_hot is None else bool(hier_hot) and multi
+        self.hierarchical = hierarchical and multi
         self.weight = Parameter(
             weights[0] if len(weights) == 1 else np.concatenate(weights),
             name=f"{self.name}.weight",
@@ -252,13 +248,13 @@ class TableGroupRuntime:
         identical either way.
 
         Under a multi-node topology the exchange is node-aware: the
-        two-level wire (``hier_sparse``, the default) coalesces each
+        two-level wire (``hierarchical``, the default) coalesces each
         node's rows at its leader before anything crosses the
         inter-node boundary, and the flat wire folds node-grouped
         (``fold_groups``) — the two produce bit-identical shards, so
         the flag only moves bytes.
         """
-        if self.hier_sparse:
+        if self.hierarchical:
             out = two_level_alltoall_shards(
                 comm, part, self.topology, table=self.name
             )
@@ -297,10 +293,10 @@ class TableGroupRuntime:
         (rank-ordered assign-then-add merge; column slicing commutes with
         the per-row arithmetic), so routing a row hot vs cold never
         changes loss bits.  Under a multi-node topology the hot lane is
-        node-aware too: two-level (``hier_hot``) or flat with the
+        node-aware too: two-level (``hierarchical``) or flat with the
         node-grouped fold — bit-identical to each other.
         """
-        if self.hier_hot:
+        if self.hierarchical:
             out = two_level_allreduce_hot_rows(
                 comm, self.hot_ids, part, self.topology, table=self.name
             )

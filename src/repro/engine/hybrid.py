@@ -117,21 +117,18 @@ def step_inter_bytes(
 
     Prices the same lanes :func:`~repro.tune.predict_candidate` builds:
     dense bucket allreduces, the prior+delayed sparse exchanges, and
-    the hot-row lane (each flat or two-level per the ``hier_*`` knobs),
+    the hot-row lane (each flat or two-level per ``knobs.hierarchical``),
     plus the id allgather and hoisted-refresh lookups that stay flat
     under either wire.  ``"exchange"`` sums the gradient lanes — the
     quantity the hierarchical collectives shrink and the BENCH_scale
     ``>=30%`` gate measures; ``"total"`` adds the wire-invariant lanes.
     """
-    multi = cost.cluster.multi_node
-    hier_dense = knobs.hierarchical("dense", multi)
-    hier_sparse = knobs.hierarchical("sparse", multi)
-    hier_hot = knobs.hierarchical("hot", multi)
+    hier = knobs.hierarchical
     dedup = workload.node_dedup
 
     dense_bytes = sum(elems for _, elems in workload.dense_param_sizes) * DTYPE_BYTES
     out = {
-        "dense": cost.inter_bytes_allreduce(dense_bytes, hier_dense),
+        "dense": cost.inter_bytes_allreduce(dense_bytes, hier),
         "sparse": 0.0,
         "hot": 0.0,
         "ids": 0.0,
@@ -140,12 +137,12 @@ def step_inter_bytes(
     for t in workload.tables:
         cover = _hot_coverage(t, knobs.hot_fraction)
         grad_b = (t.prior_bytes + t.delayed_bytes) * (1.0 - cover)
-        out["sparse"] += cost.inter_bytes_alltoall(grad_b, hier_sparse, dedup)
+        out["sparse"] += cost.inter_bytes_alltoall(grad_b, hier, dedup)
         if cover > 0.0:
             # The hot lane replicates its rows to every rank (flat) or
             # to every *node* (hierarchical) — allgather-shaped traffic.
             hot_b = 2.0 * cover * (t.prior_bytes + t.delayed_bytes)
-            out["hot"] += cost.inter_bytes_allgather(hot_b, hier_hot, dedup)
+            out["hot"] += cost.inter_bytes_allgather(hot_b, hier, dedup)
         out["ids"] += cost.inter_bytes_allgather(t.ids_bytes, False)
         out["lookup"] += cost.inter_bytes_alltoall(
             t.lookup_bytes * (1.0 - cover), False
@@ -248,8 +245,6 @@ class HybridReport:
 
 def _resolve_knobs(config: "RunConfig") -> SchedKnobs:
     knobs = config.knobs
-    if knobs is None and config.profile is not None:
-        knobs = getattr(config.profile, "knobs", None)
     if knobs is None:
         return SchedKnobs()
     if isinstance(knobs, SchedKnobs):
@@ -342,12 +337,8 @@ def run_hybrid(
         )
 
     base_knobs = _resolve_knobs(config)
-    hier_knobs = dataclasses.replace(
-        base_knobs, hier_dense=True, hier_sparse=True, hier_hot=True
-    )
-    flat_knobs = dataclasses.replace(
-        base_knobs, hier_dense=False, hier_sparse=False, hier_hot=False
-    )
+    hier_knobs = dataclasses.replace(base_knobs, hierarchical=True)
+    flat_knobs = dataclasses.replace(base_knobs, hierarchical=False)
 
     # Phase 1: bit-exact real twins over the same topology.
     steps = max(2, config.steps)  # measured_step_time needs >= 2 spans

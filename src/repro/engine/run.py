@@ -75,10 +75,10 @@ class RunConfig:
     / ``faults`` apply to real runs (the simulator traces inherently and
     has its own degradation models).
 
-    ``knobs`` (a :class:`~repro.comm.SchedKnobs` or dict) and
-    ``profile`` (a :class:`~repro.tune.TunedProfile` from ``repro
-    tune``) configure the real trainer's scheduler: explicit ``knobs``
-    win, then the profile's, then the historical defaults.
+    ``knobs`` (a :class:`~repro.comm.SchedKnobs` or dict; a
+    :class:`~repro.tune.TunedProfile` from ``repro tune`` supplies its
+    ``profile.knobs``) configures the real trainer's scheduler; ``None``
+    keeps the historical defaults.
     """
 
     model: ModelConfig
@@ -93,15 +93,14 @@ class RunConfig:
     trace: Any = None  # None/bool/TraceConfig (real mode)
     faults: Any = None  # FaultPlan (real mode)
     knobs: Any = None  # SchedKnobs / dict (real mode)
-    profile: Any = None  # TunedProfile (real mode)
     #: Hybrid hot/cold placement (anything repro.placement.as_placement
     #: accepts); None = uniform column sharding (real mode, embrace).
     placement: Any = None
     #: Node structure for the real ranks (anything
     #: :func:`repro.comm.as_topology` accepts).  Real mode: selects the
-    #: two-level collectives per the ``hier_*`` knobs.  Hybrid mode:
-    #: the shape of the calibration run (default: 2 nodes splitting
-    #: ``world_size``).
+    #: two-level collectives unless ``knobs.hierarchical`` is off.
+    #: Hybrid mode: the shape of the calibration run (default: 2 nodes
+    #: splitting ``world_size``).
     topology: Any = None
     #: Hybrid mode: simulated world size(s) for the calibrated replay —
     #: an int (doubling ladder from 64 up to it) or an explicit
@@ -207,7 +206,6 @@ def _run_real(config: RunConfig) -> RunResult:
             trace=config.trace,
             group=group,
             knobs=config.knobs,
-            profile=config.profile,
             placement=config.placement,
             topology=config.topology,
         )

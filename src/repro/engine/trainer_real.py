@@ -164,7 +164,6 @@ class RealTrainer:
         group: CommGroup | None = None,
         overlap: bool = True,
         knobs: SchedKnobs | dict | None = None,
-        profile=None,
         placement=None,
         topology=None,
     ):
@@ -208,12 +207,11 @@ class RealTrainer:
 
         ``knobs`` (a :class:`~repro.comm.SchedKnobs` or its dict form)
         overrides the scheduler's bucket/chunk sizing and the
-        delayed-fold threshold; ``profile`` (a
-        :class:`~repro.tune.TunedProfile` from ``repro tune``) supplies
-        knobs when ``knobs`` is not given.  The defaults reproduce the
-        historical constants, and every knob setting trains
-        bit-identically at a fixed seed — knobs move *when* bytes
-        travel, never their arithmetic.
+        delayed-fold threshold; a :class:`~repro.tune.TunedProfile`
+        from ``repro tune`` supplies them as ``knobs=profile.knobs``.
+        The defaults reproduce the historical constants, and every knob
+        setting trains bit-identically at a fixed seed — knobs move
+        *when* bytes travel, never their arithmetic.
 
         ``placement`` (anything :func:`repro.placement.as_placement`
         accepts: a :class:`~repro.placement.PlacementPlan`, a single
@@ -231,14 +229,15 @@ class RealTrainer:
         :class:`~repro.cluster.ClusterSpec`) declares how ranks group
         into nodes.  When it is multi-node, collectives default to the
         topology-aware two-level algorithms — dense AllReduces run
-        leader-walked, sparse exchanges coalesce intra-node before rows
-        cross the node boundary — and the communicator is wrapped in an
+        leader-walked, EmbRace's sparse exchanges coalesce intra-node
+        before rows cross the node boundary (the AllGather baseline's
+        sparse allreduce stays flat) — and the communicator is wrapped in an
         :class:`~repro.comm.InterNodeMeter` so
         :attr:`TrainResult.inter_bytes` (and the
         ``wire_bytes.inter_node`` counter of traced runs) reports what
-        actually crossed nodes.  The ``hier_dense`` / ``hier_sparse`` /
-        ``hier_hot`` knobs select flat wires per lane instead; either
-        wire trains **bit-identically** at a fixed topology, because the
+        actually crossed nodes.  ``knobs.hierarchical=False`` selects
+        the flat wires on every lane instead; either wire trains
+        **bit-identically** at a fixed topology, because the
         flat paths fold node-grouped whenever a multi-node topology is
         in force.  ``topology=None`` falls back to ``comm.topology``
         installed by ``open_group(..., topology=...)``, else flat
@@ -280,21 +279,11 @@ class RealTrainer:
         self.overlap = overlap
         if isinstance(knobs, dict):
             knobs = SchedKnobs.from_dict(knobs)
-        if knobs is None and profile is not None:
-            knobs = profile.knobs
         if knobs is None:
             knobs = SchedKnobs()
         if not isinstance(knobs, SchedKnobs):
             raise TypeError(f"knobs must be a SchedKnobs, got {type(knobs)}")
-        if knobs.schedule != "data_parallel":
-            raise ValueError(
-                f"schedule {knobs.schedule!r} is simulator-only: real "
-                "execution supports only 'data_parallel'; compile pipeline "
-                "schedules with repro.schedule.tabular and evaluate them "
-                "via the simulator (repro.scenarios / repro.tune)"
-            )
         self.knobs = knobs
-        self.profile = profile
         self.placement = as_placement(placement)
         topology = as_topology(topology)
         if topology is None and group is not None:
@@ -499,20 +488,15 @@ class RealTrainer:
         # Node structure: an explicit trainer topology wins, else
         # whatever open_group(..., topology=...) installed on the
         # communicator.  A multi-node topology wraps the comm in the
-        # inter-node byte meter and flips the lanes below to their
-        # two-level defaults (per the hier_* knobs).
+        # inter-node byte meter and, unless ``knobs.hierarchical`` is
+        # off, flips the lanes below to their two-level wires.
         topo = self.topology
         if topo is None:
             topo = getattr(comm, "topology", None)
         meter: InterNodeMeter | None = None
         if topo is not None and topo.multi_node:
             comm = meter = InterNodeMeter(comm, topo)
-        dense_topo = (
-            topo
-            if topo is not None
-            and self.knobs.hierarchical("dense", topo.multi_node)
-            else None
-        )
+        dense_topo = topo if meter is not None and self.knobs.hierarchical else None
 
         # The async comm engine: all in-loop collectives run as work
         # items on its comm thread (or inline when overlap=False, with
@@ -543,8 +527,7 @@ class RealTrainer:
                 lr=self.lr,
                 placement=hot_sets,
                 topology=topo,
-                hier_sparse=self.knobs.hier_sparse,
-                hier_hot=self.knobs.hier_hot,
+                hierarchical=self.knobs.hierarchical,
             )
             self._restore_shard_state(groups, extras)
             if self.knobs.repartition_interval > 0:

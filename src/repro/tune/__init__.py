@@ -16,8 +16,9 @@ between the repo's two worlds:
    halving);
 3. **validate** (:mod:`repro.tune.validate`) — top-k candidates replayed
    on the real backend via :class:`~repro.engine.run.RunConfig`,
-   predicted-vs-measured error reported, winner emitted as the profile
-   ``RealTrainer(profile=...)`` / ``RunConfig(profile=...)`` accept.
+   predicted-vs-measured error reported, winner emitted as a profile
+   whose ``knobs`` ``RealTrainer(knobs=...)`` / ``RunConfig(knobs=...)``
+   accept.
 
 ``repro tune`` is the CLI front end; ``benchmarks/bench_tune.py``
 produces the committed ``BENCH_tune.json`` regression baseline.

@@ -337,8 +337,8 @@ class TunedProfile:
     :mod:`repro.tune.validate` once a winning configuration is known; a
     freshly probed profile carries only the link fits.  Consumers:
 
-    * ``RealTrainer(..., profile=p)`` / ``RunConfig(..., profile=p)``
-      adopt ``p.knobs`` (an explicit ``knobs=`` argument wins);
+    * ``RealTrainer(..., knobs=p.knobs)`` / ``RunConfig(...,
+      knobs=p.knobs)`` run the winning knobs;
     * :meth:`cost_model` / :meth:`to_cluster` feed the simulator.
     """
 

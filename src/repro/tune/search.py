@@ -28,9 +28,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.comm.sched import PRIORITY_URGENT, SchedKnobs, dense_chunk_bounds
-from repro.schedule import PRIORITY_DELAYED, PRIORITY_PRIOR
+from repro.schedule import PRIORITY_DELAYED, PRIORITY_PRIOR, SCHEDULE_NAMES
 from repro.sim import TaskGraph, execute
 from repro.tune.fit import TunedProfile
+from repro.utils.validation import check_in
 
 #: Float32 — every gradient this trainer ships.
 DTYPE_BYTES = 4
@@ -38,10 +39,43 @@ DTYPE_BYTES = 4
 
 @dataclass(frozen=True)
 class Candidate:
-    """One point of the search space."""
+    """One point of the search space.
+
+    ``schedule`` / ``pipeline_stages`` / ``microbatches`` are the
+    pipeline dimension, priced only by the simulator: the
+    ``"data_parallel"`` default is the overlapped step ``RealTrainer``
+    runs; ``"gpipe"`` / ``"1f1b"`` / ``"nested"`` compile a
+    :class:`~repro.schedule.tabular.TabularSchedule` of
+    ``pipeline_stages`` stages x ``microbatches`` microbatches.
+    """
 
     knobs: SchedKnobs = field(default_factory=SchedKnobs)
     strategy: str = "embrace"
+    schedule: str = "data_parallel"
+    pipeline_stages: int = 1
+    microbatches: int = 1
+
+    def __post_init__(self):
+        check_in("schedule", self.schedule, SCHEDULE_NAMES)
+        for name in ("pipeline_stages", "microbatches"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ValueError(
+                    f"{name} must be an int >= 1, got {value!r}"
+                )
+        if not self.pipelined and (
+            self.pipeline_stages != 1 or self.microbatches != 1
+        ):
+            raise ValueError(
+                "data_parallel schedule requires pipeline_stages == 1 and "
+                f"microbatches == 1, got {self.pipeline_stages} stages x "
+                f"{self.microbatches} microbatches"
+            )
+
+    @property
+    def pipelined(self) -> bool:
+        """True for a pipeline schedule (simulator-only)."""
+        return self.schedule != "data_parallel"
 
     def label(self) -> str:
         k = self.knobs
@@ -57,21 +91,10 @@ class Candidate:
             parts.append(f"hot={k.hot_fraction:g}")
         if k.repartition_interval:
             parts.append(f"repart={k.repartition_interval}")
-        hier = {k.hier_dense, k.hier_sparse, k.hier_hot}
-        if hier == {True}:
-            parts.append("hier")
-        elif hier == {False}:
+        if not k.hierarchical:
             parts.append("flat")
-        elif hier != {None}:
-            parts.append(
-                "hier="
-                + "".join(
-                    "a" if v is None else ("1" if v else "0")
-                    for v in (k.hier_dense, k.hier_sparse, k.hier_hot)
-                )
-            )
-        if k.schedule != "data_parallel":
-            parts.append(f"{k.schedule}@{k.pipeline_stages}x{k.microbatches}")
+        if self.pipelined:
+            parts.append(f"{self.schedule}@{self.pipeline_stages}x{self.microbatches}")
         return " ".join(parts)
 
 
@@ -85,11 +108,10 @@ class SearchSpace:
     delayed_min_rows: tuple[int, ...] = (0,)
     hot_fraction: tuple[float, ...] = (0.0,)
     repartition_interval: tuple[int, ...] = (0,)
-    #: Two-level collective selection applied to all three ``hier_*``
-    #: lanes at once: ``None`` = automatic (hierarchical iff the priced
-    #: cluster is multi-node), ``True`` / ``False`` pin it — put both in
-    #: the grid to search flat-vs-hierarchical on a two-level profile.
-    hier: tuple[bool | None, ...] = (None,)
+    #: ``SchedKnobs.hierarchical``: two-level collectives on a
+    #: multi-node profile (``True``) or the flat wires (``False``) — put
+    #: both in the grid to search flat-vs-hierarchical.
+    hier: tuple[bool, ...] = (True,)
     strategy: tuple[str, ...] = ("embrace",)
     #: Pipeline-parallel axes (simulator-only): a ``schedule`` other than
     #: ``data_parallel`` compiles the corresponding
@@ -121,8 +143,9 @@ class SearchSpace:
         )
 
     def candidates(self) -> list[Candidate]:
-        """The grid in deterministic (itertools.product) order; knob
-        validation happens in each :class:`~repro.comm.SchedKnobs`."""
+        """The grid in deterministic (itertools.product) order; validation
+        happens in each :class:`~repro.comm.SchedKnobs` and
+        :class:`Candidate`."""
         out = []
         seen: set[Candidate] = set()
         for ce, mc, be, dm, hf, ri, hi, st, sc, ps, mb in itertools.product(
@@ -138,10 +161,10 @@ class SearchSpace:
                     chunk_elems=ce, max_chunks=mc,
                     bucket_elems=be, delayed_min_rows=dm,
                     hot_fraction=hf, repartition_interval=ri,
-                    hier_dense=hi, hier_sparse=hi, hier_hot=hi,
-                    schedule=sc, pipeline_stages=ps, microbatches=mb,
+                    hierarchical=hi,
                 ),
                 strategy=st,
+                schedule=sc, pipeline_stages=ps, microbatches=mb,
             )
             if cand not in seen:  # data_parallel collapses the stage axes
                 seen.add(cand)
@@ -407,8 +430,7 @@ def _pipeline_costs(cost, workload: MeasuredWorkload, candidate: Candidate):
     """
     from repro.schedule.tabular import ScheduleCosts
 
-    k = candidate.knobs
-    p, m = k.pipeline_stages, k.microbatches
+    p, m = candidate.pipeline_stages, candidate.microbatches
     fwd_total = workload.fwd_bwd_s / 3.0
     bwd_total = workload.fwd_bwd_s - fwd_total
     dense_elems = sum(size for _, size in workload.dense_param_sizes)
@@ -457,16 +479,12 @@ def _predict_pipeline(
     from repro.schedule.tabular import build_schedule, compile_schedule
     from repro.sim.pipeline import chain_steps
 
-    k = candidate.knobs
-    schedule = build_schedule(k.schedule, k.pipeline_stages, k.microbatches)
+    p = candidate.pipeline_stages
+    schedule = build_schedule(candidate.schedule, p, candidate.microbatches)
     graph = compile_schedule(schedule, _pipeline_costs(cost, workload, candidate))
     trace = execute(chain_steps(graph, n_steps))
     makespan = trace.makespan + n_steps * workload.step_overhead_s
-    lanes = (
-        ["compute"]
-        if k.pipeline_stages == 1
-        else [f"compute:{s}" for s in range(k.pipeline_stages)]
-    )
+    lanes = ["compute"] if p == 1 else [f"compute:{s}" for s in range(p)]
     stall = sum(trace.computation_stall(lane) for lane in lanes) / len(lanes)
     stall += n_steps * workload.step_overhead_s
     return PredictedRun(
@@ -496,44 +514,31 @@ def predict_candidate(
     hybrid mode's 64..1024 ladder): the cost model prices on the
     profile's cluster grown to that many workers and the workload's
     scale-dependent volumes are extrapolated via
-    :meth:`MeasuredWorkload.scaled_to`.  On a multi-node cluster the
-    candidate's ``hier_*`` knobs pick the two-level collective prices
-    for the dense, sparse, and hot lanes — the same tri-state
-    resolution :class:`~repro.comm.CommScheduler` applies on real ranks.
+    :meth:`MeasuredWorkload.scaled_to`.  On a multi-node cluster
+    ``knobs.hierarchical`` picks the two-level collective prices for the
+    dense, sparse and hot lanes, as it picks the wires on real ranks.
+    The AllGather baseline always runs flat, so it is priced flat.
     """
     cost = profile.cost_model(world_size=world_size)
     if world_size is not None and world_size != workload.world_size:
         workload = workload.scaled_to(world_size)
-    k = candidate.knobs
-    if k.schedule != "data_parallel":
+    if candidate.pipelined:
         return _predict_pipeline(cost, workload, candidate, n_steps)
-    multi = cost.cluster.multi_node
-    hier_dense = k.hierarchical("dense", multi)
-    hier_sparse = k.hierarchical("sparse", multi)
-    hier_hot = k.hierarchical("hot", multi)
+    k = candidate.knobs
+    hier = k.hierarchical and cost.cluster.multi_node
     dedup = workload.node_dedup
 
     def dense_cost(nbytes: float) -> float:
         coll = (
-            cost.hierarchical_allreduce(nbytes)
-            if hier_dense
-            else cost.allreduce(nbytes)
+            cost.hierarchical_allreduce(nbytes) if hier else cost.allreduce(nbytes)
         )
         return coll.seconds
 
     def sparse_alltoall_cost(nbytes: float) -> float:
         coll = (
             cost.hierarchical_alltoall(nbytes, node_dedup=dedup)
-            if hier_sparse
+            if hier
             else cost.alltoall(nbytes)
-        )
-        return coll.seconds
-
-    def sparse_allgather_cost(nbytes: float) -> float:
-        coll = (
-            cost.hierarchical_allgather(nbytes, node_dedup=dedup)
-            if hier_sparse
-            else cost.allgather(nbytes)
         )
         return coll.seconds
 
@@ -620,13 +625,8 @@ def predict_candidate(
                 )
                 if hot_b > 0.0:
                     hot = f"hot:{i}:{gname}"
-                    hot_cost = (
-                        cost.hierarchical_allreduce(hot_b)
-                        if hier_hot
-                        else cost.allreduce(hot_b)
-                    )
                     g.add_task(
-                        hot, hot_cost.seconds,
+                        hot, dense_cost(hot_b),
                         resource="comm", kind="comm",
                         priority=dense_prio, deps=[fwd],
                     )
@@ -658,7 +658,7 @@ def predict_candidate(
             for t in workload.tables:
                 sp = f"sparse:{i}:{t.name}"
                 g.add_task(
-                    sp, sparse_allgather_cost(t.coalesced_bytes),
+                    sp, cost.allgather(t.coalesced_bytes).seconds,
                     resource="comm", kind="comm",
                     priority=PRIORITY_URGENT, deps=[fwd],
                 )

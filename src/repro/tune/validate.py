@@ -4,8 +4,10 @@ The search layer ranks knob settings on the *calibrated simulator*; this
 module closes the loop by replaying the top-k candidates (plus the
 default configuration) through :class:`~repro.engine.run.RunConfig` on
 the real backend, reporting predicted-vs-measured step-time error, and
-emitting the winning :class:`~repro.tune.TunedProfile` — the one
-``RealTrainer`` / ``RunConfig`` accept via their ``profile=`` kwarg.
+emitting the winning :class:`~repro.tune.TunedProfile`, whose
+``knobs`` ``RealTrainer`` / ``RunConfig`` take as ``knobs=``.  Pipeline
+candidates are simulator-only, so they keep their predictions in the
+ranking and are never replayed.
 
 The winner is the *measured*-stall argmin over the validated set, which
 always contains the default: tuning can therefore never regress the
@@ -164,7 +166,8 @@ def validate_candidates(
     backend: str,
     top_k: int = 2,
 ) -> TuneReport:
-    """Replay default + top-k ranked candidates; build the report."""
+    """Replay default + the top-k ranked data-parallel candidates
+    (pipeline schedules have no real twin); build the report."""
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     world = profile.world_size
@@ -172,7 +175,7 @@ def validate_candidates(
     for p in ranked:
         if len(to_run) > top_k:
             break
-        if p.candidate not in to_run:
+        if not p.candidate.pipelined and p.candidate not in to_run:
             to_run.append(p.candidate)
     validated = []
     for cand in to_run:

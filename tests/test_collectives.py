@@ -51,19 +51,19 @@ class TestClusterSpec:
 
     def test_single_node_bottleneck_is_pcie(self):
         c = rtx3090_cluster(num_nodes=1, gpus_per_node=4)
-        assert c.bottleneck_bandwidth() == c.intra_bw
+        assert c.pairwise_bandwidth() == c.intra_bw
         assert c.latency() == c.intra_latency
 
     def test_multi_node_nic_sharing(self):
         c = rtx3090_cluster(num_nodes=2, gpus_per_node=4)
         # 100 Gbps / 4 GPUs = 3.125 GB/s per worker.
-        assert c.bottleneck_bandwidth() == pytest.approx(12.5e9 / 4)
+        assert c.pairwise_bandwidth() == pytest.approx(12.5e9 / 4)
 
     def test_one_gpu_per_node_no_nic_sharing(self):
         c = rtx3090_cluster(num_nodes=4, gpus_per_node=1)
         # Sole GPU per node: full NIC, bounded only by the PCIe hop.
-        assert c.bottleneck_bandwidth() == pytest.approx(min(c.intra_bw, 12.5e9))
-        assert c.bottleneck_bandwidth() > rtx3090_cluster(4, 4).bottleneck_bandwidth()
+        assert c.pairwise_bandwidth() == pytest.approx(min(c.intra_bw, 12.5e9))
+        assert c.pairwise_bandwidth() > rtx3090_cluster(4, 4).pairwise_bandwidth()
 
     def test_with_workers_scaling(self):
         c = rtx3090_cluster()

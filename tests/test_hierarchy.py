@@ -19,14 +19,9 @@ from repro.comm import (
     open_group,
     two_level_allreduce,
     two_level_allreduce_hot_rows,
-    two_level_allreduce_sparse,
     two_level_alltoall_shards,
 )
-from repro.comm.sparse import (
-    allreduce_hot_rows,
-    allreduce_sparse_via_allgather,
-    alltoall_column_shards,
-)
+from repro.comm.sparse import allreduce_hot_rows, alltoall_column_shards
 from repro.tensors import SparseRows
 
 TOPOLOGIES = [
@@ -89,22 +84,6 @@ class TestTwoLevelBitIdentity:
             )
 
         with open_group(world, backend="thread") as g:
-            assert all(g.run(worker))
-
-    @pytest.mark.parametrize("topology", TOPOLOGIES)
-    def test_sparse_allreduce_matches_grouped_flat(self, topology):
-        def worker(comm):
-            grad = _rank_grad(comm.rank)
-            ref = allreduce_sparse_via_allgather(
-                comm, grad, fold_groups=topology.node_sizes
-            )
-            got = two_level_allreduce_sparse(comm, grad, topology)
-            return (
-                np.array_equal(ref.indices, got.indices)
-                and np.array_equal(ref.values, got.values)
-            )
-
-        with open_group(topology.world_size, backend="thread") as g:
             assert all(g.run(worker))
 
     @pytest.mark.parametrize("topology", TOPOLOGIES)
@@ -175,16 +154,22 @@ class TestTrainerBitIdentity:
             steps=2,
             backend="thread",
             topology=topo,
+            trace=True,
         )
-        losses = {}
+        losses, wires = {}, {}
         for name, hier in (("hier", True), ("flat", False)):
-            knobs = SchedKnobs(
-                hier_dense=hier, hier_sparse=hier, hier_hot=hier
-            )
-            losses[name] = run(
-                dataclasses.replace(base, knobs=knobs)
-            ).raw.losses
+            knobs = SchedKnobs(hierarchical=hier)
+            raw = run(dataclasses.replace(base, knobs=knobs)).raw
+            losses[name] = raw.losses
+            wires[name] = {
+                e.name for e in raw.trace.trace.entries if "two_level" in e.name
+            }
         assert losses["hier"] == losses["flat"]
+        # The one switch moves the dense and sparse lanes together.
+        assert wires == {
+            "hier": {"two_level_allreduce", "two_level_alltoall_shards"},
+            "flat": set(),
+        }
 
 
 class TestInterLevelFaults:
@@ -312,7 +297,6 @@ class TestProbeAndProfile:
         for c in (
             cost.hierarchical_allreduce(nbytes),
             cost.hierarchical_alltoall(nbytes, node_dedup=0.5),
-            cost.hierarchical_allgather(nbytes, node_dedup=0.5),
         ):
             assert 0 < c.seconds < float("inf")
         with pytest.raises(ValueError):
@@ -363,15 +347,14 @@ class TestHybridMode:
             chunk_elems=(16_384,),
             max_chunks=(4,),
             bucket_elems=(65_536,),
-            hier=(None, True, False),
+            hier=(True, False),
         )
         cands = list(space.candidates())
-        assert len(cands) == 3
-        hier_knobs = {c.knobs.hier_dense for c in cands}
-        assert hier_knobs == {None, True, False}
-        labels = {c.label() for c in cands}
-        assert any("hier" in lb for lb in labels)
-        assert any("flat" in lb for lb in labels)
+        assert len(cands) == 2
+        assert {c.knobs.hierarchical for c in cands} == {True, False}
+        assert SearchSpace().hier == (True,)
+        labels = {c.knobs.hierarchical: c.label() for c in cands}
+        assert "flat" in labels[False] and "flat" not in labels[True]
 
     def test_workload_scaled_to(self):
         from repro.tune import MeasuredWorkload, TableLoad

@@ -58,7 +58,9 @@ def _drive(comm, case, grouped):
     }
     hot = case.get("hot", {})
     kw = dict(
-        lr=0.01, topology=case.get("topology"), hier_sparse=case.get("hier_sparse")
+        lr=0.01,
+        topology=case.get("topology"),
+        hierarchical=case.get("hierarchical", True),
     )
     if grouped:
         units = TableGroupRuntime.by_width(comm, tables, placement=hot, **kw)
@@ -169,9 +171,9 @@ class TestGroupedStepBitIdentity:
     def test_process_backend(self):
         _assert_grouped_equals_per_table(2, {}, backend="process")
 
-    @pytest.mark.parametrize("hier_sparse", [True, False])
-    def test_multi_node_topology(self, hier_sparse):
-        case = {"topology": NodeTopology.symmetric(2, 2), "hier_sparse": hier_sparse}
+    @pytest.mark.parametrize("hierarchical", [True, False])
+    def test_multi_node_topology(self, hierarchical):
+        case = {"topology": NodeTopology.symmetric(2, 2), "hierarchical": hierarchical}
         _assert_grouped_equals_per_table(4, case)
 
     def test_mixed_width_tables_form_two_groups(self):

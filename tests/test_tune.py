@@ -115,6 +115,43 @@ def make_profile(world=4, beta=40e-6, bandwidth=2.5e9, **kw):
     )
 
 
+#: A profile as written while ``SchedKnobs`` had twelve fields: per-lane
+#: ``hier_*`` switches and the simulator-only pipeline fields.
+TWELVE_FIELD_PROFILE_JSON = """{
+  "backend": "process",
+  "knobs": {
+    "bucket_elems": 65536,
+    "chunk_elems": 1024,
+    "delayed_min_rows": 7,
+    "hier_dense": null,
+    "hier_hot": null,
+    "hier_sparse": null,
+    "hot_fraction": 0.01,
+    "max_chunks": 8,
+    "microbatches": 1,
+    "pipeline_stages": 1,
+    "repartition_interval": 0,
+    "schedule": "data_parallel"
+  },
+  "links": {
+    "shm": {
+      "bandwidth_Bps": 2500000000.0,
+      "latency_s": 3.999999999999996e-05,
+      "residual": 5.877217851236728e-16,
+      "samples": [
+        {"nbytes": 16384, "seconds": 0.0002498304},
+        {"nbytes": 4194304, "seconds": 0.0027565824}
+      ],
+      "transport": "shm",
+      "world_size": 4
+    }
+  },
+  "meta": {},
+  "strategy": "embrace",
+  "version": 1,
+  "world_size": 4
+}"""
+
 class TestTunedProfile:
     def test_json_roundtrip(self):
         p = make_profile(
@@ -256,6 +293,51 @@ class TestSchedKnobs:
         with pytest.raises(ValueError, match="dense switch was removed"):
             RealTrainer(GNMT8.tiny(), knobs=saved)
 
+    def test_profile_saved_with_twelve_knob_fields_round_trips(self):
+        """A profile written while knobs carried per-lane ``hier_*``
+        switches and the pipeline fields loads to the same knobs."""
+        loaded = TunedProfile.from_json(TWELVE_FIELD_PROFILE_JSON)
+        assert loaded.knobs == SchedKnobs(
+            chunk_elems=1024, delayed_min_rows=7, hot_fraction=0.01
+        )
+        assert loaded.strategy == "embrace"
+        assert loaded.links["shm"].bandwidth_Bps == 2.5e9
+        assert TunedProfile.from_json(loaded.to_json()) == loaded
+
+    @pytest.mark.parametrize("saved", [
+        {"schedule": "gpipe", "pipeline_stages": 2, "microbatches": 2},
+        {"schedule": "data_parallel", "pipeline_stages": 2},
+        {"microbatches": 4},
+    ])
+    def test_saved_pipeline_schedule_is_refused(self, saved):
+        with pytest.raises(ValueError, match="simulator-only"):
+            SchedKnobs.from_dict(dict(SchedKnobs().to_dict(), **saved))
+
+    @pytest.mark.parametrize("lanes, hierarchical", [
+        ((None, None, None), True),
+        ((True, None, True), True),
+        ((True, True, True), True),
+        ((False, False, False), False),
+    ])
+    def test_saved_agreeing_hier_lanes_load(self, lanes, hierarchical):
+        saved = dict(
+            SchedKnobs(chunk_elems=1024).to_dict(),
+            **dict(zip(("hier_dense", "hier_sparse", "hier_hot"), lanes)),
+        )
+        del saved["hierarchical"]
+        assert SchedKnobs.from_dict(saved) == SchedKnobs(
+            chunk_elems=1024, hierarchical=hierarchical
+        )
+
+    @pytest.mark.parametrize("lanes", [
+        {"hier_dense": True, "hier_sparse": False, "hier_hot": True},
+        {"hier_dense": None, "hier_sparse": False, "hier_hot": None},
+        {"hier_sparse": False},
+    ])
+    def test_saved_per_lane_hier_mix_is_refused(self, lanes):
+        with pytest.raises(ValueError, match="per-lane"):
+            SchedKnobs.from_dict(lanes)
+
     def test_trainer_rejects_bad_knobs_type(self):
         with pytest.raises(TypeError):
             RealTrainer(GNMT8.tiny(), knobs="fast please")
@@ -320,6 +402,37 @@ class TestSearch:
         assert pred.step_time_s > 0
         assert 0.0 <= pred.stall_frac < 1.0
         assert pred.makespan_s == pytest.approx(pred.step_time_s * 3)
+
+    def test_allgather_priced_flat_under_either_wire(self):
+        """The AllGather baseline's sparse exchange runs flat on real
+        ranks whatever ``hierarchical`` says, so a two-level profile
+        prices it the same both ways; EmbRace's exchanges do move with
+        the switch.  (No dense parameters: the dense lane is two-level
+        under every strategy.)"""
+        fit = link_fit_from_samples(
+            "intra", 2, synthetic_samples(2, 5e-6, 20e9, SIZES)
+        )
+        slow = link_fit_from_samples(
+            "inter", 2, synthetic_samples(2, 40e-6, 1.25e9, SIZES)
+        )
+        profile = TunedProfile(
+            world_size=4, backend="thread",
+            links={"intra": fit, "inter": slow},
+            meta={"two_level": True, "num_nodes": 2, "gpus_per_node": 2},
+        )
+        assert profile.cost_model().cluster.multi_node
+        w = dataclasses.replace(
+            make_workload(), dense_param_sizes=(), node_dedup=0.5
+        )
+
+        def step(strategy, hierarchical):
+            cand = Candidate(
+                knobs=SchedKnobs(hierarchical=hierarchical), strategy=strategy
+            )
+            return predict_candidate(profile, w, cand, n_steps=3).step_time_s
+
+        assert step("allgather", True) == step("allgather", False)
+        assert step("embrace", True) != step("embrace", False)
 
     def test_more_steps_amortize_warmup(self):
         p, w = make_profile(), make_workload()
@@ -394,10 +507,8 @@ class TestKnobPlumbing:
     def test_trainer_knob_resolution_order(self):
         cfg = GNMT8.tiny()
         profile = make_profile().with_choice(SchedKnobs(chunk_elems=2048))
-        t = RealTrainer(cfg, profile=profile)
+        t = RealTrainer(cfg, knobs=profile.knobs)
         assert t.knobs.chunk_elems == 2048
-        t = RealTrainer(cfg, profile=profile, knobs=SchedKnobs(chunk_elems=512))
-        assert t.knobs.chunk_elems == 512  # explicit wins
         t = RealTrainer(cfg, knobs={"chunk_elems": 4096})
         assert t.knobs == SchedKnobs(chunk_elems=4096)  # dict form
         assert RealTrainer(cfg).knobs == SchedKnobs()
@@ -449,7 +560,7 @@ class TestPipeline:
         assert report.validated[0].candidate == default_candidate()
         # The emitted profile is a working input for every consumer.
         tuned = TunedProfile.from_json(report.tuned_profile.to_json())
-        RealTrainer(GNMT8.tiny(), profile=tuned)
+        RealTrainer(GNMT8.tiny(), knobs=tuned.knobs)
         tuned.cost_model()
 
     def test_cli_tune_smoke(self, capsys):
@@ -465,14 +576,12 @@ class TestScheduleAxis:
     """The pipeline-schedule dimension of the search space."""
 
     def make_candidate(self, schedule="1f1b", stages=2, microbatches=2):
-        base = default_candidate()
-        knobs = dataclasses.replace(
-            base.knobs,
+        return dataclasses.replace(
+            default_candidate(),
             schedule=schedule,
             pipeline_stages=stages,
             microbatches=microbatches,
         )
-        return dataclasses.replace(base, knobs=knobs)
 
     def test_data_parallel_axes_deduped(self):
         """data_parallel collapses the stage/microbatch axes to 1x1, so
@@ -484,9 +593,9 @@ class TestScheduleAxis:
         )
         cands = space.candidates()
         assert len(cands) == 1 + 4
-        dp = [c for c in cands if c.knobs.schedule == "data_parallel"]
+        dp = [c for c in cands if c.schedule == "data_parallel"]
         assert len(dp) == 1
-        assert dp[0].knobs.pipeline_stages == dp[0].knobs.microbatches == 1
+        assert dp[0].pipeline_stages == dp[0].microbatches == 1
 
     def test_label_names_the_schedule(self):
         assert "1f1b@2x4" in self.make_candidate(microbatches=4).label()
@@ -494,12 +603,14 @@ class TestScheduleAxis:
 
     def test_knob_validation(self):
         with pytest.raises(ValueError, match="schedule"):
-            dataclasses.replace(default_candidate().knobs, schedule="zigzag")
+            dataclasses.replace(default_candidate(), schedule="zigzag")
         with pytest.raises(ValueError, match="data_parallel"):
             dataclasses.replace(
-                default_candidate().knobs,
-                schedule="data_parallel", pipeline_stages=2,
+                default_candidate(), schedule="data_parallel", pipeline_stages=2,
             )
+        with pytest.raises(ValueError, match="microbatches"):
+            self.make_candidate(microbatches=0)
+        assert "schedule" not in SchedKnobs().to_dict()
 
     def test_pipeline_prediction_routes_and_orders(self):
         profile = make_profile()
@@ -530,6 +641,26 @@ class TestScheduleAxis:
         assert again.step_time_s == pytest.approx(base.step_time_s, rel=1e-12)
 
     def test_real_trainer_rejects_pipeline_schedules(self):
-        knobs = self.make_candidate().knobs
+        saved = dict(
+            SchedKnobs().to_dict(),
+            schedule="1f1b", pipeline_stages=2, microbatches=2,
+        )
         with pytest.raises(ValueError, match="simulator-only"):
-            RealTrainer(GNMT8.tiny(), world_size=2, knobs=knobs)
+            RealTrainer(GNMT8.tiny(), world_size=2, knobs=saved)
+
+    def test_validation_replays_only_data_parallel(self):
+        """A pipeline candidate ranked into the top-k keeps its
+        prediction but is not replayed: it has no real twin."""
+        from repro.tune import validate_candidates
+        from repro.tune.search import PredictedRun
+
+        gpipe = self.make_candidate(schedule="gpipe")
+        profile, workload = make_profile(world=2), make_workload(world=2)
+        ranked = [PredictedRun(gpipe, 1e-3, 0.1, 3e-3, 3)]
+        report = validate_candidates(
+            profile, workload, GNMT8.tiny(), ranked,
+            steps=3, seed=3, backend="thread", top_k=1,
+        )
+        assert report.ranked[0].candidate == gpipe
+        assert [v.candidate for v in report.validated] == [default_candidate()]
+        assert not report.winner.candidate.pipelined
