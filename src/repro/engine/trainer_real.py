@@ -600,6 +600,10 @@ class RealTrainer:
                     # as useful compute.
                     with obs.span("fwd_bwd"):
                         loss = model.forward_backward(batch)
+                if self.record_predictions:
+                    # Before the optimizer step: the predictions are the
+                    # ones this forward made.
+                    predictions.append(self._teacher_forced_predictions(model, batch))
                 # Step boundary for the sparse state: the previous step's
                 # delayed parts (whose exchange overlapped this forward)
                 # commit before any of this step's shard updates.
@@ -707,8 +711,6 @@ class RealTrainer:
                 losses.append(float(loss_h.wait()[0]))
 
                 model.zero_grad()
-                if self.record_predictions:
-                    predictions.append(self._teacher_forced_predictions(model, batch))
                 if (
                     live_counts is not None
                     and (_step + 1) % self.knobs.repartition_interval == 0

@@ -12,10 +12,13 @@ import numpy as np
 
 
 def teacher_forced_argmax(model, batch) -> np.ndarray:
-    """Argmax token predictions from the model's last forward pass.
+    """Argmax token predictions from the model's last forward pass, at
+    every target position (padding included).
 
-    Requires the model to have recorded ``_last_logits`` during
-    ``forward_backward`` (all translation models do).
+    Requires the model to expose ``_last_logits`` after
+    ``forward_backward`` (all translation models do: GNMT and the
+    Transformer project their stored decoder states on demand, so call
+    this before an optimizer step moves the projection).
     """
     logits = getattr(model, "_last_logits", None)
     if logits is None:

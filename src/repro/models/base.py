@@ -7,6 +7,7 @@ import numpy as np
 from repro import nn
 from repro.data.batching import Batch
 from repro.models.config import ModelConfig
+from repro.nn import functional as F
 from repro.nn.parameter import Parameter
 from repro.tensors import SparseRows
 
@@ -71,6 +72,42 @@ class BaseNLPModel(nn.Module):
         return table.render()
 
 
+class EncoderDecoderModel(BaseNLPModel):
+    """The output head GNMT and the Transformer share.
+
+    Subclasses build ``output_projection`` (an ``nn.Linear``).  Training
+    sends decoder states through :meth:`_output_head`, the projection
+    fused with the loss; decoding sends them through
+    ``output_projection``.
+    """
+
+    #: Decoder states of the latest ``forward_backward``.
+    _last_states: np.ndarray | None = None
+
+    def _output_head(self, dec_h: np.ndarray, dec_target: np.ndarray):
+        """``(loss, grad_dec_h)`` of the padding-free projection and
+        cross-entropy; the projection's gradients accumulate."""
+        proj = self.output_projection
+        loss, grad_dec_h, grad_w, grad_b, n_valid = F.linear_cross_entropy(
+            dec_h, proj.weight.data, proj.bias.data, dec_target, ignore_index=0
+        )
+        proj.weight.accumulate(grad_w)
+        proj.bias.accumulate(grad_b)
+        self._last_states = dec_h
+        self._last_tokens = n_valid
+        return loss, grad_dec_h
+
+    @property
+    def _last_logits(self) -> np.ndarray | None:
+        """Logits of the latest ``forward_backward`` at every target
+        position, padding included, projected on demand from its decoder
+        states.  Read it before an optimizer step moves the projection.
+        """
+        if self._last_states is None:
+            return None
+        return self.output_projection(self._last_states)
+
+
 class SampledSoftmax(nn.Module):
     """Sampled-softmax output layer over a (vocab, dim) embedding table.
 
@@ -119,8 +156,6 @@ class SampledSoftmax(nn.Module):
         weights = self.table.weight.data[candidates]  # (C, dim)
         logits = flat_h @ weights.T  # (T, C)
         mapped = np.where(valid, positions, -1)
-        from repro.nn import functional as F
-
         loss, grad_logits, _ = F.cross_entropy(logits, mapped, ignore_index=-1)
 
         def back(upstream=1.0):

@@ -12,11 +12,11 @@ import numpy as np
 
 from repro import nn
 from repro.data.batching import Batch
-from repro.models.base import BaseNLPModel
+from repro.models.base import EncoderDecoderModel
 from repro.models.config import ModelConfig
 
 
-class GNMTModel(BaseNLPModel):
+class GNMTModel(EncoderDecoderModel):
     """Runnable GNMT-8 at any configured scale."""
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator | None = None):
@@ -53,7 +53,6 @@ class GNMTModel(BaseNLPModel):
         self.output_projection = nn.Linear(
             config.hidden_dim, dec_cfg.vocab_size, rng=rng, name="output_projection"
         )
-        self.loss_fn = nn.CrossEntropyLoss(ignore_index=0)
 
     # ------------------------------------------------------------------ #
     def forward_backward(self, batch: Batch) -> float:
@@ -66,13 +65,7 @@ class GNMTModel(BaseNLPModel):
         context = self.attention(dec_emb, enc_h)  # (batch, tgt, hidden)
         dec_in_seq = np.concatenate([dec_emb, context], axis=-1)
         dec_h = self.decoder(dec_in_seq)
-        logits = self.output_projection(dec_h)
-        loss = self.loss_fn(logits, dec_target)
-        self._last_logits = logits
-        self._last_tokens = self.loss_fn.last_token_count
-
-        grad_logits = self.loss_fn.backward()
-        grad_dec_h = self.output_projection.backward(grad_logits)
+        loss, grad_dec_h = self._output_head(dec_h, dec_target)
         grad_dec_in = self.decoder.backward(grad_dec_h)
         emb_dim = dec_emb.shape[-1]
         grad_queries, grad_enc_h = self.attention.backward(

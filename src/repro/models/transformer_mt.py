@@ -6,7 +6,7 @@ import numpy as np
 
 from repro import nn
 from repro.data.batching import Batch
-from repro.models.base import BaseNLPModel
+from repro.models.base import EncoderDecoderModel
 from repro.models.config import ModelConfig
 
 
@@ -25,7 +25,7 @@ def sinusoidal_positions(seq_len: int, dim: int, dtype=float) -> np.ndarray:
     return enc
 
 
-class TransformerMTModel(BaseNLPModel):
+class TransformerMTModel(EncoderDecoderModel):
     """Runnable encoder-decoder Transformer at any configured scale."""
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator | None = None):
@@ -64,7 +64,6 @@ class TransformerMTModel(BaseNLPModel):
         self.output_projection = nn.Linear(
             config.hidden_dim, dec_cfg.vocab_size, rng=rng, name="output_projection"
         )
-        self.loss_fn = nn.CrossEntropyLoss(ignore_index=0)
 
     # ------------------------------------------------------------------ #
     @staticmethod
@@ -86,12 +85,7 @@ class TransformerMTModel(BaseNLPModel):
         dec_h = self._embed(self.decoder_embedding, dec_in)
         for layer in self.decoder_layers:
             dec_h = layer(dec_h, memory=memory, causal=True)
-        logits = self.output_projection(dec_h)
-        loss = self.loss_fn(logits, dec_target)
-        self._last_logits = logits
-        self._last_tokens = self.loss_fn.last_token_count
-
-        grad = self.output_projection.backward(self.loss_fn.backward())
+        loss, grad = self._output_head(dec_h, dec_target)
         grad_memory_total = np.zeros_like(memory)
         for layer in reversed(self.decoder_layers):
             grad, grad_memory = layer.backward(grad)

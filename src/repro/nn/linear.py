@@ -45,18 +45,19 @@ class Linear(Module):
             raise ValueError(
                 f"{self.weight.name}: input last dim {x.shape[-1]} != {self.in_features}"
             )
-        out = x @ self.weight.data
+        # One 2-D GEMM for any number of leading axes: a stacked ``@``
+        # would issue one small GEMM per leading index.
+        rows = x.reshape(-1, self.in_features)
+        out = rows @ self.weight.data
         if self.bias is not None:
             out += self.bias.data
 
         def back(grad):
-            grad = np.asarray(grad)
-            flat_x = x.reshape(-1, self.in_features)
-            flat_g = grad.reshape(-1, self.out_features)
-            self.weight.accumulate(flat_x.T @ flat_g)
+            flat_g = np.asarray(grad).reshape(-1, self.out_features)
+            self.weight.accumulate(rows.T @ flat_g)
             if self.bias is not None:
                 self.bias.accumulate(flat_g.sum(axis=0))
-            return (grad @ self.weight.data.T).reshape(x.shape)
+            return (flat_g @ self.weight.data.T).reshape(x.shape)
 
         self._back = back
-        return out
+        return out.reshape(*x.shape[:-1], self.out_features)

@@ -4,9 +4,12 @@ Each lean kernel (fused cross-entropy, in-place softmax, single-``exp``
 sigmoid, preallocated LSTM gate gradients, in-place bias and gradient
 adds, the attention backward's in-place tanh') must give the same bits
 as the plain version kept here as a reference: the same IEEE
-operations in the same order, only fewer temporaries.  The model-level
-cases run every reference at once and compare the loss and every
-gradient of a full ``forward_backward``.
+operations in the same order, only fewer temporaries.  The padding-free
+output head is checked against its unfused, unblocked formulation, and
+against the plain ``Linear`` / ``F.cross_entropy`` pair within rtol
+where the GEMM shapes differ.  The model-level cases run every
+reference at once and compare the loss and every gradient of a full
+``forward_backward``.
 
 CI runs this module under ``python -X dev -W error::RuntimeWarning``,
 so an overflow or invalid-value warning on an ``exp`` path fails it.
@@ -95,21 +98,41 @@ def ref_step_backward(self, grad_h, grad_c, cache, accumulate=True):
 
 def ref_linear_forward(self, x):
     x = np.asarray(x, dtype=self.weight.data.dtype)
-    out = x @ self.weight.data
+    flat_x = x.reshape(-1, self.in_features)
+    out = flat_x @ self.weight.data
     if self.bias is not None:
         out = out + self.bias.data
 
     def back(grad):
-        grad = np.asarray(grad)
-        flat_x = x.reshape(-1, self.in_features)
-        flat_g = grad.reshape(-1, self.out_features)
+        flat_g = np.asarray(grad).reshape(-1, self.out_features)
         self.weight.accumulate(flat_x.T @ flat_g)
         if self.bias is not None:
             self.bias.accumulate(flat_g.sum(axis=0))
-        return (grad @ self.weight.data.T).reshape(x.shape)
+        return (flat_g @ self.weight.data.T).reshape(x.shape)
 
     self._back = back
-    return out
+    return out.reshape(*x.shape[:-1], self.out_features)
+
+
+def ref_linear_cross_entropy(x, weight, bias, targets, ignore_index=None):
+    """The unfused, unblocked head: one GEMM projects the counted rows,
+    ``F.cross_entropy`` runs over their logits, the gradient is scattered
+    into an every-position buffer (zero on padding) for one weight GEMM
+    and one bias sum, and one GEMM gives the counted rows' input gradient.
+
+    These are the fused head's GEMM calls when one block holds every
+    counted row, as at the tiny models' vocabularies.
+    """
+    flat_x = np.asarray(x, dtype=weight.dtype).reshape(-1, weight.shape[0])
+    flat_t = np.asarray(targets).reshape(-1)
+    rows = np.nonzero(flat_t != ignore_index)[0]
+    logits = flat_x[rows] @ weight + bias
+    loss, grad_rows, n_valid = F.cross_entropy(logits, flat_t[rows])
+    grad = np.zeros((flat_x.shape[0], weight.shape[1]), dtype=weight.dtype)
+    grad[rows] = grad_rows
+    grad_x = np.zeros_like(flat_x)
+    grad_x[rows] = grad_rows @ weight.T
+    return loss, grad_x.reshape(np.shape(x)), flat_x.T @ grad, grad.sum(axis=0), n_valid
 
 
 def ref_accumulate(self, grad):
@@ -168,6 +191,7 @@ REFERENCES = [
     (Parameter, "accumulate", ref_accumulate),
     (nn.CrossEntropyLoss, "forward", ref_loss_forward),
     (nn.BahdanauAttention, "forward", ref_attention_forward),
+    (F, "linear_cross_entropy", ref_linear_cross_entropy),
 ]
 
 
@@ -223,6 +247,24 @@ def ce_inputs(draw):
     return logits, targets, ignore
 
 
+@st.composite
+def head_inputs(draw):
+    """Head cases; at vocab 4096 in float64 a block is 32 rows, so up to
+    120 positions cross the block boundary."""
+    batch, seq, hidden = (draw(st.integers(1, n)) for n in (4, 30, 6))
+    vocab = draw(st.sampled_from([7, 4096]))
+    padding = draw(st.sampled_from(["none", "some", "all"]))
+    large = draw(st.booleans())  # logits of +-1e4
+    return batch, seq, hidden, vocab, padding, large, draw(st.integers(0, 2**32 - 1))
+
+
+def unfused_head(x, projection, targets, ignore_index):
+    """``Linear`` forward, ``F.cross_entropy``, ``Linear`` backward: the
+    formulation the head fuses."""
+    loss, grad, n_valid = F.cross_entropy(projection(x), targets, ignore_index=ignore_index)
+    return loss, projection.backward(grad), n_valid
+
+
 # --------------------------------------------------------------------- #
 # Kernels
 # --------------------------------------------------------------------- #
@@ -239,6 +281,52 @@ class TestKernels:
         assert_same_bits(loss, ref_loss, "loss")
         assert_same_bits(grad, ref_grad, "grad")
         assert_same_bits(logits, before, "logits were modified")
+
+    @settings(max_examples=80, deadline=None)
+    @given(head_inputs())
+    @example((4, 30, 3, 4096, "some", False, 0))  # four blocks, padding in each
+    @example((4, 30, 3, 4096, "none", True, 1))
+    @example((2, 16, 3, 4096, "none", False, 2))  # one block, no padding: exact
+    def test_linear_cross_entropy(self, case):
+        """The fused head against the unfused one-GEMM formulation: equal
+        bits where the GEMM shapes coincide (no padding, one block), rtol
+        1e-6 otherwise."""
+        batch, seq, hidden, vocab, padding, large, seed = case
+        rng = np.random.default_rng(seed)
+        layer = nn.Linear(hidden, vocab, rng=rng)
+        if large:
+            layer.bias.data[:] = rng.choice([-1e4, 0.0, 1e4], size=vocab)
+        x = rng.normal(size=(batch, seq, hidden))
+        targets = rng.integers(1, vocab, size=(batch, seq))
+        if padding == "all":
+            targets[:] = 0
+        elif padding == "some":
+            targets[rng.random((batch, seq)) < 0.3] = 0
+
+        loss, grad_x, grad_w, grad_b, n_valid = F.linear_cross_entropy(
+            x, layer.weight.data, layer.bias.data, targets, ignore_index=0
+        )
+        ref_loss, ref_grad_x, ref_n = unfused_head(x, layer, targets, 0)
+
+        assert n_valid == ref_n
+        rows = batch * seq
+        exact = n_valid == rows and rows <= F.BLOCK_BYTES // (vocab * x.itemsize)
+        for what, a, b in [
+            ("loss", loss, ref_loss),
+            ("dX", grad_x, ref_grad_x),
+            ("dW", grad_w, layer.weight.grad),
+            ("db", grad_b, layer.bias.grad),
+        ]:
+            if exact:
+                assert_same_bits(a, b, what)
+            else:
+                np.testing.assert_allclose(a, b, rtol=1e-6, err_msg=what)
+        if n_valid == 0:
+            assert loss == 0.0
+            for g in (grad_x, grad_w, grad_b):
+                assert not g.any()
+        # Padding rows get exact zeros.
+        assert_same_bits(grad_x[targets == 0], np.zeros_like(grad_x[targets == 0]))
 
     @settings(max_examples=150, deadline=None)
     @given(float_arrays(lambda dt: st.floats(width=np.dtype(dt).itemsize * 8)))
@@ -310,6 +398,33 @@ class TestBuffers:
         # The plain formulation's temporaries are visible to tracemalloc.
         assert peak(ref_cross_entropy) > 3 * logits.nbytes
         assert peak(F.cross_entropy) <= 1.25 * logits.nbytes
+
+    def test_head_peak_allocation(self):
+        """A gnmt_compute-shaped head holds one logits-sized buffer, the
+        gradient, plus a block; the unfused formulation holds two."""
+        rng = np.random.default_rng(0)
+        batch, tgt, hidden, vocab = 32, 14, 53, 4096
+        projection = nn.Linear(hidden, vocab, rng=rng).astype(np.float32)
+        x = rng.normal(size=(batch, tgt, hidden)).astype(np.float32)
+        targets = rng.integers(1, vocab, size=(batch, tgt))
+        targets[rng.random((batch, tgt)) < 0.26] = 0
+        logits_nbytes = batch * tgt * vocab * 4
+
+        def fused():
+            w, b = projection.weight.data, projection.bias.data
+            return F.linear_cross_entropy(x, w, b, targets, ignore_index=0)
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                projection.zero_grad()
+
+        assert peak(lambda: unfused_head(x, projection, targets, 0)) >= 2 * logits_nbytes
+        assert peak(fused) <= 1.25 * logits_nbytes
 
     def test_loss_backward_scales_only_when_asked(self):
         logits = np.random.default_rng(1).normal(size=(4, 5))

@@ -87,6 +87,19 @@ class TestTrainingProgress:
         assert len(r.predictions) == 2
         assert r.predictions[0].ndim == 2
 
+    def test_predictions_come_from_the_steps_forward(self):
+        """Predictions are read before the optimizer step moves the
+        projection: step 0's are the initial model's."""
+        from repro.engine.workload import batch_stream
+
+        cfg = GNMT8.tiny()
+        r = RealTrainer(cfg, strategy="embrace", world_size=1, steps=1, lr=1.0,
+                        seed=3, record_predictions=True).train()
+        model = build_model(cfg, rng=np.random.default_rng(3))
+        batch = next(iter(batch_stream(cfg, "rtx3090", seed=4)))
+        logits = model.decode_logits(batch.inputs, batch.targets[:, :-1])
+        np.testing.assert_array_equal(r.predictions[0], np.argmax(logits, axis=-1))
+
 
 class TestEvalMetrics:
     def test_perplexity(self):
@@ -145,6 +158,9 @@ class TestEvalMetrics:
         model.forward_backward(batch)
         preds = teacher_forced_argmax(model, batch)
         assert preds.shape == batch.targets[:, 1:].shape
+        # The decode path's argmax at every position, padding included.
+        logits = model.decode_logits(batch.inputs, batch.targets[:, :-1])
+        np.testing.assert_array_equal(preds, np.argmax(logits, axis=-1))
 
     def test_teacher_forced_requires_logits(self):
         class NoLogits:
