@@ -1,16 +1,21 @@
-"""Bench: async priority-scheduled comm engine vs synchronous execution.
+"""Bench: priority-scheduled comm engine vs synchronous execution.
 
 Trains the same 4-rank GNMT workload twice per trial on real worker
 processes over the shm transport — once with ``overlap=False`` (every
-collective inline, the EmbRace paper's "synchronous" baseline) and once
-with ``overlap=True`` (the :class:`repro.comm.CommScheduler` comm thread
-draining the 2D-priority queue) — and compares the per-rank
-*computation-stall fraction* (§5.4: fraction of the makespan a rank's
-compute lane sits idle) measured from the run's own ``repro.obs`` trace.
+collective inline, in submission order: the EmbRace paper's
+"synchronous" baseline) and once with ``overlap=True`` (the
+:class:`repro.comm.CommScheduler` 2D-priority queue, run by the
+training thread whenever it waits on a handle) — and compares the
+per-rank *computation-stall fraction* (§5.4: fraction of the makespan a
+rank's compute lane sits idle) measured from the run's own
+``repro.obs`` trace.  No communication runs beside compute in either
+mode, so the ratio stays near 1: the gate guards that priority order
+never makes the stall meaningfully worse.
 
 The two modes are bit-identical by construction (same arithmetic, same
-global collective order), so the bench also asserts the loss curves
-match exactly: the stall drop is pure scheduling, not numerics.
+global collective order on every rank), so the bench also asserts the
+loss curves match exactly: any stall difference is pure scheduling, not
+numerics.
 
 Results land in ``BENCH_sched.json`` (see ``--out``); the committed copy
 at the repository root is the regression baseline that

@@ -127,33 +127,6 @@ def _decode(node: Any, buffers: list[Any], copy: bool) -> Any:
     raise AssertionError(f"unknown template node {node!r}")
 
 
-def own_payload(obj: Any) -> Any:
-    """``obj`` with every array that aliases foreign memory copied.
-
-    For a payload decoded with ``copy=False`` that must outlive the
-    buffers it views (a demultiplexer parking a message for later).
-    Arrays that already own their data are kept as they are.
-    """
-    if isinstance(obj, np.ndarray):
-        return obj if obj.flags.owndata else obj.copy()
-    if isinstance(obj, SparseRows):
-        if obj.indices.flags.owndata and obj.values.flags.owndata:
-            return obj
-        return SparseRows(
-            own_payload(obj.indices),
-            own_payload(obj.values),
-            obj.num_rows,
-            coalesced=obj.coalesced,
-        )
-    if isinstance(obj, tuple):
-        return tuple(own_payload(x) for x in obj)
-    if isinstance(obj, list):
-        return [own_payload(x) for x in obj]
-    if isinstance(obj, dict):
-        return {k: own_payload(v) for k, v in obj.items()}
-    return obj
-
-
 def _materialize(desc: tuple, buffers: list[Any], copy: bool) -> np.ndarray:
     i, dtype, shape = desc
     dt = np.dtype(dtype)
@@ -168,10 +141,10 @@ def _materialize(desc: tuple, buffers: list[Any], copy: bool) -> np.ndarray:
 # binary template codec
 # --------------------------------------------------------------------- #
 # One tag byte per node, little-endian fixed-width fields after it.  The
-# envelopes the layers above wrap around every payload — the scheduler's
-# ``(channel, payload)``, the fault injector's ``(seq, payload)``, the
-# leader's ``(CTRL, (_RUN, seq))`` tokens — are tuples of ints around
-# array nodes, so they pack and unpack without touching pickle.
+# envelopes the layers above wrap around a payload — the fault
+# injector's ``(seq, payload)``, the service's op tuples — are tuples of
+# ints and strings around array nodes, so they pack and unpack without
+# touching pickle.
 _B_ND, _B_SP, _B_TU, _B_LI, _B_DI = 0, 1, 2, 3, 4
 _B_NONE, _B_TRUE, _B_FALSE, _B_INT, _B_FLOAT, _B_STR, _B_PICKLE = 5, 6, 7, 8, 9, 10, 11
 

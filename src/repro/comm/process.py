@@ -22,9 +22,9 @@ is::
 
 ``kind`` is *message*, *ack* (header only: ``segment id`` may be
 recycled by its owner) or *spilled message*.  A record never exceeds
-``PIPE_BUF``, so the kernel writes it atomically: the caller's thread,
-the scheduler's comm thread and the fault injector's timer threads of
-every peer write to the same inbox with no cross-process lock.
+``PIPE_BUF``, so the kernel writes it atomically: the caller's thread
+and the fault injector's timer threads of every peer write to the same
+inbox with no cross-process lock.
 
 * **Spill rule.**  When table + body would push a record past
   ``PIPE_BUF`` (a template of hundreds of arrays, a large pickled

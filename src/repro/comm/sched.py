@@ -1,54 +1,50 @@
-"""Asynchronous priority-scheduled communication engine (§4.2 made real).
+"""Priority-scheduled communication engine (§4.2 made real).
 
 The simulator has always *modeled* EmbRace's 2D scheduling — priorities
 from :mod:`repro.schedule` deciding which transfer the link serves next.
-This module executes it: every rank runs a dedicated **comm thread**
-draining a priority queue of work items, collectives return
-:class:`CommHandle` futures, and dense AllReduces are submitted as
-independent chunks (partitioned with the existing
-:func:`~repro.comm.backend.ring_chunk_bounds`) so a high-priority item —
-a prior sparse AlltoAll, a hoisted embedding refresh — preempts a large
-dense reduction *between chunks*.
+This module executes it: collectives are submitted as work items to a
+per-rank priority queue and return :class:`CommHandle` futures, and
+dense AllReduces are submitted as independent chunks (partitioned with
+the existing :func:`~repro.comm.backend.ring_chunk_bounds`) so a
+high-priority item — a prior sparse AlltoAll, a hoisted embedding
+refresh — preempts a large dense reduction *between chunks*.
 
-Correctness rests on two invariants:
+**Caller-driven progress.**  No thread drains the queue.  ``submit``
+pushes ``(priority, seq)`` onto the heap and runs nothing;
+:meth:`CommHandle.wait` runs queued items in heap order, on the calling
+thread and against the raw communicator, until its own item is done;
+:meth:`CommScheduler.flush` runs whatever is still queued.  One lock per
+scheduler keeps a single executor per rank.  Communication therefore
+never runs beside compute: on a host with one core per rank a
+background comm thread has no idle core to overlap on, and it measured
+slower than inline execution (``docs/mechanisms.md``).  The simulator
+keeps modelling the paper's GPU overlap.
 
-**One global order (token protocol).**  Collectives are cooperative: if
-rank 0 starts chunk 7 while rank 1 starts the prior AlltoAll, both
-block forever (or worse, mis-match messages on the shared FIFO links).
-Local queue states differ across ranks — the heap alone cannot pick a
-common winner.  So rank 0's comm thread is the *coordinator*: each time
-it pops its heap it broadcasts a run-token naming the popped item on a
-control channel, and every follower executes items strictly in token
-order (waiting, if needed, for its training thread to submit the named
-item).  Because every rank's training loop submits the **same sequence
-of items** (SPMD — item ids are a per-scheduler counter), the token
-names the same logical collective everywhere.  The leader pipelines
-tokens one item ahead — announcing item ``k+1`` while item ``k``'s
-collective is still in flight — so the token round-trip stays off the
-critical path (a late urgent submission can overtake everything except
-that single announced item).  World size 1 skips tokens entirely.
+**One global order.**  Collectives are cooperative: if rank 0 starts
+chunk 7 while rank 1 starts the prior AlltoAll, both block forever (or
+worse, mis-match messages on the shared FIFO links).  The SPMD rule is
+that every rank makes the **same sequence of submit and wait calls**.
+The heap then holds the same items at every wait on every rank, so
+every rank pops the same items in the same order — no leader, no run
+tokens, no per-message envelope.  Ties break FIFO by submission order.
 
-**Channel multiplexing.**  Tokens interleave with item payloads on the
-same links, and nothing stops rank 0 from opening item ``k+1`` while a
-slow follower still drains item ``k``'s traffic.  Every message is
-therefore enveloped ``(channel, payload)`` — the channel is the item id
-(or ``CTRL`` for tokens) — and each comm thread demultiplexes on
-receive, stashing messages for channels it is not currently serving.
-Per-link FIFO order within a channel is preserved, which is all the
-collective algorithms require.
+**Bit-identity.**  ``overlap=False`` runs every item inside ``submit``,
+in submission order — the *same* chunk bounds, the same ring
+algorithms, the same reduction order.  Scheduling changes only *when* a
+collective runs, never its arithmetic, so both modes train
+bit-identically (asserted in ``tests/test_trainer_real.py``).
 
-**Bit-identity.**  ``overlap=False`` runs every submitted item
-immediately on the calling thread against the raw communicator — the
-*same* chunk bounds, the same ring algorithms, the same reduction
-order.  Scheduling changes only *when* a collective runs, never its
-arithmetic, so overlapped training is bit-identical to synchronous mode
-(asserted in ``tests/test_trainer_real.py``).
+**Failing fast.**  An item that raises fails itself and every queued
+item, and the scheduler refuses further work: past a failed collective
+the global order is undefined.  ``close()`` never starts a collective —
+items still queued fail with :class:`SchedulerClosed` — so a rank
+unwinding from an exception never leaves its peers inside half a
+collective; their own waits end at the transport's receive deadline.
 
 The engine composes with every backend/transport of
 :func:`~repro.comm.open_group` and with
-:class:`~repro.faults.FaultyCommunicator`: channels ride *above* the
-fault injector's sequence envelopes, so drops, retransmits and
-reordering are repaired before the demultiplexer ever sees a message.
+:class:`~repro.faults.FaultyCommunicator`: items run on whatever
+communicator the scheduler was given, fault injector included.
 """
 
 from __future__ import annotations
@@ -56,20 +52,13 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import threading
-from collections import deque
+import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
 from repro.comm.backend import Communicator, ring_chunk_bounds
-from repro.comm.frames import own_payload
-
-#: Control channel carrying scheduler run/stop tokens (item ids are >= 0).
-CTRL = -1
-
-_RUN = 0
-_STOP = 1
 
 #: Priority of facade collectives the training thread immediately waits
 #: on (loss averaging, next-id gathers, refresh AlltoAlls): they block
@@ -77,7 +66,7 @@ _STOP = 1
 PRIORITY_URGENT = -100.0
 
 #: Priority of the serve lane (:mod:`repro.serve` lookup traffic riding
-#: the engine's channel multiplexing): latency-sensitive, so it preempts
+#: the engine's queue): latency-sensitive, so it preempts
 #: every training transfer — prior sparse exchanges included — but never
 #: a facade collective the training thread is already blocked on.
 PRIORITY_SERVE = -50.0
@@ -257,29 +246,37 @@ class SchedulerClosed(RuntimeError):
 class CommHandle:
     """Future for one scheduled communication work item.
 
-    ``wait()`` blocks until the comm thread has executed the item and
-    returns its result (re-raising the item's exception, if any).  In
-    synchronous mode (``overlap=False``) items complete inside
-    ``submit`` and ``wait`` returns immediately.
+    ``wait()`` runs the scheduler's queued items, most urgent first, on
+    the calling thread until this one is done, then returns its result
+    (re-raising the item's exception, if any).  In synchronous mode
+    (``overlap=False``) items complete inside ``submit`` and ``wait``
+    returns immediately.
     """
 
-    __slots__ = ("label", "priority", "_event", "_result", "_exc")
+    __slots__ = ("label", "priority", "_sched", "_done", "_result", "_exc")
 
-    def __init__(self, label: str, priority: float):
+    def __init__(self, label: str, priority: float, sched: "CommScheduler"):
         self.label = label
         self.priority = priority
-        self._event = threading.Event()
+        self._sched = sched
+        self._done = False
         self._result: Any = None
         self._exc: BaseException | None = None
 
     def done(self) -> bool:
         """True once the item has finished (successfully or not)."""
-        return self._event.is_set()
+        return self._done
 
     def wait(self, timeout: float | None = None) -> Any:
-        """Block until the item completes; return its result."""
-        if not self._event.wait(timeout):
-            raise TimeoutError(f"comm item {self.label!r} not done in {timeout}s")
+        """Run queued items until this one completes; return its result.
+
+        The caller runs the collectives, so ``timeout`` is checked only
+        while waiting for another thread's item and between items: a
+        collective that has started ends when it completes or at the
+        transport's receive deadline, whichever comes first.
+        """
+        if not self._done:
+            self._sched._run(lambda: self._done, timeout, f"wait on {self.label!r}")
         if self._exc is not None:
             raise self._exc
         return self._result
@@ -287,169 +284,59 @@ class CommHandle:
     # -- engine side ----------------------------------------------------- #
     def _finish(self, result: Any) -> None:
         self._result = result
-        self._event.set()
+        self._done = True
 
     def _fail(self, exc: BaseException) -> None:
         self._exc = exc
-        self._event.set()
-
-
-class _WorkItem:
-    __slots__ = ("seq", "priority", "fn", "label", "handle")
-
-    def __init__(self, seq: int, priority: float, fn: Callable, label: str):
-        self.seq = seq
-        self.priority = priority
-        self.fn = fn
-        self.label = label
-        self.handle = CommHandle(label, priority)
-
-
-class _ChannelComm(Communicator):
-    """Channel-isolated view of the engine's base communicator.
-
-    ``_send`` envelopes every message with the item's channel id; the
-    receive primitives demultiplex, stashing messages destined for other
-    channels in the scheduler-owned stash (keyed ``(src, channel)``)
-    until their item runs.  Only the comm thread touches the base
-    communicator's primitives, so single-threaded transports are safe.
-
-    The zero-copy hooks (``recv_view`` / ``recv_view_pinned`` /
-    ``release_views``, and ``recv_into`` built on them) forward to the
-    base communicator, so a scheduled collective reduces out of
-    transport-owned memory exactly as an inline one does.  A message
-    for *another* channel received that way is copied to owned memory
-    before it is stashed — its view dies with the next base call; only
-    a match is handed out live.
-
-    Byte accounting accumulates locally and is folded into the base
-    communicator after the item completes; ``obs`` is copied from the
-    base so collective spans land on the real recorder (recorded from
-    the comm thread — :class:`~repro.obs.SpanRecorder` is thread-safe).
-    """
-
-    def __init__(
-        self,
-        base: Communicator,
-        channel: int,
-        stash: dict[tuple[int, int], deque],
-    ):
-        super().__init__(base.rank, base.world_size)
-        self._base = base
-        self._channel = channel
-        self._stash = stash
-        self.obs = base.obs
-        self.SEND_SNAPSHOTS = base.SEND_SNAPSHOTS
-
-    def _send(self, dst: int, obj: Any) -> None:
-        self._base._send(dst, (self._channel, obj))
-
-    def _demux(self, src: int, recv: Callable[[int], Any], live: bool) -> Any:
-        """Next message of this channel from ``src`` through the base
-        primitive ``recv``; ``live`` says its results may be views."""
-        pending = self._stash.get((src, self._channel))
-        if pending:
-            return pending.popleft()
-        while True:
-            channel, obj = recv(src)
-            if channel == self._channel:
-                return obj
-            self._stash.setdefault((src, channel), deque()).append(
-                own_payload(obj) if live else obj
-            )
-
-    def _recv(self, src: int) -> Any:
-        return self._demux(src, self._base._recv, live=False)
-
-    def _recv_view(self, src: int) -> Any:
-        return self._demux(src, self._base._recv_view, live=True)
-
-    def _recv_view_pinned(self, src: int) -> Any:
-        return self._demux(src, self._base._recv_view_pinned, live=True)
-
-    def release_views(self) -> None:
-        self._base.release_views()
-
-    def barrier(self) -> None:
-        self._base.barrier()
+        self._done = True
 
 
 class CommScheduler:
-    """Per-rank asynchronous communication engine.
+    """Per-rank priority-ordered communication engine.
 
-    ``submit(fn, priority)`` enqueues ``fn(comm)`` — where ``comm`` is a
-    :class:`~repro.comm.Communicator` restricted to the item's channel —
-    and returns a :class:`CommHandle`.  Lower priority values run first
-    (ties break FIFO by submission order).  All ranks must submit the
-    same sequence of items (the SPMD invariant above); rank-asymmetric
+    ``submit(fn, priority)`` queues ``fn(comm)`` — ``comm`` being the
+    communicator the scheduler was built on — and returns a
+    :class:`CommHandle`.  Lower priority values run first (ties break
+    FIFO by submission order).  All ranks must make the same sequence of
+    ``submit`` and ``wait`` calls (the SPMD rule above); rank-asymmetric
     point-to-point traffic belongs outside the engine's lifetime.
 
     ``overlap=False`` degrades to synchronous execution — each item runs
-    inside ``submit`` on the raw communicator — with identical
-    arithmetic, which is what makes overlap-vs-sync bit-identity
-    testable.
+    inside ``submit`` — with identical arithmetic, which is what makes
+    overlap-vs-sync bit-identity testable.
     """
-
-    #: Backstop for joining the comm thread at ``close``: transports all
-    #: enforce recv deadlines, so the thread exits on its own — this
-    #: bound only guards against a genuinely wedged transport.
-    JOIN_TIMEOUT = 300.0
 
     def __init__(self, comm: Communicator, overlap: bool = True):
         self.comm = comm
         self.overlap = overlap
-        self._cond = threading.Condition()
-        self._heap: list[tuple[float, int]] = []  # leader / world-1 ordering
-        self._items: dict[int, _WorkItem] = {}
+        self._lock = threading.Lock()  # the single executor (and the heap)
+        self._runner: int | None = None  # thread id holding the executor
+        self._heap: list[tuple[float, int, Callable, CommHandle]] = []
         self._next_seq = 0
-        self._stash: dict[tuple[int, int], deque] = {}
         self._executed: list[str] = []  # labels in execution order (tests)
-        self._inflight = 0
-        self._paused = False
         self._closed = False
         self._error: BaseException | None = None
-        self._thread: threading.Thread | None = None
-        if overlap:
-            self._thread = threading.Thread(
-                target=self._drain,
-                name=f"comm-sched-r{comm.rank}",
-                daemon=True,
-            )
-            self._thread.start()
 
     # -- submission -------------------------------------------------------- #
     def submit(
         self, fn: Callable[[Communicator], Any], priority: float = 0.0,
         label: str = "",
     ) -> CommHandle:
-        """Enqueue ``fn(comm)``; returns its :class:`CommHandle`."""
-        if not self.overlap:
-            if self._closed:
-                raise SchedulerClosed("scheduler is closed")
-            item = _WorkItem(self._next_seq, priority, fn, label)
-            self._next_seq += 1
-            self._executed.append(label)
-            try:
-                item.handle._finish(fn(self.comm))
-            except BaseException as exc:
-                item.handle._fail(exc)
-                raise
-            return item.handle
-        with self._cond:
+        """Queue ``fn(comm)``; returns its :class:`CommHandle`."""
+        self._check_outside_item("submit")
+        handle = CommHandle(label, priority, self)
+        with self._lock:
             if self._error is not None:
                 raise SchedulerClosed(
                     f"scheduler aborted: {self._error!r}"
                 ) from self._error
             if self._closed:
                 raise SchedulerClosed("scheduler is closed")
-            item = _WorkItem(self._next_seq, priority, fn, label)
+            heapq.heappush(self._heap, (priority, self._next_seq, fn, handle))
             self._next_seq += 1
-            self._items[item.seq] = item
-            self._inflight += 1
-            if self.comm.rank == 0:
-                heapq.heappush(self._heap, (priority, item.seq))
-            self._cond.notify_all()
-        return item.handle
+        if not self.overlap:
+            handle.wait()
+        return handle
 
     def allreduce_chunks(
         self,
@@ -498,28 +385,14 @@ class CommScheduler:
             )
         return handles
 
-    # -- flow control ------------------------------------------------------ #
+    # -- progress ---------------------------------------------------------- #
     def flush(self) -> None:
-        """Block until every submitted item has executed."""
-        if not self.overlap:
-            return
-        with self._cond:
-            while self._inflight > 0 and self._error is None:
-                self._cond.wait(0.1)
-            if self._error is not None:
-                raise SchedulerClosed(
-                    f"scheduler aborted: {self._error!r}"
-                ) from self._error
-
-    def pause(self) -> None:
-        """Stop popping new items (tests: build up a queue, then release)."""
-        with self._cond:
-            self._paused = True
-
-    def resume(self) -> None:
-        with self._cond:
-            self._paused = False
-            self._cond.notify_all()
+        """Run every queued item; raise if the engine has aborted."""
+        self._run(lambda: not self._heap, None, "flush")
+        if self._error is not None:
+            raise SchedulerClosed(
+                f"scheduler aborted: {self._error!r}"
+            ) from self._error
 
     @property
     def executed_labels(self) -> list[str]:
@@ -527,125 +400,60 @@ class CommScheduler:
         return list(self._executed)
 
     def close(self) -> None:
-        """Shut the engine down; joins the comm thread before returning.
+        """Shut the engine down without starting another collective.
 
-        The comm thread must be fully dead before the caller hands the
-        base communicator back (a persistent process pool reuses links
-        across dispatches — a live demultiplexer would steal the next
-        run's messages).  Clean shutdown drains the remaining queue; an
-        aborted engine's thread exits on its transport deadline.
+        Items still queued fail with :class:`SchedulerClosed`.  A rank
+        that unwinds from an exception therefore never opens a
+        collective its peers will not finish; a clean shutdown has
+        waited on every handle it needed (or called :meth:`flush`).
         """
-        with self._cond:
-            if self._closed and self._thread is None:
-                return
+        self._check_outside_item("close")
+        with self._lock:
             self._closed = True
-            self._cond.notify_all()
-        if self._thread is not None:
-            self._thread.join(self.JOIN_TIMEOUT)
-            if self._thread.is_alive():  # pragma: no cover - wedged transport
-                raise RuntimeError("comm scheduler thread failed to stop")
-            self._thread = None
-        for item in self._items.values():
-            if not item.handle.done():
-                item.handle._fail(SchedulerClosed("scheduler closed"))
-        self._items.clear()
+            queued, self._heap = self._heap, []
+        for _, _, _, handle in queued:
+            handle._fail(
+                SchedulerClosed(f"scheduler closed before {handle.label!r} ran")
+            )
 
-    # -- comm thread ------------------------------------------------------- #
-    def _drain(self) -> None:
+    # -- the executor ------------------------------------------------------ #
+    def _check_outside_item(self, what: str) -> None:
+        if self._runner == threading.get_ident():
+            raise RuntimeError(
+                f"{what} from inside a running comm item: an item must use "
+                "the communicator it is given, or the queue order changes"
+            )
+
+    def _run(
+        self, until: Callable[[], bool], timeout: float | None, what: str
+    ) -> None:
+        """Pop and run queued items on this thread until ``until()``."""
+        self._check_outside_item(what)
+        deadline = None if timeout is None else time.monotonic() + timeout
+        if not self._lock.acquire(timeout=-1 if timeout is None else timeout):
+            raise TimeoutError(f"{what}: not done in {timeout}s")
+        self._runner = threading.get_ident()
         try:
-            if self.comm.rank == 0:
-                self._drain_leader()
-            else:
-                self._drain_follower()
-        except BaseException as exc:  # noqa: BLE001 - surfaced via handles
-            self._abort(exc)
-
-    def _drain_leader(self) -> None:
-        comm, world = self.comm, self.comm.world_size
-        committed: _WorkItem | None = None  # tokens sent, not yet executed
-        while True:
-            if committed is None:
-                with self._cond:
-                    while (not self._heap or self._paused) and not self._closed:
-                        self._cond.wait()
-                    if not self._heap:  # closed with an empty queue
-                        break
-                    committed = self._pop_locked()
-                self._send_tokens(committed.seq)
-            # Pipeline the token one item ahead: commit (and announce) the
-            # next winner before executing the current one, so followers
-            # receive its token while still serving this collective and
-            # the control round-trip leaves the critical path.  Cost: an
-            # urgent late submission can overtake everything except the
-            # single already-announced item.
-            nxt: _WorkItem | None = None
-            if world > 1:
-                with self._cond:
-                    if self._heap and not self._paused:
-                        nxt = self._pop_locked()
-                if nxt is not None:
-                    self._send_tokens(nxt.seq)
-            self._execute(committed)
-            committed = nxt
-        for dst in range(1, world):
-            comm._send(dst, (CTRL, (_STOP, 0)))
-
-    def _pop_locked(self) -> _WorkItem:
-        _, seq = heapq.heappop(self._heap)
-        return self._items.pop(seq)
-
-    def _send_tokens(self, seq: int) -> None:
-        for dst in range(1, self.comm.world_size):
-            self.comm._send(dst, (CTRL, (_RUN, seq)))
-
-    def _drain_follower(self) -> None:
-        while True:
-            kind, seq = self._next_token()
-            if kind == _STOP:
-                break
-            with self._cond:
-                while seq not in self._items and not self._closed:
-                    self._cond.wait()
-                if seq not in self._items:  # closed before submission
-                    break
-                item = self._items.pop(seq)
-            self._execute(item)
-
-    def _next_token(self) -> tuple[int, int]:
-        pending = self._stash.get((0, CTRL))
-        if pending:
-            return pending.popleft()
-        while True:
-            channel, obj = self.comm._recv(0)
-            if channel == CTRL:
-                return obj
-            self._stash.setdefault((0, channel), deque()).append(obj)
-
-    def _execute(self, item: _WorkItem) -> None:
-        chan = _ChannelComm(self.comm, item.seq, self._stash)
-        try:
-            result = item.fn(chan)
-        except BaseException as exc:
-            item.handle._fail(exc)
-            raise  # past a failed collective the global order is undefined
+            while not until():
+                if deadline is not None and time.monotonic() > deadline:
+                    raise TimeoutError(f"{what}: not done in {timeout}s")
+                _, _, fn, handle = heapq.heappop(self._heap)
+                try:
+                    result = fn(self.comm)
+                except BaseException as exc:
+                    # Past a failed collective the global order is
+                    # undefined: fail everything still queued.
+                    self._error = exc
+                    handle._fail(exc)
+                    for _, _, _, queued in self._heap:
+                        queued._fail(exc)
+                    self._heap.clear()
+                    raise
+                self._executed.append(handle.label)
+                handle._finish(result)
         finally:
-            self.comm.bytes_sent += chan.bytes_sent
-            self.comm.messages_sent += chan.messages_sent
-        item.handle._finish(result)
-        self._executed.append(item.label)
-        with self._cond:
-            self._inflight -= 1
-            self._cond.notify_all()
-
-    def _abort(self, exc: BaseException) -> None:
-        with self._cond:
-            self._error = exc
-            for item in self._items.values():
-                if not item.handle.done():
-                    item.handle._fail(exc)
-            self._items.clear()
-            self._inflight = 0
-            self._cond.notify_all()
+            self._runner = None
+            self._lock.release()
 
 
 class SchedComm(Communicator):
@@ -656,7 +464,7 @@ class SchedComm(Communicator):
     exchanges, table gathers, validation refreshes) runs unmodified
     while still respecting the engine's single global order.  Only
     rank-symmetric operations are supported: point-to-point ``send`` /
-    ``recv`` would break the SPMD submission invariant and raise.
+    ``recv`` would break the SPMD rule and raise.
     """
 
     def __init__(self, sched: CommScheduler, priority: float = PRIORITY_URGENT):

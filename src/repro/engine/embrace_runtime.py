@@ -211,8 +211,8 @@ class TableGroupRuntime:
         )
 
     # ------------------------------------------------------------------ #
-    # The three phases of one iteration's sparse update, separable so an
-    # async engine (:class:`~repro.comm.CommScheduler`) can run the two
+    # The three phases of one iteration's sparse update, separable so the
+    # comm engine (:class:`~repro.comm.CommScheduler`) can run the two
     # exchanges as prioritized work items — prior at ``PRIORITY_PRIOR``,
     # delayed trailing into the next step — while ``apply_gradient``
     # below remains the fused synchronous composition.
@@ -243,9 +243,9 @@ class TableGroupRuntime:
         """AlltoAll one split part into this rank's scaled column shard.
 
         Takes the communicator explicitly so the same code runs inline
-        (``self.comm``) or inside a scheduled work item on its channel
-        communicator; the arithmetic — exchange then scale — is
-        identical either way.
+        (``self.comm``) or inside a scheduled work item on the
+        communicator it is given; the arithmetic — exchange then scale
+        — is identical either way.
 
         Under a multi-node topology the exchange is node-aware: the
         two-level wire (``hierarchical``, the default) coalesces each

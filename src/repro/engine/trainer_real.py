@@ -195,15 +195,17 @@ class RealTrainer:
         :attr:`TrainResult.trace`, the same :class:`~repro.sim.trace.
         Trace` schema the simulator emits.
 
-        ``overlap`` (default True) runs every collective through the
-        per-rank :class:`~repro.comm.CommScheduler` comm thread: dense
-        AllReduces are chunked and enqueued in backward-completion order
-        with :func:`~repro.schedule.horizontal_priorities`, prior sparse
+        ``overlap`` (default True) queues every collective on the
+        per-rank :class:`~repro.comm.CommScheduler`: dense AllReduces
+        are chunked and enqueued in backward-completion order with
+        :func:`~repro.schedule.horizontal_priorities`, prior sparse
         exchanges preempt them at ``PRIORITY_PRIOR``, and delayed parts
-        trail into the next step.  ``overlap=False`` executes the same
-        work items inline — same chunking, same reduction order — so
-        both modes train **bit-identically**; overlap only lowers the
-        measured computation-stall fraction (``result.trace``).
+        trail to the next step boundary.  The training thread runs the
+        queue in that order whenever it waits on a handle; nothing runs
+        beside compute.  ``overlap=False`` executes the same work items
+        inline, in submission order — same chunking, same reduction
+        order — so both modes train **bit-identically**; only the order
+        of the collectives differs.
 
         ``knobs`` (a :class:`~repro.comm.SchedKnobs` or its dict form)
         overrides the scheduler's bucket/chunk sizing and the
@@ -498,10 +500,10 @@ class RealTrainer:
             comm = meter = InterNodeMeter(comm, topo)
         dense_topo = topo if meter is not None and self.knobs.hierarchical else None
 
-        # The async comm engine: all in-loop collectives run as work
-        # items on its comm thread (or inline when overlap=False, with
-        # identical arithmetic).  ``coll`` is the synchronous facade for
-        # code that wants a plain Communicator.
+        # The comm engine: all in-loop collectives are work items, run in
+        # priority order by whichever wait needs them (or inline when
+        # overlap=False, with identical arithmetic).  ``coll`` is the
+        # synchronous facade for code that wants a plain Communicator.
         sched = CommScheduler(comm, overlap=self.overlap)
         coll = SchedComm(sched)
 
@@ -605,13 +607,13 @@ class RealTrainer:
                     # ones this forward made.
                     predictions.append(self._teacher_forced_predictions(model, batch))
                 # Step boundary for the sparse state: the previous step's
-                # delayed parts (whose exchange overlapped this forward)
-                # commit before any of this step's shard updates.
+                # delayed parts (whose exchange runs at this wait) commit
+                # before any of this step's shard updates.
                 self._flush_delayed(pending_delayed)
                 # Average the scalar loss across ranks for a global curve.
                 # Deferred: the tiny allreduce queues behind this step's
-                # gradient traffic and is only waited at end of step, so
-                # it overlaps instead of stalling compute here.
+                # urgent traffic and is only waited at end of step, so it
+                # never holds up the sparse exchanges.
                 loss_h = sched.submit(
                     lambda c, x=np.array([loss]): c.allreduce_mean(x),
                     priority=0.0,
@@ -666,8 +668,8 @@ class RealTrainer:
                         # Recursive-doubling allgather, bit-identical to
                         # allreduce_sparse_via_allgather.  Submitted as
                         # one urgent work item: the collective's
-                        # point-to-point hops must run on the scheduler's
-                        # channel communicator, not the facade.
+                        # point-to-point hops must run on the communicator
+                        # the item is given, not the facade.
                         summed = sched.submit(
                             lambda c, g=grad: allreduce_sparse_adaptive(c, g),
                             priority=PRIORITY_URGENT,
@@ -752,8 +754,9 @@ class RealTrainer:
                     )[0]
                 )
         finally:
-            # Joins the comm thread before the transport is handed back
-            # (persistent pools reuse links across dispatches).
+            # Every handle the loop needs has been waited; on an error,
+            # close fails what is still queued without starting it, so
+            # no peer is left inside half a collective.
             sched.close()
         return TrainResult(
             strategy=self.strategy,
@@ -974,8 +977,8 @@ class RealTrainer:
         The prior part runs at ``PRIORITY_PRIOR`` — preempting queued
         dense chunks — and gates this step's refresh; the delayed part
         enqueues at ``PRIORITY_DELAYED`` and is only waited on at the
-        *next* step boundary (:meth:`_flush_delayed`), so its exchange
-        overlaps the next forward/backward.
+        *next* step boundary (:meth:`_flush_delayed`), so it trails this
+        step's dense chunks and runs at that wait.
 
         All groups' next-iteration ids travel in **one** AllGather (per-
         collective fixed cost dominates these tiny payloads), and the
@@ -1028,9 +1031,9 @@ class RealTrainer:
                 self.knobs.delayed_min_rows
                 and 0 < delayed.nnz_rows < self.knobs.delayed_min_rows
             ):
-                # A tiny delayed part buys almost no overlap but still
-                # gates the next step boundary: fold it back into the
-                # prior exchange.  Bit-safe — both split parts use the
+                # A tiny delayed part still costs one more exchange at
+                # the next step boundary: fold it back into the prior
+                # exchange.  Bit-safe — both split parts use the
                 # same bias-correction step and rows stay disjoint, so
                 # prior-of-everything ≡ prior+delayed (see SchedKnobs).
                 # ``grad`` here is already the cold remainder, so the

@@ -11,7 +11,7 @@ package stands that workload up on the repo's real communication stack:
   them — on a persistent :func:`~repro.comm.open_group` pool and serves
   batched row lookups *concurrently* with an online training loop
   driving :class:`~repro.optim.EmbraceAdam` updates;
-* lookups ride the async engine's channel multiplexing at
+* lookups ride the comm engine's priority queue at
   :data:`~repro.comm.PRIORITY_SERVE` — preempting queued training
   exchanges, never a facade collective compute is blocked on;
 * an admission front end (:class:`AdmissionQueue`) coalesces requests
@@ -25,9 +25,10 @@ package stands that workload up on the repo's real communication stack:
   latencies, not one bit of training arithmetic.
 
 The rank-0 driver is a sequencer: it decides each operation (serve a
-batch / start a step / commit / stop) and broadcasts it on a serve-lane
-control channel; every rank executes the same op script, so the comm
-engine's SPMD submission invariant holds with zero cross-rank locks.
+batch / start a step / commit / stop) and broadcasts it on the serve
+lane; every rank executes the same op script, so the comm engine's SPMD
+rule (the same submits and waits on every rank) holds with zero
+cross-rank locks.
 """
 
 from repro.serve.batching import AdmissionQueue

@@ -1,11 +1,12 @@
 """The sharded embedding service: concurrent serving + online training.
 
-**The sequencing problem.**  The async comm engine's correctness rests
-on an SPMD invariant: every rank must submit the same sequence of work
-items.  A serve front end is inherently rank-asymmetric — requests
-arrive at one place, at unpredictable times — so two free-running
-threads per rank would desynchronize item ids and deadlock the token
-protocol.  The service therefore runs as a *replicated state machine*:
+**The sequencing problem.**  The comm engine's correctness rests on an
+SPMD rule: every rank must make the same sequence of ``submit`` and
+``wait`` calls.  A serve front end is inherently rank-asymmetric —
+requests arrive at one place, at unpredictable times — so two
+free-running threads per rank would pop different items and deadlock
+inside mismatched collectives.  The service therefore runs as a
+*replicated state machine*:
 rank 0's driver owns the admission queue and decides each operation
 (``serve`` a batch, start a ``train`` step, ``commit`` it, ``stop``),
 broadcasts the decision on a :data:`~repro.comm.PRIORITY_SERVE` control
@@ -13,13 +14,15 @@ facade, and every rank executes the same op script.  Each op expands to
 a deterministic collective sequence, so the invariant holds with zero
 cross-rank locks.
 
-**Where the overlap comes from.**  A train step is split: the ``train``
-op refreshes rows, runs the forward/backward, and *submits* the sparse
-gradient exchange and loss AllGather at training priority without
-waiting on them; the ``commit`` op later waits and applies.  Serve ops
-sequenced in between run at :data:`~repro.comm.PRIORITY_SERVE`,
-preempting the queued exchange inside the engine — lookups cut ahead of
-gradient traffic exactly as EmbRace's priority scheduling intends.
+**Where the interleaving comes from.**  A train step is split: the
+``train`` op refreshes rows, runs the forward/backward, and *submits*
+the sparse gradient exchange and loss AllGather at training priority
+without waiting on them; the ``commit`` op later waits, which runs
+them, and applies.  Serve ops sequenced in between run at
+:data:`~repro.comm.PRIORITY_SERVE`: their waits pop the lookup ahead of
+the queued exchange — lookups cut ahead of gradient traffic exactly as
+EmbRace's priority scheduling intends.  Nothing runs in the background;
+the engine's caller runs every collective when it waits.
 
 **Bit-identity.**  Serve ops only read; the commit always waits on the
 exchange before applying; losses are summed in rank order.  The online

@@ -506,7 +506,7 @@ def predict_candidate(
     """Build + execute the candidate's chained-step task graph.
 
     One ``compute`` lane (forward/backward, optimizer) and one ``comm``
-    lane (the scheduler's comm thread serving by priority) per the
+    lane (the paper's communication stream serving by priority) per the
     rank-0 view; collective durations come from the calibrated cost
     model.  Stall fraction uses the same §5.4 code path as real traces.
 

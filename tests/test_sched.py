@@ -1,13 +1,16 @@
-"""The async priority-scheduled communication engine (repro.comm.sched).
+"""The priority-scheduled communication engine (repro.comm.sched).
 
 Covers the scheduler's contract: priority order with FIFO ties, urgent
-items preempting queued dense chunks, the token protocol keeping every
-rank on one global execution order, bit-identical inline (synchronous)
-mode, error propagation through handles, the facade's symmetric-only
-surface, and composition with the fault injector.
+items preempting queued dense chunks, caller-driven progress keeping
+every rank on one global execution order, bit-identical inline
+(synchronous) mode, error propagation through handles, failing fast on
+close and on nested waits, the facade's symmetric-only surface, and
+composition with the fault injector.
 """
 
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -41,12 +44,11 @@ class TestChunkBounds:
 
 class TestPriorityOrder:
     def test_priority_order_with_fifo_ties(self):
-        """Leader pops (priority, submit-seq): lowest first, ties FIFO."""
+        """Waits pop (priority, submit-seq): lowest first, ties FIFO."""
 
         def worker(comm):
             sched = CommScheduler(comm)
             try:
-                sched.pause()
                 handles = [
                     sched.submit(
                         lambda c, i=i: c.rank * 100 + i,
@@ -55,7 +57,6 @@ class TestPriorityOrder:
                     )
                     for i, prio in enumerate([5.0, 1.0, 3.0, 1.0, -1.0])
                 ]
-                sched.resume()
                 results = [h.wait(30) for h in handles]
                 sched.flush()
                 return results, sched.executed_labels
@@ -69,25 +70,17 @@ class TestPriorityOrder:
     def test_urgent_item_preempts_queued_dense_chunks(self):
         """An item submitted *after* a chunked dense reduce overtakes the
         chunks still in the queue — preemption at chunk granularity."""
-        gate = threading.Event()
-        entered = threading.Event()
-
-        def blocker(comm):
-            entered.set()
-            gate.wait(30)
 
         def worker(comm):
             sched = CommScheduler(comm)
             try:
-                sched.submit(blocker, priority=0.0, label="blocker")
-                entered.wait(30)  # chunks below queue behind the blocker
                 flat = np.arange(400, dtype=np.float64)
                 handles = sched.allreduce_chunks(
                     flat, priority=5.0, label="dense", chunk_elems=100
                 )
                 urgent = sched.submit(lambda c: "now", priority=-1.0, label="prior")
-                gate.set()
                 assert urgent.wait(30) == "now"
+                assert not any(h.done() for h in handles)
                 for h in handles:
                     h.wait(30)
                 return sched.executed_labels
@@ -95,20 +88,17 @@ class TestPriorityOrder:
                 sched.close()
 
         order = run_threaded(1, worker)[0]
-        assert order[0] == "blocker"
-        assert order[1] == "prior"  # beat all four queued chunks
-        assert order[2:] == [f"dense#c{i}" for i in range(4)]
+        assert order == ["prior"] + [f"dense#c{i}" for i in range(4)]
 
 
-class TestTokenProtocol:
+class TestGlobalOrder:
     def test_all_ranks_share_one_execution_order(self):
-        """Followers obey rank 0's pop order even for collectives."""
+        """Same submits and waits on every rank: same pop order, even for
+        collectives."""
 
         def worker(comm):
             sched = CommScheduler(comm)
             try:
-                if comm.rank == 0:
-                    sched.pause()
                 handles = [
                     sched.submit(
                         lambda c, i=i: c.allgather(c.rank * 10 + i),
@@ -117,8 +107,6 @@ class TestTokenProtocol:
                     )
                     for i, prio in enumerate([5.0, 1.0, 3.0, -1.0])
                 ]
-                if comm.rank == 0:
-                    sched.resume()
                 results = [h.wait(30) for h in handles]
                 sched.flush()
                 return results, sched.executed_labels
@@ -215,6 +203,125 @@ class TestErrorHandling:
 
         assert all(run_threaded(2, worker))
 
+    def test_close_fails_queued_items_without_running_them(self):
+        def worker(comm):
+            sched = CommScheduler(comm)
+            handles = [
+                sched.submit(lambda c: c.allgather(c.rank), label=f"g{i}")
+                for i in range(3)
+            ]
+            sched.close()
+            for h in handles:
+                assert h.done()
+                with pytest.raises(SchedulerClosed):
+                    h.wait(30)
+            with pytest.raises(SchedulerClosed):
+                sched.submit(lambda c: None)
+            return sched.executed_labels
+
+        assert run_threaded(2, worker) == [[], []]
+
+    def test_wait_inside_a_running_item_raises(self):
+        """A nested wait would run other items mid-collective: refused."""
+
+        def worker(comm):
+            sched = CommScheduler(comm)
+            try:
+                other = sched.submit(lambda c: "other", label="other")
+                nested = sched.submit(
+                    lambda c: other.wait(), priority=-1.0, label="nested"
+                )
+                with pytest.raises(RuntimeError, match="inside a running"):
+                    nested.wait(30)
+                with pytest.raises(RuntimeError, match="inside a running"):
+                    other.wait(30)  # failed with the aborted engine
+            finally:
+                sched.close()
+            return sched.executed_labels
+
+        assert run_threaded(1, worker)[0] == []
+
+    def test_a_rank_unwinding_before_its_wait_never_hangs_its_peer(self):
+        """Rank 0 raises between submit and wait: its close starts no
+        collective, and rank 1's wait ends in a typed error at the
+        transport's receive deadline, with no thread left behind."""
+        timeout = 0.5
+        outcome = {}
+
+        def worker(comm):
+            sched = CommScheduler(comm)
+            try:
+                h = sched.submit(lambda c: c.allgather(c.rank), label="gather")
+                if comm.rank == 0:
+                    raise ValueError("rank 0 unwinds before its wait")
+                t0 = time.monotonic()
+                try:
+                    h.wait(30)
+                except Exception as exc:  # noqa: BLE001 - inspected below
+                    outcome["error"] = exc
+                outcome["elapsed"] = time.monotonic() - t0
+            finally:
+                sched.close()
+
+        threads_before = threading.active_count()
+        with pytest.raises(RuntimeError, match="rank 0 failed") as exc:
+            run_threaded(2, worker, timeout=timeout)
+        assert isinstance(exc.value.__cause__, ValueError)
+        assert isinstance(outcome["error"], TimeoutError)
+        assert outcome["elapsed"] < 4 * timeout
+        assert threading.active_count() == threads_before
+
+
+class TestThreadedCallers:
+    def test_one_executor_per_rank_under_contention(self):
+        """Threads submitting and waiting on one scheduler: every item
+        runs exactly once and never beside another (the executor lock),
+        so an unguarded read-modify-write inside items loses nothing."""
+        n_threads, per_thread = 6, 200
+        state = {"n": 0, "running": 0, "overlapped": 0}
+
+        def bump(comm):
+            state["running"] += 1
+            if state["running"] > 1:
+                state["overlapped"] += 1
+            n = state["n"]
+            time.sleep(0)
+            state["n"] = n + 1
+            state["running"] -= 1
+            return n
+
+        def worker(comm):
+            sched = CommScheduler(comm)
+            errors = []
+
+            def caller(i):
+                try:
+                    for j in range(per_thread):
+                        sched.submit(bump, priority=float(j % 3), label=f"t{i}").wait(30)
+                except BaseException as exc:  # noqa: BLE001 - asserted below
+                    errors.append(exc)
+
+            old = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [
+                    threading.Thread(target=caller, args=(i,)) for i in range(n_threads)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(60)
+                assert not any(t.is_alive() for t in threads)
+            finally:
+                sys.setswitchinterval(old)
+                sched.close()
+            assert errors == []
+            return len(sched.executed_labels)
+
+        assert run_threaded(1, worker)[0] == n_threads * per_thread
+        assert state["n"] == n_threads * per_thread
+        assert state["overlapped"] == 0
+
 
 class TestSchedCommFacade:
     def test_collectives_route_through_engine(self):
@@ -298,7 +405,6 @@ class TestFaultComposition:
 # Module-level: dispatched to real worker processes by pickled reference.
 def _scheduled_zero_copy_worker(comm):
     from repro.comm import alltoall_column_shards
-    from repro.comm.sched import CTRL
     from repro.tensors import SparseRows
 
     def has_array(obj):
@@ -308,18 +414,26 @@ def _scheduled_zero_copy_worker(comm):
             return any(has_array(x) for x in obj)
         return False
 
-    # Count the base transport's *copying* receives that carried payload
-    # bytes (run-tokens are scalars and always take the owned path).
+    # Count the transport's *copying* receives that carried an array, and
+    # the ring's zero-copy reduce-and-send calls.
     copied = []
     owned_recv = comm._recv
 
     def counting_recv(src):
-        channel, obj = owned_recv(src)
-        if channel != CTRL and has_array(obj):
-            copied.append(channel)
-        return channel, obj
+        obj = owned_recv(src)
+        if has_array(obj):
+            copied.append(src)
+        return obj
+
+    send_sums = []
+    zero_copy_send_sum = comm.send_sum
+
+    def counting_send_sum(dst, x, y):
+        send_sums.append(dst)
+        zero_copy_send_sum(dst, x, y)
 
     comm._recv = counting_recv
+    comm.send_sum = counting_send_sum
     rng = np.random.default_rng(comm.rank)
     dense = rng.standard_normal(4096).astype(np.float32)
     grad = SparseRows(
@@ -343,16 +457,16 @@ def _scheduled_zero_copy_worker(comm):
         live, total = sched.submit(view_is_live, label="view").wait(30)
     finally:
         sched.close()
-    return reduced, shard, live, total, copied
+    return reduced, shard, live, total, copied, send_sums
 
 
 class TestZeroCopyUnderScheduler:
     def test_scheduled_collectives_keep_the_zero_copy_hooks(self):
-        """Under ``overlap=True`` the channel demultiplexer must forward
-        ``recv_view`` / ``recv_view_pinned`` / ``release_views`` to the
-        shm transport: a scheduled allreduce or sparse AlltoAll reduces
-        out of the sender's segment, never out of a receive-side copy —
-        with results bit-identical to the inline collectives."""
+        """Under ``overlap=True`` items run on the shm transport itself:
+        a scheduled allreduce or sparse AlltoAll reduces out of the
+        sender's segment, never out of a receive-side copy, and the ring
+        reduces straight into the outgoing segment (``send_sum``) — with
+        results bit-identical to the inline collectives."""
         from repro.comm import alltoall_column_shards, open_group
         from repro.tensors import SparseRows
 
@@ -370,8 +484,11 @@ class TestZeroCopyUnderScheduler:
         reference = run_threaded(world, inline)
         with open_group(world, backend="process", timeout=30.0) as group:
             outs = group.run(_scheduled_zero_copy_worker)
-        for rank, (reduced, shard, live, total, copied) in enumerate(outs):
+        for rank, (reduced, shard, live, total, copied, send_sums) in enumerate(
+            outs
+        ):
             assert copied == []  # no payload went through the copying _recv
+            assert send_sums  # the ring's zero-copy reduce ran
             assert live  # recv_view inside an item is a view of the segment
             left = np.random.default_rng((rank - 1) % world)
             assert total == float(left.standard_normal(4096).astype(np.float32).sum())
