@@ -54,7 +54,7 @@ import heapq
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -83,6 +83,38 @@ DEFAULT_MAX_CHUNKS = 8
 #: backward order) are flattened together until a bucket reaches this
 #: many elements, then reduced as one chunked AllReduce.
 DEFAULT_BUCKET_ELEMS = 65536
+
+
+def pack_buckets(
+    sizes: Sequence[tuple[float, int]], bucket_elems: int = DEFAULT_BUCKET_ELEMS
+) -> list[tuple[float, int, list[tuple[int, int, int]]]]:
+    """Greedily pack dense tensors into AllReduce buckets.
+
+    ``sizes`` lists ``(priority, elems)`` per tensor in forward order.
+    Tensors are packed consecutively in backward-completion (reversed)
+    order; a bucket closes before the tensor that would take it past
+    ``bucket_elems``, so a larger tensor gets a bucket of its own.  A
+    bucket takes the most urgent (minimum) priority of its members.
+
+    Returns ``(priority, total_elems, [(index, start, stop)])`` per
+    bucket, where ``index`` points into ``sizes`` and ``start:stop`` is
+    the tensor's slice of the flat bucket.  The result depends only on
+    ``sizes``, so every rank packs (and therefore reduces) identically.
+    """
+    buckets: list[tuple[float, int, list[tuple[int, int, int]]]] = []
+    members: list[tuple[int, int, int]] = []
+    prio, total = 0.0, 0
+    for i in reversed(range(len(sizes))):
+        p_prio, size = sizes[i]
+        if members and total + size > bucket_elems:
+            buckets.append((prio, total, members))
+            members, total = [], 0
+        prio = p_prio if not members else min(prio, p_prio)
+        members.append((i, total, total + size))
+        total += size
+    if members:
+        buckets.append((prio, total, members))
+    return buckets
 
 
 #: Fields earlier releases wrote into knob dicts (tuned profiles, saved

@@ -58,7 +58,7 @@ from repro.comm import (
     as_topology,
     run_threaded,
 )
-from repro.comm.sched import DEFAULT_BUCKET_ELEMS, PRIORITY_URGENT, SchedKnobs
+from repro.comm.sched import DEFAULT_BUCKET_ELEMS, PRIORITY_URGENT, SchedKnobs, pack_buckets
 from repro.obs import (
     SpanRecorder,
     TraceBundle,
@@ -153,7 +153,6 @@ class RealTrainer:
         steps: int = 10,
         gpu_kind: str = "rtx3090",
         record_predictions: bool = False,
-        dgc_ratio: float | None = None,
         eval_every: int | None = None,
         eval_batches: int = 2,
         fault_plan: FaultPlan | None = None,
@@ -167,13 +166,7 @@ class RealTrainer:
         placement=None,
         topology=None,
     ):
-        """``dgc_ratio`` (optional) enables Deep-Gradient-Compression on
-        the *dense* gradients: each rank top-k sparsifies with error
-        feedback, the selections travel by AllGather (compressed
-        gradients are non-associative, §2.2) and are summed after
-        decoding.  Orthogonal to the sparse-communication strategy.
-
-        ``fault_plan`` (optional) injects faults from
+        """``fault_plan`` (optional) injects faults from
         :mod:`repro.faults` into the run: every rank's communicator is
         wrapped in a :class:`~repro.faults.FaultyCommunicator` and the
         forward/backward pass is stretched by the rank's straggler
@@ -253,8 +246,6 @@ class RealTrainer:
             )
         check_positive("world_size", world_size)
         check_positive("steps", steps)
-        if dgc_ratio is not None and not 0.0 < dgc_ratio <= 1.0:
-            raise ValueError(f"dgc_ratio must be in (0, 1], got {dgc_ratio}")
         if eval_every is not None:
             check_positive("eval_every", eval_every)
             check_positive("eval_batches", eval_batches)
@@ -269,7 +260,6 @@ class RealTrainer:
         self.steps = steps
         self.gpu_kind = gpu_kind
         self.record_predictions = record_predictions
-        self.dgc_ratio = dgc_ratio
         self.eval_every = eval_every
         self.eval_batches = eval_batches
         self.fault_plan = fault_plan
@@ -543,14 +533,6 @@ class RealTrainer:
                     np.zeros(group.num_rows, dtype=np.int64) for group in groups
                 ]
 
-        compressors = None
-        if self.dgc_ratio is not None:
-            from repro.compression import TopKCompressor
-
-            compressors = {
-                id(p): TopKCompressor(ratio=self.dgc_ratio) for p in dense_params
-            }
-
         stream = Prefetcher(
             batch_stream(self.config, self.gpu_kind, seed=self.seed + 1 + comm.rank)
         )
@@ -624,42 +606,21 @@ class RealTrainer:
                 # ---- dense gradients: chunked ring AllReduce -------------- #
                 dense_handles: list[CommHandle] = []
                 dense_flats: list[tuple] = []
-                if compressors is None:
-                    # Fused buckets in backward completion order; chunks
-                    # let higher-priority sparse items preempt mid-bucket.
-                    for i, (prio, members, size, dtype) in enumerate(
-                        dense_buckets
-                    ):
-                        buf = np.empty(size, dtype=dtype)
-                        for p, start, stop in members:
-                            buf[start:stop] = p.grad.reshape(-1)
-                        dense_handles += sched.allreduce_chunks(
-                            buf,
-                            priority=prio,
-                            label=f"dense:b{i}",
-                            chunk_elems=self.knobs.chunk_elems,
-                            max_chunks=self.knobs.max_chunks,
-                            topology=dense_topo,
-                        )
-                        dense_flats.append((members, buf))
-                else:
-                    for p in dense_params:
-                        c = compressors[id(p)]
-                        idx, vals = c.compress(p.grad)
-                        gathered = coll.allgather((idx, vals))
-                        all_idx = np.concatenate([g for g, _ in gathered])
-                        all_vals = np.concatenate([v for _, v in gathered])
-                        # One bincount replaces a fresh dense zeros +
-                        # np.add.at per rank; concatenating in rank order
-                        # keeps the accumulation order (and hence bits)
-                        # identical, and the final cast keeps float32
-                        # gradients float32.
-                        total = np.bincount(
-                            all_idx, weights=all_vals, minlength=p.data.size
-                        )
-                        p.grad = (
-                            total.reshape(p.data.shape) / comm.world_size
-                        ).astype(p.grad.dtype, copy=False)
+                # Fused buckets in backward completion order; chunks let
+                # higher-priority sparse items preempt mid-bucket.
+                for i, (prio, members, size) in enumerate(dense_buckets):
+                    buf = np.empty(size, dtype=members[0][0].data.dtype)
+                    for p, start, stop in members:
+                        buf[start:stop] = p.grad.reshape(-1)
+                    dense_handles += sched.allreduce_chunks(
+                        buf,
+                        priority=prio,
+                        label=f"dense:b{i}",
+                        chunk_elems=self.knobs.chunk_elems,
+                        max_chunks=self.knobs.max_chunks,
+                        topology=dense_topo,
+                    )
+                    dense_flats.append((members, buf))
 
                 # ---- sparse gradients ------------------------------------- #
                 if self.strategy == "allgather":
@@ -891,17 +852,17 @@ class RealTrainer:
     @staticmethod
     def _dense_buckets(
         dense_order, bucket_elems: int = DEFAULT_BUCKET_ELEMS
-    ) -> list[tuple[float, list, int, object]]:
+    ) -> list[tuple[float, list, int]]:
         """Fuse dense gradients into few large AllReduce buffers.
 
         The per-step profile is dominated by per-collective fixed cost
         (latency plus rank-arrival skew), not bandwidth: a model's many
         small dense tensors each paying it separately swamps the sparse
-        exchanges the 2D schedule is trying to prioritize.  Greedily
-        packing consecutive tensors — in backward-completion order, one
-        bucket per dtype run, up to ``bucket_elems`` elements (default
-        :data:`~repro.comm.sched.DEFAULT_BUCKET_ELEMS`, tunable via
-        :class:`~repro.comm.SchedKnobs`) — collapses them into a handful of
+        exchanges the 2D schedule is trying to prioritize.
+        :func:`~repro.comm.sched.pack_buckets` greedily packs consecutive
+        tensors — in backward-completion order, up to ``bucket_elems``
+        elements (default :data:`~repro.comm.sched.DEFAULT_BUCKET_ELEMS`,
+        tunable via :class:`~repro.comm.SchedKnobs`) — into a handful of
         fused reductions, each still submitted through
         :meth:`~repro.comm.CommScheduler.allreduce_chunks` so sparse
         items preempt between chunks.  A bucket takes the most urgent
@@ -909,35 +870,18 @@ class RealTrainer:
         parameter list, so every rank and both overlap modes pack — and
         therefore reduce — identically.
 
-        Returns ``(priority, [(param, start, stop)], total_elems, dtype)``
-        per bucket.
+        Returns ``(priority, [(param, start, stop)], total_elems)`` per
+        bucket.
         """
-        buckets: list[tuple[float, list, int, object]] = []
-        members: list = []
-        prio = 0.0
-        total = 0
-        dtype: object = None
-
-        def close() -> None:
-            nonlocal members, total, dtype
-            if members:
-                buckets.append((prio, members, total, dtype))
-            members, total, dtype = [], 0, None
-
-        for p_prio, p in reversed(dense_order):
-            size = p.data.size
-            if members and (
-                p.data.dtype != dtype or total + size > bucket_elems
-            ):
-                close()
-            if not members:
-                prio, dtype = p_prio, p.data.dtype
-            else:
-                prio = min(prio, p_prio)
-            members.append((p, total, total + size))
-            total += size
-        close()
-        return buckets
+        sizes = [(prio, p.data.size) for prio, p in dense_order]
+        return [
+            (
+                prio,
+                [(dense_order[i][1], start, stop) for i, start, stop in members],
+                total,
+            )
+            for prio, total, members in pack_buckets(sizes, bucket_elems)
+        ]
 
     @staticmethod
     def _flush_delayed(pending: list[tuple[TableGroupRuntime, CommHandle]]) -> None:

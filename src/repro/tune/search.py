@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.comm.sched import PRIORITY_URGENT, SchedKnobs, dense_chunk_bounds
+from repro.comm.sched import PRIORITY_URGENT, SchedKnobs, dense_chunk_bounds, pack_buckets
 from repro.schedule import PRIORITY_DELAYED, PRIORITY_PRIOR, SCHEDULE_NAMES
 from repro.sim import TaskGraph, execute
 from repro.tune.fit import TunedProfile
@@ -387,25 +387,6 @@ def calibrate_overhead(
 # --------------------------------------------------------------------- #
 # Candidate evaluation
 # --------------------------------------------------------------------- #
-def _pack_buckets(
-    sizes: list[tuple[float, int]], bucket_elems: int
-) -> list[tuple[float, int]]:
-    """Greedy consecutive packing, mirroring ``RealTrainer._dense_buckets``
-    (single-dtype case): returns ``(priority, total_elems)`` per bucket
-    over the backward-completion (reversed) order."""
-    buckets: list[tuple[float, int]] = []
-    prio, total = 0.0, 0
-    for p_prio, size in reversed(sizes):
-        if total and total + size > bucket_elems:
-            buckets.append((prio, total))
-            total = 0
-        prio = p_prio if total == 0 else min(prio, p_prio)
-        total += size
-    if total:
-        buckets.append((prio, total))
-    return buckets
-
-
 @dataclass(frozen=True)
 class PredictedRun:
     """Simulator verdict for one candidate."""
@@ -542,7 +523,7 @@ def predict_candidate(
         )
         return coll.seconds
 
-    buckets = _pack_buckets(list(workload.dense_param_sizes), k.bucket_elems)
+    buckets = pack_buckets(workload.dense_param_sizes, k.bucket_elems)
     g = TaskGraph()
     prev_opt: str | None = None
     prev_refresh: list[str] = []
@@ -567,7 +548,7 @@ def predict_candidate(
         )
         # Dense buckets -> preemptible chunks.
         dense_chunks: list[str] = []
-        for b, (prio, total) in enumerate(buckets):
+        for b, (prio, total, _members) in enumerate(buckets):
             bounds = dense_chunk_bounds(total, k.chunk_elems, k.max_chunks)
             for c in range(len(bounds) - 1):
                 elems = bounds[c + 1] - bounds[c]
@@ -601,7 +582,7 @@ def predict_candidate(
                 resource="comm", kind="comm",
                 priority=PRIORITY_URGENT, deps=[fwd],
             )
-            dense_prio = min((p for p, _ in buckets), default=0.0)
+            dense_prio = min((b[0] for b in buckets), default=0.0)
             # One prior / delayed / hot exchange per same-width table
             # group, as the trainer issues them: a group pays one
             # latency for its members' summed bytes.

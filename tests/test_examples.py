@@ -57,10 +57,6 @@ class TestExamples:
         assert "batch-stream node dedup" in out
         assert "replay ladder" in out
 
-    def test_compression_study(self):
-        out = run_example("compression_study.py", "--steps", "4")
-        assert "less traffic" in out
-
     @pytest.mark.parametrize("args", [["--world", "2", "--steps", "3"]])
     def test_translation_embrace(self, args):
         out = run_example("translation_embrace.py", *args)

@@ -1,8 +1,7 @@
-"""Tests for the extension layer: LR schedules, checkpointing, trace
-export, and the CLI."""
+"""Tests for the extension layer: checkpointing, trace export, and the
+CLI."""
 
 import json
-import math
 import os
 
 import numpy as np
@@ -11,62 +10,9 @@ import pytest
 from repro.cli import main as cli_main
 from repro.engine.checkpoint import load_checkpoint, save_checkpoint
 from repro.models import GNMT8, LM, build_model
-from repro.nn.parameter import Parameter
-from repro.optim import Adam, SGD
-from repro.optim.lr_schedules import (
-    ConstantLR,
-    CosineDecay,
-    ExponentialDecay,
-    WarmupInverseSqrt,
-)
+from repro.optim import Adam
 from repro.sim.trace import Trace, TraceEntry
 from repro.sim.trace_export import to_chrome_trace, write_chrome_trace
-
-
-def opt():
-    return SGD([Parameter(np.zeros(3), name="w")], lr=0.1)
-
-
-class TestLRSchedules:
-    def test_constant(self):
-        sched = ConstantLR(opt())
-        assert sched.step() == 0.1
-        assert sched.step() == 0.1
-
-    def test_warmup_inverse_sqrt_shape(self):
-        o = opt()
-        sched = WarmupInverseSqrt(o, warmup_steps=10)
-        lrs = [sched.step() for _ in range(30)]
-        # Rises during warmup...
-        assert lrs[4] < lrs[9]
-        # ...peaks at the warmup boundary...
-        assert max(lrs) == pytest.approx(lrs[9])
-        assert lrs[9] == pytest.approx(0.1)
-        # ...then decays as 1/sqrt(step).
-        assert lrs[29] == pytest.approx(0.1 * math.sqrt(10 / 30), rel=1e-6)
-        assert o.lr == lrs[-1]
-
-    def test_exponential_decay(self):
-        sched = ExponentialDecay(opt(), decay_rate=0.5, decay_every=5, flat_steps=5)
-        lrs = [sched.step() for _ in range(15)]
-        assert lrs[4] == 0.1  # flat phase
-        assert lrs[9] == pytest.approx(0.05)
-        assert lrs[14] == pytest.approx(0.025)
-
-    def test_cosine_decay(self):
-        sched = CosineDecay(opt(), total_steps=100, min_lr=0.01)
-        lrs = [sched.step() for _ in range(100)]
-        assert lrs[0] < 0.1
-        assert lrs[-1] == pytest.approx(0.01, abs=1e-6)
-        assert all(b <= a + 1e-12 for a, b in zip(lrs, lrs[1:]))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            WarmupInverseSqrt(opt(), warmup_steps=0)
-        with pytest.raises(ValueError):
-            ExponentialDecay(opt(), decay_rate=1.5)
-        with pytest.raises(ValueError):
-            CosineDecay(opt(), total_steps=10, min_lr=-1)
 
 
 class TestCheckpoint:

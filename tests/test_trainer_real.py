@@ -294,17 +294,6 @@ class TestOverlapScheduling:
             np.testing.assert_array_equal(sync.state[key], over.state[key],
                                           err_msg=key)
 
-    def test_overlap_with_dgc(self):
-        """DGC's AllGather rides the scheduler facade too."""
-        sync, over = self._pair(
-            GNMT8.tiny(), strategy="embrace", world_size=2, steps=3,
-            seed=4, dgc_ratio=0.25,
-        )
-        assert sync.losses == over.losses
-        for key in sync.state:
-            np.testing.assert_array_equal(sync.state[key], over.state[key],
-                                          err_msg=key)
-
     def test_overlap_under_faults_matches_clean_sync(self):
         """Drops/delays/reordering below the scheduler change timing,
         never numerics: faulty overlapped == clean synchronous."""

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.comm import SchedKnobs
+from repro.comm.sched import pack_buckets
 from repro.engine.run import RunConfig, run
 from repro.engine.trainer_real import RealTrainer
 from repro.models.config import GNMT8
@@ -26,7 +27,7 @@ from repro.tune import (
     probe_link,
     rank_candidates,
 )
-from repro.tune.search import MeasuredWorkload, TableLoad, _pack_buckets
+from repro.tune.search import MeasuredWorkload, TableLoad
 
 
 def synthetic_samples(world, beta, bandwidth, sizes, noise=0.0, seed=0):
@@ -383,15 +384,19 @@ def make_workload(world=4):
 
 
 class TestSearch:
-    def test_pack_buckets_mirrors_trainer(self):
+    def test_bucket_packing(self):
+        # Backward-completion order, minimum priority, cap respected.
         sizes = [(0.0, 10), (1.0, 20), (2.0, 30)]
-        trainer_style = [
-            (prio, total)
-            for prio, _members, total, _dt in RealTrainer._dense_buckets(
-                [(p, _FakeParam(n)) for p, n in sizes], 32
-            )
+        assert pack_buckets(sizes, 32) == [
+            (2.0, 30, [(2, 0, 30)]),
+            (0.0, 30, [(1, 0, 20), (0, 20, 30)]),
         ]
-        assert _pack_buckets(sizes, 32) == trainer_style
+        # A tensor larger than the cap gets a bucket of its own.
+        assert pack_buckets([(0.0, 100), (1.0, 5)], 32) == [
+            (1.0, 5, [(1, 0, 5)]),
+            (0.0, 100, [(0, 0, 100)]),
+        ]
+        assert pack_buckets([], 32) == []
 
     @pytest.mark.parametrize("strategy", ["embrace", "allgather", "allreduce"])
     def test_predict_candidate_sane(self, strategy):
@@ -496,11 +501,6 @@ class TestSearch:
         assert cal.step_overhead_s >= 0.0
         slow = dataclasses.replace(w, measured_step_s=1.0)
         assert calibrate_overhead(p, slow, n_steps=3).step_overhead_s > 0.9
-
-
-class _FakeParam:
-    def __init__(self, n):
-        self.data = np.zeros(n, dtype=np.float32)
 
 
 class TestKnobPlumbing:
