@@ -110,9 +110,6 @@ class NodeTopology:
     def leader_of(self, rank: int) -> int:
         return self.nodes[self.node_of(rank)][0]
 
-    def local_rank(self, rank: int) -> int:
-        return self.members(rank).index(rank)
-
     # -- construction ------------------------------------------------------ #
     @classmethod
     def symmetric(cls, num_nodes: int, gpus_per_node: int, **links: float) -> "NodeTopology":

@@ -10,8 +10,9 @@ adopt it:
   exchanges, and the modified-Adam shard updates;
 * ``refresh_rows`` — the forward lookup-result AlltoAll that rewrites
   the local replica's rows for the upcoming batch;
-* ``gather_tables`` — reassemble every member's authoritative table from
-  all ranks' column shards (checkpointing / evaluation).
+* ``own_columns`` — this rank's authoritative columns of every member,
+  which the launcher joins (:func:`join_column_shards`) after a run;
+  ``gather_tables`` joins them collectively, for checkpoints.
 
 The group stacks its tables into **one virtual row space** (row = table
 offset + row), so an iteration costs one split, one prior / delayed /
@@ -57,6 +58,12 @@ from repro.optim import EmbraceAdam
 from repro.placement import TablePlacement, as_placement, learn_hot_ids
 from repro.schedule.vertical import vertical_split
 from repro.tensors import SparseRows
+
+
+def join_column_shards(shards: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
+    """Per-rank column shards, in rank order -> full-width arrays, for
+    every key of the last rank's dict."""
+    return {key: np.concatenate([s[key] for s in shards], axis=1) for key in shards[-1]}
 
 
 class TableGroupRuntime:
@@ -408,22 +415,20 @@ class TableGroupRuntime:
         message of N bytes pins a pooled shm segment of up to 2N bytes
         on both ends for the life of the pool (docs/mechanisms.md).
         """
-        return {
-            name: np.concatenate(
-                self.comm.allgather(np.ascontiguousarray(shard_rows[lo:hi])),
-                axis=1,
-            )
-            for name, (lo, hi) in self.bounds.items()
-        }
+        per_member = [
+            self.comm.allgather(np.ascontiguousarray(shard_rows[lo:hi]))
+            for lo, hi in self.bounds.values()
+        ]
+        return join_column_shards([dict(zip(self.bounds, r)) for r in zip(*per_member)])
+
+    def own_columns(self) -> dict[str, np.ndarray]:
+        """This rank's authoritative columns of every member table, hot
+        rows included (hot updates write through into the shard view)."""
+        return {name: self.shard.data[lo:hi].copy() for name, (lo, hi) in self.bounds.items()}
 
     def gather_tables(self) -> dict[str, np.ndarray]:
-        """Every member's authoritative full table (collective), each
-        its own array — nothing the size of the stacked rows is built.
-
-        Needs no hot-lane special case: hot updates write through the
-        replica into this rank's shard columns, so the column allgather
-        reassembles hot rows correctly too.
-        """
+        """Every member's full table (collective; for checkpoints), each
+        its own array — nothing the size of the stacked rows is built."""
         return self._gather_columns(self.shard.data)
 
     def table_hot_ids(self) -> dict[str, np.ndarray]:

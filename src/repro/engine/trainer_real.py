@@ -72,7 +72,7 @@ from repro.engine.checkpoint import (
     peek_step,
     save_checkpoint,
 )
-from repro.engine.embrace_runtime import TableGroupRuntime
+from repro.engine.embrace_runtime import TableGroupRuntime, join_column_shards
 from repro.faults import CommFailure, FaultPlan, FaultyCommunicator, RankCrashed
 from repro.optim import EmbraceAdam
 from repro.placement import as_placement
@@ -91,7 +91,8 @@ DEFAULT_GROUP_TIMEOUT = 60.0
 
 @dataclass
 class TrainResult:
-    """Per-step metrics plus the final (rank-0, fully assembled) model state."""
+    """Per-step metrics plus the final model state: the full model once
+    :meth:`RealTrainer.train` has joined every rank's EmbRace columns."""
 
     strategy: str
     world_size: int
@@ -303,12 +304,17 @@ class RealTrainer:
 
     def _launch(self, *args, timeout: float) -> list[TrainResult]:
         """Run :meth:`_worker` on every rank of ``group`` (threads when
-        ``None``).  A process-backed group keeps its pool across calls,
-        so restart attempts in :meth:`train_resilient` ride warm workers
-        and links instead of re-forking."""
+        ``None``) and join the ranks' columns into rank 0's state.  A
+        process-backed group keeps its pool across calls, so restart
+        attempts in :meth:`train_resilient` ride warm workers and links
+        instead of re-forking."""
         if self.group is not None:
-            return self.group.run(self._worker, *args)
-        return run_threaded(self.world_size, self._worker, *args, timeout=timeout)
+            results = self.group.run(self._worker, *args)
+        else:
+            results = run_threaded(self.world_size, self._worker, *args, timeout=timeout)
+        if len(results) > 1:
+            results[0].state.update(join_column_shards([r.state for r in results]))
+        return results
 
     def train(self) -> TrainResult:
         result = self._launch(timeout=self._group_timeout())[0]
@@ -702,7 +708,15 @@ class RealTrainer:
                     )
 
             self._flush_delayed(pending_delayed)
-            state = self._final_state(model, groups)
+            # No collective after the last step: a rank returns its own
+            # columns of group-owned tables (not the stale replica), rank
+            # 0 also the rest; _launch joins the columns.
+            owned = {id(g.tables[n].weight): c for g in groups for n, c in g.own_columns().items()}
+            state = {
+                key: owned[id(p)] if id(p) in owned else p.data.copy()
+                for key, p in model.named_parameters()
+                if id(p) in owned or comm.rank == 0
+            }
             inter_bytes = 0
             if meter is not None:
                 # Which ranks sit on a node boundary differs between the
@@ -1029,18 +1043,3 @@ class RealTrainer:
         from repro.eval.decode import teacher_forced_argmax
 
         return teacher_forced_argmax(model, batch)
-
-    def _final_state(self, model, groups) -> dict[str, np.ndarray]:
-        """Rank-0-equivalent state with embrace shards reassembled.
-
-        Group-owned tables are not copied out of the (stale) local
-        replica first: their rows come from the shard AllGathers.
-        """
-        gathered = {}
-        for group in groups:
-            for name, full in group.gather_tables().items():
-                gathered[id(group.tables[name].weight)] = full
-        return {
-            key: gathered[id(p)] if id(p) in gathered else p.data.copy()
-            for key, p in model.named_parameters()
-        }

@@ -206,9 +206,11 @@ def run_realbytes() -> ExperimentResult:
     findings = []
     for world in REALBYTES_WORLDS:
         ranking = sorted(REALBYTES_STRATEGIES, key=lambda s: data[s][world])
+        em, ag = data["embrace"][world], data["allgather"][world]
         findings.append(
             f"{world} workers: bytes ranking {' < '.join(ranking)} "
-            "(dense format pays for every zero, §2.2)."
+            f"(dense format pays for every zero, §2.2); embrace sends "
+            f"{em / ag:.4f}x allgather's bytes ({em - ag:+,} B)."
         )
     return ExperimentResult(
         exp_id="Real bytes",

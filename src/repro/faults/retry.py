@@ -41,10 +41,6 @@ class RetryPolicy:
         check_non_negative("attempt", attempt)
         return min(self.base_backoff * self.factor**attempt, self.max_backoff)
 
-    def total_budget(self) -> float:
-        """Total seconds of backoff a fully exhausted retry loop sleeps."""
-        return sum(self.backoff(a) for a in range(self.max_retries))
-
 
 def retry_with_backoff(
     fn: Callable[[], T],

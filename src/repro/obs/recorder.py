@@ -166,11 +166,12 @@ class SpanRecorder:
         # the top-``row_topk`` rows.  This is the learning signal for
         # skew-aware hot/cold placement (ROADMAP item 2).
         self._row_counts: dict[str, np.ndarray] = {}
-        # The comm scheduler records collective spans from its comm
-        # thread while the training thread records compute spans: ring
-        # writes take a lock (spans are per-collective, not per-byte, so
-        # contention is negligible) and the collective nesting depth is
-        # tracked per thread.
+        # The comm queue runs on the thread that waits, so one thread
+        # records a rank's compute and collective spans; others may
+        # still write (fault injection's delayed-send timers reach the
+        # transport): ring writes take a lock (spans are per-collective,
+        # not per-byte, so contention is negligible) and the collective
+        # nesting depth is tracked per thread.
         self._lock = threading.Lock()
         self._coll_depth = threading.local()
         self._t0 = clock()

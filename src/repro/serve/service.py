@@ -61,7 +61,7 @@ from repro.comm import (
     open_group,
 )
 from repro.data.zipf import ZipfSampler
-from repro.engine.embrace_runtime import TableGroupRuntime
+from repro.engine.embrace_runtime import TableGroupRuntime, join_column_shards
 from repro.serve.batching import AdmissionQueue
 from repro.serve.config import ServeConfig
 from repro.serve.online import SparseEmbeddingTask, build_tables, train_stream_rng
@@ -388,20 +388,20 @@ def _follow(state: _WorkerState) -> None:
 
 
 def _serve_worker(comm, cfg: ServeConfig) -> dict:
-    """Per-rank entry point (module-level: persistent pools pickle it)."""
+    """Per-rank entry point (module-level: persistent pools pickle it).
+    Returns this rank's own table columns: no gather after the last op."""
     sched = CommScheduler(comm, overlap=cfg.overlap)
     try:
         state = _WorkerState(comm, cfg, sched)
         report = _drive(state) if comm.rank == 0 else None
         if comm.rank != 0:
             _follow(state)
-        final = state.group.gather_tables()
     finally:
         sched.close()
     out: dict[str, Any] = {
         "losses": state.losses,
         "steps_done": state.steps_done,
-        "final_tables": final,
+        "final_tables": state.group.own_columns(),
     }
     if report is not None:
         out["report"] = report
@@ -512,7 +512,7 @@ class ShardedEmbeddingService:
             interrupted=report["interrupted"],
             wall_time_s=report["wall_time_s"],
             repartitions=report["repartitions"],
-            final_tables=outs[0]["final_tables"],
+            final_tables=join_column_shards([out["final_tables"] for out in outs]),
             serve_results=report["serve_results"],
             trace=self.group.last_trace,
         )

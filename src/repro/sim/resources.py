@@ -67,7 +67,3 @@ class Resource:
             self._schedule_dispatch()
 
         self.sim.schedule(task.duration, finish)
-
-    @property
-    def queue_depth(self) -> int:
-        return len(self._heap)

@@ -266,7 +266,7 @@ def measured_step_time(trace, steps: int, lane: str = "compute:0") -> float:
     """Steady-state step seconds: spacing of successive ``fwd_bwd`` starts.
 
     Robust against setup (model build before the first step) and
-    teardown (final state gather after the last) inflating
+    teardown (span shipping after the last) inflating
     ``makespan / steps``; needs ``steps >= 2``.
     """
     starts = sorted(
@@ -562,8 +562,8 @@ def predict_candidate(
         # Host time outside the compute spans: real traces count it as
         # stall (it is not a recorded ``compute``-kind span), so the
         # model gives it kind="overhead" — same §5.4 arithmetic.  The
-        # comm lane keeps serving underneath it, as the real comm
-        # thread does.
+        # modelled comm lane keeps serving underneath it (the real
+        # queue runs only when the training thread waits).
         host = None
         if workload.step_overhead_s > 0:
             host = f"host:{i}"

@@ -295,6 +295,25 @@ class TestShardedEmbeddingService:
         assert report.requests_served == 5
         _assert_bit_identical_and_consistent(cfg, report)
 
+    def test_close_gathers_no_table(self, monkeypatch):
+        """Each rank returns its own columns and run() joins them; world 3
+        cuts dim 32 into uneven shards."""
+        from repro.engine.embrace_runtime import TableGroupRuntime
+
+        def gather(*args, **kwargs):
+            raise AssertionError("table gather at service close")
+
+        monkeypatch.setattr(TableGroupRuntime, "gather_tables", gather)
+        monkeypatch.setattr(TableGroupRuntime, "_gather_columns", gather)
+        cfg = ServeConfig(
+            world_size=3, backend="thread", tables=("emb_a", "emb_b"), clients=1,
+            requests_per_client=5, train_steps=3, record_serve_results=True,
+        )
+        with ShardedEmbeddingService(cfg) as service:
+            report = service.run()
+        assert list(report.final_tables) == list(cfg.tables)
+        _assert_bit_identical_and_consistent(cfg, report)
+
     def test_process_backend_fast(self):
         cfg = ServeConfig(
             world_size=2,

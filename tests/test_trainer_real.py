@@ -378,3 +378,73 @@ class TestDelayedStepBoundary:
         for f, d in zip(fused, deferred):
             np.testing.assert_array_equal(f, d)
         np.testing.assert_array_equal(fused[0], fused[1])
+
+
+def _forbid_gathers(monkeypatch):
+    """Make any column AllGather of a table group raise."""
+    from repro.engine.embrace_runtime import TableGroupRuntime
+
+    def gather(*args, **kwargs):
+        raise AssertionError("table gather after the last step")
+
+    monkeypatch.setattr(TableGroupRuntime, "gather_tables", gather)
+    monkeypatch.setattr(TableGroupRuntime, "_gather_columns", gather)
+
+
+def _ring_gather_bytes(config, world):
+    """What rank 0 sent in a ring AllGather of every table's columns:
+    each rank's shard once, except rank 1's (the last one it receives)."""
+    from repro.comm.sparse import column_slices
+
+    model = build_model(config, rng=np.random.default_rng(0))
+    total = 0
+    for table in model.embedding_tables().values():
+        rows, dim = table.weight.data.shape
+        last = column_slices(dim, world)[1]
+        total += rows * (dim - (last.stop - last.start)) * table.weight.data.itemsize
+    return total
+
+
+class TestNoCollectiveAfterLastStep:
+    """Ranks return their own embedding columns; the launcher joins them."""
+
+    HOT = {"hot_fraction": 0.05, "repartition_interval": 2}
+
+    # Rank-0 comm_bytes when every run ended with a column AllGather of
+    # each table (seed 5); the runs now send exactly that much less.
+    @pytest.mark.parametrize(
+        "paper_cfg, world, steps, knobs, bytes_with_gather",
+        [
+            (GNMT8, 2, 3, None, 110_888),
+            (GNMT8, 3, 3, None, 150_000),
+            (DLRM, 2, 3, None, 17_940),
+            (DLRM, 3, 3, None, 28_080),
+            (GNMT8, 2, 6, HOT, 221_552),
+        ],
+        ids=["GNMT-8-w2", "GNMT-8-w3", "DLRM-w2", "DLRM-w3", "GNMT-8-w2-hot"],
+    )
+    def test_state_assembled_without_gather(
+        self, monkeypatch, paper_cfg, world, steps, knobs, bytes_with_gather
+    ):
+        config = paper_cfg.tiny()
+        ag = RealTrainer(config, strategy="allgather", world_size=world,
+                         steps=steps, seed=5).train()
+        _forbid_gathers(monkeypatch)
+        em = RealTrainer(config, strategy="embrace", world_size=world,
+                         steps=steps, seed=5, knobs=knobs).train()
+        assert em.losses == ag.losses
+        assert list(em.state) == list(ag.state)
+        for key in ag.state:
+            np.testing.assert_array_equal(em.state[key], ag.state[key], err_msg=key)
+        assert em.comm_bytes == bytes_with_gather - _ring_gather_bytes(config, world)
+
+    def test_process_backend_assembles_thread_state(self, monkeypatch):
+        _forbid_gathers(monkeypatch)  # before the fork: workers inherit it
+        kw = dict(strategy="embrace", world_size=2, steps=3, seed=5)
+        ref = RealTrainer(DLRM.tiny(), **kw).train()
+        with open_group(2, backend="process") as group:
+            got = RealTrainer(DLRM.tiny(), group=group, **kw).train()
+        assert got.losses == ref.losses
+        assert list(got.state) == list(ref.state)
+        for key in ref.state:
+            np.testing.assert_array_equal(got.state[key], ref.state[key], err_msg=key)
