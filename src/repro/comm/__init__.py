@@ -51,7 +51,10 @@ from repro.comm.sparse import (
     alltoall_column_shards,
     alltoall_lookup_results,
     column_slices,
+    ids_dtype,
     merge_grouped,
+    narrow_ids,
+    wide_ids,
 )
 from repro.comm.topology import (
     InterNodeMeter,
@@ -93,7 +96,10 @@ __all__ = [
     "alltoall_column_shards",
     "alltoall_lookup_results",
     "column_slices",
+    "ids_dtype",
     "merge_grouped",
+    "narrow_ids",
+    "wide_ids",
     "InterNodeMeter",
     "NodeComms",
     "NodeTopology",

@@ -43,6 +43,8 @@ from repro.comm.sparse import (
     allreduce_hot_rows,
     alltoall_column_shards,
     column_slices,
+    ids_dtype,
+    narrow_ids,
 )
 from repro.comm.topology import NodeComms, NodeTopology, node_comms
 from repro.obs.instrument import traced_collective
@@ -198,7 +200,7 @@ def _gather_node_parts(
     (own included).  Member: sends its part and returns ``None``."""
     intra = nc.intra
     if not nc.is_leader:
-        intra.send(0, (grad.indices, intra.snapshot(grad.values)))
+        _send_rows(intra, [0], grad)
         return None
     members = nc.topology.nodes[nc.node]
     parts: list[tuple[np.ndarray, np.ndarray]] = []
@@ -210,6 +212,20 @@ def _gather_node_parts(
             idx = np.asarray(idx)
             parts.append((idx, np.asarray(vals).reshape(len(idx), grad.dim)))
     return parts
+
+
+def _send_rows(comm: Communicator, dsts, rows: SparseRows) -> None:
+    """Send ``rows`` as ``(wire ids, values)`` to every rank in ``dsts``."""
+    arena = default_arena()
+    idx = narrow_ids(comm, rows.indices, rows.num_rows, arena)
+    for dst in dsts:
+        comm.send(dst, (idx, comm.snapshot(rows.values)))
+    arena.put(idx)
+
+
+def _rows_nbytes(rows: SparseRows) -> int:
+    """Wire bytes of one ``(wire ids, values)`` message of ``rows``."""
+    return len(rows.indices) * ids_dtype(rows.num_rows).itemsize + rows.values.nbytes
 
 
 def _merge_node(
@@ -229,8 +245,7 @@ def _scatter_result(nc: NodeComms, result: SparseRows | None, num_rows: int, dim
     intra = nc.intra
     if nc.is_leader:
         assert result is not None
-        for li in range(1, intra.world_size):
-            intra.send(li, (result.indices, intra.snapshot(result.values)))
+        _send_rows(intra, range(1, intra.world_size), result)
         return result
     idx, vals = intra.recv(0)
     idx = np.asarray(idx)
@@ -286,7 +301,7 @@ def two_level_alltoall_shards(
     if parts is None:
         # Member: account the intra leg, then wait for the merged shard.
         if obs.enabled:
-            sent = float(grad.indices.nbytes + grad.values.nbytes)
+            sent = float(_rows_nbytes(grad))
             obs.count("wire_bytes.alltoall_sparse", sent)
             if table is not None:
                 obs.count(f"wire_bytes.table.{table}", sent)
@@ -308,12 +323,15 @@ def two_level_alltoall_shards(
         for node in topology.nodes
     ]
     sent = 0
+    arena = default_arena()
+    wire_idx = narrow_ids(inter, node_grad.indices, num_rows, arena)
     for q in range(m):
         if q == me:
             continue
         block = node_grad.values[:, node_cols[q]]
-        inter.send(q, (node_grad.indices, inter.snapshot(block)))
-        sent += node_grad.indices.nbytes + block.nbytes
+        inter.send(q, (wire_idx, inter.snapshot(block)))
+        sent += wire_idx.nbytes + block.nbytes
+    arena.put(wire_idx)
     my_cols = node_cols[me]
     my_node_width = my_cols.stop - my_cols.start
     node_parts: list[tuple[np.ndarray, np.ndarray]] = []
@@ -343,8 +361,8 @@ def two_level_alltoall_shards(
             if r == rank:
                 mine = merged
             else:
-                nc.intra.send(li, (merged.indices, nc.intra.snapshot(merged.values)))
-                sent += merged.indices.nbytes + merged.values.nbytes
+                _send_rows(nc.intra, [li], merged)
+                sent += _rows_nbytes(merged)
     finally:
         comm.release_views()
     if obs.enabled:
@@ -392,7 +410,7 @@ def two_level_allreduce_hot_rows(
     result: SparseRows | None = None
     if parts is None:
         if obs.enabled:
-            sent = float(grad.indices.nbytes + grad.values.nbytes)
+            sent = float(_rows_nbytes(grad))
             obs.count("wire_bytes.hot_lane", sent)
             if table is not None:
                 obs.count(f"wire_bytes.table.{table}", sent)
@@ -404,10 +422,7 @@ def two_level_allreduce_hot_rows(
             inter, hot_ids, node_grad, table=table, arena=arena
         )
         if obs.enabled and nc.intra.world_size > 1:
-            sent = float(
-                (nc.intra.world_size - 1)
-                * (result.indices.nbytes + result.values.nbytes)
-            )
+            sent = float((nc.intra.world_size - 1) * _rows_nbytes(result))
             obs.count("wire_bytes.hot_lane", sent)
             if table is not None:
                 obs.count(f"wire_bytes.table.{table}", sent)

@@ -323,6 +323,23 @@ class CommHandle:
         self._done = True
 
 
+def _lane_counted(fn: Callable[[Communicator], Any], counter: str) -> Callable:
+    """``fn`` that adds the bytes it sends to the ``counter`` counter.
+
+    Exact: the executor runs one item at a time, so ``bytes_sent``
+    moves only by this item's sends while it runs.
+    """
+
+    def run(comm: Communicator) -> Any:
+        before = comm.bytes_sent
+        try:
+            return fn(comm)
+        finally:
+            comm.obs.count(counter, float(comm.bytes_sent - before))
+
+    return run
+
+
 class CommScheduler:
     """Per-rank priority-ordered communication engine.
 
@@ -352,10 +369,16 @@ class CommScheduler:
     # -- submission -------------------------------------------------------- #
     def submit(
         self, fn: Callable[[Communicator], Any], priority: float = 0.0,
-        label: str = "",
+        label: str = "", lane: str | None = None,
     ) -> CommHandle:
-        """Queue ``fn(comm)``; returns its :class:`CommHandle`."""
+        """Queue ``fn(comm)``; returns its :class:`CommHandle`.
+
+        ``lane`` names the traffic: when tracing is on, the bytes the
+        item sends count as ``wire_bytes.<lane>``.
+        """
         self._check_outside_item("submit")
+        if lane is not None and self.comm.obs.enabled:
+            fn = _lane_counted(fn, f"wire_bytes.{lane}")
         handle = CommHandle(label, priority, self)
         with self._lock:
             if self._error is not None:
@@ -378,6 +401,7 @@ class CommScheduler:
         chunk_elems: int = DEFAULT_CHUNK_ELEMS,
         max_chunks: int = DEFAULT_MAX_CHUNKS,
         topology: Any = None,
+        lane: str | None = None,
     ) -> list[CommHandle]:
         """Submit a dense sum-AllReduce of ``flat`` as preemptible chunks.
 
@@ -413,7 +437,9 @@ class CommScheduler:
                     comm.allreduce(view, out=view)
 
             handles.append(
-                self.submit(run, priority=priority, label=f"{label}#c{i}")
+                self.submit(
+                    run, priority=priority, label=f"{label}#c{i}", lane=lane
+                )
             )
         return handles
 
@@ -496,13 +522,16 @@ class SchedComm(Communicator):
     exchanges, table gathers, validation refreshes) runs unmodified
     while still respecting the engine's single global order.  Only
     rank-symmetric operations are supported: point-to-point ``send`` /
-    ``recv`` would break the SPMD rule and raise.
+    ``recv`` would break the SPMD rule and raise.  It shares the
+    scheduler communicator's recorder, so collectives called on the
+    facade (the lookup AlltoAll) record their spans and byte counters.
     """
 
     def __init__(self, sched: CommScheduler, priority: float = PRIORITY_URGENT):
         super().__init__(sched.comm.rank, sched.comm.world_size)
         self._sched = sched
         self._priority = priority
+        self.obs = sched.comm.obs
 
     def _run(self, label: str, fn: Callable[[Communicator], Any]) -> Any:
         return self._sched.submit(fn, priority=self._priority, label=label).wait()

@@ -9,11 +9,16 @@
 * :func:`alltoall_column_shards` — EmbRace's hybrid path: each rank
   sends each peer the *column slice* that peer owns, and receives the
   slices of its own columns from everyone (one AlltoAll of §4.1.1),
-  moving indices and values as raw frames with no scratch buffers.
+  moving indices and values as raw frames (the narrow id copy is the
+  one scratch buffer, from the arena).
 
 Every sparse message is a plain ``(indices, values)`` pair — or, on the
 recursive-doubling path, ``(parts, union)`` — so ``payload_nbytes`` /
-``obs.count_bytes`` account exactly the arrays that travel.
+``obs.count_bytes`` account exactly the arrays that travel.  Row ids
+travel in :func:`ids_dtype` of the row space — ``int32`` up to 2**31
+rows — which both ends derive from ``num_rows``, so no tag travels;
+:func:`narrow_ids` / :func:`wide_ids` convert at the two ends, and
+``SparseRows`` widens received indices on construction.
 
 Determinism contract: every collective here reproduces the canonical
 rank-ordered sum **bit for bit**: locally-coalesced parts merged
@@ -25,8 +30,8 @@ per-rank parts unsummed and performs one final rank-ordered merge.
 Allocation contract: steady state, the wire path performs zero numpy
 allocations — outgoing column slices are strided views packed at byte
 capture, received parts are pinned transport views, and the scratch
-the recursive-doubling and hot-row paths need comes from a
-:class:`~repro.comm.arena.BufferArena` (``arena=None`` uses the
+the narrow id copies, recursive-doubling and hot-row paths need comes
+from a :class:`~repro.comm.arena.BufferArena` (``arena=None`` uses the
 process-wide :func:`~repro.comm.arena.default_arena`) — gated by
 ``benchmarks/check_comm_regression.py``.  The final merge that builds
 the caller-owned result is compute, not wire, and allocates normally.
@@ -40,6 +45,45 @@ from repro.comm.arena import BufferArena, default_arena
 from repro.comm.backend import Communicator
 from repro.obs.instrument import traced_collective
 from repro.tensors import SparseRows, sorted_union
+
+
+#: Row spaces up to this size send their ids as int32 (ids < 2**31).
+NARROW_ID_ROWS = 2**31
+
+
+def ids_dtype(num_rows: int) -> np.dtype:
+    """Wire type of row ids in a ``num_rows`` row space: ``int32`` when
+    every id fits, else ``int64``."""
+    return np.dtype(np.int32 if num_rows <= NARROW_ID_ROWS else np.int64)
+
+
+def narrow_ids(
+    comm: Communicator,
+    ids: np.ndarray,
+    num_rows: int,
+    arena: BufferArena | None = None,
+) -> np.ndarray:
+    """``ids`` in :func:`ids_dtype` of ``num_rows``, ready to send.
+
+    Already-narrow ids come back as they are.  With ``arena`` on a
+    transport that captures bytes at send (``SEND_SNAPSHOTS``), the copy
+    is arena scratch — ``arena.put`` it after the last send; elsewhere it
+    is a fresh array the receiver may keep (``put`` ignores it).
+    """
+    ids = np.asarray(ids)
+    dtype = ids_dtype(num_rows)
+    if ids.dtype == dtype:
+        return ids
+    if arena is None or not comm.SEND_SNAPSHOTS:
+        return ids.astype(dtype)
+    out = arena.take(len(ids), dtype)
+    np.copyto(out, ids, casting="unsafe")
+    return out
+
+
+def wide_ids(ids) -> np.ndarray:
+    """Received wire ids as int64 (no copy when they already are)."""
+    return np.asarray(ids, dtype=np.int64)
 
 
 def column_slices(dim: int, world_size: int) -> list[slice]:
@@ -112,11 +156,14 @@ def merge_grouped(
 @traced_collective("allgather_sparse")
 def allgather_sparse(comm: Communicator, grad: SparseRows) -> list[SparseRows]:
     """Gather every rank's sparse gradient (Horovod-AllGather semantics)."""
-    payload = (grad.indices, grad.values, grad.num_rows)
-    gathered = comm.allgather(payload)
-    return [
-        SparseRows(idx, vals, rows, coalesced=False) for idx, vals, rows in gathered
+    arena = default_arena()
+    idx = narrow_ids(comm, grad.indices, grad.num_rows, arena)
+    gathered = comm.allgather((idx, grad.values, grad.num_rows))
+    parts = [
+        SparseRows(i, vals, rows, coalesced=False) for i, vals, rows in gathered
     ]
+    arena.put(idx)  # every part above holds its own int64 copy
+    return parts
 
 
 @traced_collective("allreduce_sparse")
@@ -174,19 +221,24 @@ def allreduce_sparse_adaptive(
     taken: list[np.ndarray] = []  # every arena buffer, returned at the end
 
     # Locally-coalesced (indices, values) parts in rank order, plus the
-    # sorted-unique union of their indices.
-    parts: list[tuple[np.ndarray, np.ndarray]] = [(grad.indices, grad.values)]
+    # sorted-unique union of their indices.  Part indices are kept in
+    # the wire type (the final merge widens each part once); ids are
+    # never written after they are made, so they go out unsnapshotted.
+    own_idx = narrow_ids(comm, grad.indices, num_rows, arena)
+    if own_idx is not grad.indices:
+        taken.append(own_idx)
+    parts: list[tuple[np.ndarray, np.ndarray]] = [(own_idx, grad.values)]
     union = grad.indices
     hop = 1
     while hop < world:
         partner = rank ^ hop
         i_am_low = not (rank & hop)  # my block covers the lower rank range
+        wire_union = narrow_ids(comm, union, num_rows, arena)
+        if wire_union is not union:
+            taken.append(wire_union)
         comm.send(
             partner,
-            (
-                [(comm.snapshot(i), comm.snapshot(v)) for i, v in parts],
-                comm.snapshot(union),
-            ),
+            ([(i, comm.snapshot(v)) for i, v in parts], wire_union),
         )
         their_parts, their_union = comm.recv_view(partner)
         # On snapshot-free transports the received arrays may alias
@@ -195,7 +247,7 @@ def allreduce_sparse_adaptive(
         if comm.SEND_SNAPSHOTS:
             copied = []
             for p_idx, p_vals in their_parts:
-                c_idx = arena.take(len(p_idx), np.int64)
+                c_idx = arena.take(len(p_idx), p_idx.dtype)
                 c_vals = arena.take(p_vals.shape, vdtype)
                 taken += (c_idx, c_vals)
                 c_idx[...] = p_idx
@@ -233,7 +285,8 @@ def alltoall_column_shards(
 
     Each rank slices its local gradient by owner columns and sends each
     peer its slice as raw ``(indices, block)`` frames — no tuple
-    re-pickling, no intermediate copies: received parts stay pinned
+    re-pickling, no value copies (the indices go out once, narrowed by
+    :func:`narrow_ids` into arena scratch): received parts stay pinned
     transport views (``recv_view_pinned``) and the rank-ordered merge
     reads them straight out of the sender's shared-memory segments.
     The result's ``dim`` is this rank's shard width.
@@ -269,17 +322,19 @@ def alltoall_column_shards(
     # at byte capture (shm gathers straight into the segment), so there
     # is no separate pack copy.  ``snapshot`` is the identity there;
     # transports that defer capture copy here instead.
+    arena = default_arena()
+    wire_idx = narrow_ids(comm, grad.indices, num_rows, arena)
     for dst in range(world):
         if dst != rank:
             comm.send(
-                dst, (grad.indices, comm.snapshot(grad.values[:, slices[dst]]))
+                dst, (wire_idx, comm.snapshot(grad.values[:, slices[dst]]))
             )
 
     obs = comm.obs
     if obs.enabled:
         itemsize = np.dtype(vdtype).itemsize
         peer_cols = grad.dim - my_width  # value columns leaving this rank
-        sent = (world - 1) * grad.indices.nbytes + n * peer_cols * itemsize
+        sent = (world - 1) * wire_idx.nbytes + n * peer_cols * itemsize
         obs.count("wire_bytes.alltoall_sparse", float(sent))
         if table is not None:
             obs.count(f"wire_bytes.table.{table}", float(sent))
@@ -309,6 +364,7 @@ def alltoall_column_shards(
         return SparseRows.merge_coalesced(parts, num_rows, my_width, dtype=vdtype)
     finally:
         comm.release_views()
+        arena.put(wire_idx)
 
 
 @traced_collective("alltoall_lookup_results")

@@ -15,7 +15,7 @@ the ``BENCH_scale.json`` >=30% reduction gate is stated in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np

@@ -49,8 +49,10 @@ from repro.comm import (
     alltoall_lookup_results,
     as_topology,
     column_slices,
+    narrow_ids,
     two_level_allreduce_hot_rows,
     two_level_alltoall_shards,
+    wide_ids,
 )
 from repro.nn.embedding import Embedding
 from repro.nn.parameter import Parameter
@@ -398,7 +400,12 @@ class TableGroupRuntime:
                     for ids in all_ids
                 ]
         if all_ids is None:
-            all_ids = self.comm.allgather(local_ids)
+            all_ids = [
+                wide_ids(ids)
+                for ids in self.comm.allgather(
+                    narrow_ids(self.comm, local_ids, self.num_rows)
+                )
+            ]
         # Gathered from the shard view: one copy of exactly this rank's
         # columns, already in rank order.
         shard_lookup = self.shard.data[np.concatenate(all_ids)]

@@ -54,9 +54,10 @@ from repro.comm import (
     InterNodeMeter,
     SchedComm,
     allreduce_sparse_adaptive,
-    alltoall_column_shards,
     as_topology,
+    narrow_ids,
     run_threaded,
+    wide_ids,
 )
 from repro.comm.sched import DEFAULT_BUCKET_ELEMS, PRIORITY_URGENT, SchedKnobs, pack_buckets
 from repro.obs import (
@@ -606,6 +607,7 @@ class RealTrainer:
                     lambda c, x=np.array([loss]): c.allreduce_mean(x),
                     priority=0.0,
                     label="loss",
+                    lane="loss",
                 )
                 tokens.append(model.last_token_count())
 
@@ -622,6 +624,7 @@ class RealTrainer:
                         buf,
                         priority=prio,
                         label=f"dense:b{i}",
+                        lane="dense",
                         chunk_elems=self.knobs.chunk_elems,
                         max_chunks=self.knobs.max_chunks,
                         topology=dense_topo,
@@ -641,6 +644,7 @@ class RealTrainer:
                             lambda c, g=grad: allreduce_sparse_adaptive(c, g),
                             priority=PRIORITY_URGENT,
                             label=f"sparse:{name}",
+                            lane="allgather_sparse",
                         ).wait()
                         table.weight.grad = summed.scale(1.0 / comm.world_size)
                 elif self.strategy == "allreduce":
@@ -953,9 +957,17 @@ class RealTrainer:
         gathered_next: list[list[np.ndarray]] | None = None
         if next_batch is not None:
             # D_next is the *gathered* next-iteration data (Alg. 1) —
-            # one fused collective for every group's id set.
-            local_next = [self._group_ids(model, g, next_batch) for g in groups]
-            gathered_next = [list(ids) for ids in zip(*coll.allgather(local_next))]
+            # one fused collective for every group's id set, in the
+            # narrow wire type.
+            local_next = [
+                narrow_ids(coll, self._group_ids(model, g, next_batch), g.num_rows)
+                for g in groups
+            ]
+            gathered = sched.submit(
+                lambda c: c.allgather(local_next),
+                priority=PRIORITY_URGENT, label="ids", lane="ids",
+            ).wait()
+            gathered_next = [[wide_ids(i) for i in ids] for ids in zip(*gathered)]
         for i, group in enumerate(groups):
             grad = group.stack_grads(
                 {name: tables[name].weight.grad for name in group.tables}

@@ -157,7 +157,7 @@ def measure_node_dedup(
     union_b = 0.0
     sum_b = 0.0
     for t in config.tables:
-        row_bytes = t.dim * 4 + 8  # float32 values + int64 row index
+        row_bytes = t.row_nbytes
         for step in range(n_steps):
             group = batches[step * world : (step + 1) * world]
             for node in nodes:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.comm.sparse import ids_dtype
 from repro.utils.validation import check_in, check_positive
 
 
@@ -44,8 +45,9 @@ class EmbeddingTableConfig:
 
     @property
     def row_nbytes(self) -> int:
-        """Wire size of one sparse gradient row: values + int64 index."""
-        return self.dim * 4 + 8
+        """Wire size of one sparse gradient row: float32 values + the
+        index in its wire type (:func:`~repro.comm.ids_dtype`)."""
+        return self.dim * 4 + ids_dtype(self.vocab_size).itemsize
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.comm.sparse import ids_dtype
 from repro.data.batching import Batch
 from repro.tensors import SparseRows, rows_intersect, rows_member, unique_rows
 from repro.utils.validation import check_positive
@@ -114,8 +115,9 @@ class EmbeddingGradStats:
 
     @property
     def row_nbytes(self) -> int:
-        """Wire bytes per sparse row (float32 values + int64 index)."""
-        return self.dim * 4 + 8
+        """Wire bytes per sparse row: float32 values + the index in its
+        wire type (:func:`~repro.comm.ids_dtype`)."""
+        return self.dim * 4 + ids_dtype(self.vocab_size).itemsize
 
     @property
     def original_bytes(self) -> float:

@@ -58,7 +58,9 @@ from repro.comm import (
     PRIORITY_URGENT,
     CommScheduler,
     SchedComm,
+    narrow_ids,
     open_group,
+    wide_ids,
 )
 from repro.data.zipf import ZipfSampler
 from repro.engine.embrace_runtime import TableGroupRuntime, join_column_shards
@@ -215,7 +217,12 @@ def _start_step(state: _WorkerState) -> None:
         state.obs.count_rows(name, ids)
     # One urgent gather of the group's rows covers every table's ids;
     # refresh reuses it instead of gathering again.
-    gathered = state.trainc.allgather(group.stack_ids(local_ids))
+    gathered = [
+        wide_ids(ids)
+        for ids in state.trainc.allgather(
+            narrow_ids(state.trainc, group.stack_ids(local_ids), group.num_rows)
+        )
+    ]
     if state.row_counts is not None:
         np.add.at(state.row_counts, np.concatenate(gathered), 1)
     with state.obs.span("online_step", resource="compute"):

@@ -19,7 +19,8 @@ import numpy as np
 
 
 def sorted_union(arrays: list[np.ndarray]) -> np.ndarray:
-    """Sorted-unique union of sorted-unique int64 index sets.
+    """Sorted-unique union of sorted-unique index sets, as a new int64
+    array (inputs may be narrow wire views that die after the merge).
 
     Concatenate, radix-sort (numpy's stable sort for ints, O(n)), and
     drop adjacent duplicates.  Exact — integer set union — and an order
@@ -30,13 +31,21 @@ def sorted_union(arrays: list[np.ndarray]) -> np.ndarray:
     if not arrays:
         return np.empty(0, dtype=np.int64)
     if len(arrays) == 1:
-        return arrays[0]
-    cat = np.concatenate(arrays)
+        return np.array(arrays[0], dtype=np.int64)
+    cat = np.concatenate(arrays, dtype=np.int64)
     cat.sort(kind="stable")
     keep = np.empty(len(cat), dtype=np.bool_)
     keep[0] = True
     np.not_equal(cat[1:], cat[:-1], out=keep[1:])
     return cat[keep]
+
+
+def _intp_parts(parts):
+    """The non-empty parts, indices as intp: a narrow (int32 wire) index
+    array would otherwise be cast again by every index operation."""
+    for idx, vals in parts:
+        if len(idx):
+            yield np.asarray(idx, dtype=np.intp), vals
 
 
 @dataclass
@@ -132,9 +141,7 @@ class SparseRows:
             # sequence per row, so bit-identical to the sparse finish.
             acc = np.empty((num_rows, dim), dtype=dtype)
             written = np.zeros(num_rows, dtype=np.bool_)
-            for idx, vals in parts:
-                if len(idx) == 0:
-                    continue
+            for idx, vals in _intp_parts(parts):
                 seen = written[idx]
                 if seen.any():
                     fresh = ~seen
@@ -151,9 +158,7 @@ class SparseRows:
             return cls.empty(num_rows, dim, dtype=dtype)
         out = np.empty((len(union), dim), dtype=dtype)
         written = np.zeros(len(union), dtype=np.bool_)
-        for idx, vals in parts:
-            if len(idx) == 0:
-                continue
+        for idx, vals in _intp_parts(parts):
             pos = np.searchsorted(union, idx)
             seen = written[pos]
             if seen.any():
@@ -190,7 +195,8 @@ class SparseRows:
 
     @property
     def nbytes(self) -> int:
-        """Wire size: value payload plus 8-byte indices."""
+        """In-memory size: value payload plus int64 indices (the wire
+        sends the indices narrower, see ``repro.comm.ids_dtype``)."""
         return int(self.values.nbytes + self.indices.nbytes)
 
     @property

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.comm.sched import PRIORITY_URGENT, SchedKnobs, dense_chunk_bounds, pack_buckets
+from repro.comm.sparse import ids_dtype
 from repro.schedule import PRIORITY_DELAYED, PRIORITY_PRIOR, SCHEDULE_NAMES
 from repro.sim import TaskGraph, execute
 from repro.tune.fit import TunedProfile
@@ -309,7 +310,7 @@ def measure_workload_from_run(config, world_size: int, result) -> MeasuredWorklo
                 coalesced_bytes=st.coalesced_bytes,
                 dense_bytes=float(st.vocab_size * st.dim * DTYPE_BYTES),
                 delayed_rows=st.delayed_rows,
-                ids_bytes=st.coalesced_rows * 8.0,
+                ids_bytes=st.coalesced_rows * ids_dtype(st.vocab_size).itemsize,
                 lookup_bytes=st.coalesced_rows * world_size * row_payload,
                 vocab_rows=float(st.vocab_size),
                 dim=int(st.dim),

@@ -7,7 +7,9 @@
 * arena starvation: an arena smaller than the payload falls back to
   plain allocation with a counter bump, never a crash;
 * wire accounting: ``bytes_sent`` equals the obs ``wire_bytes.*`` sums,
-  so every message carries exactly its arrays and nothing else.
+  so every message carries exactly its arrays and nothing else;
+* id width: row ids travel as int32 up to 2**31 rows and as int64 past
+  it, and both round-trip exactly.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from repro.comm import (
     allreduce_sparse_adaptive,
     allreduce_sparse_via_allgather,
     alltoall_column_shards,
+    column_slices,
+    ids_dtype,
     open_group,
     run_threaded,
 )
@@ -198,3 +202,61 @@ class TestArena:
             assert np.array_equal(ref.values, hot.values)
         assert arena.counters()["arena.fallbacks"] > 0
         assert arena.counters()["arena.misses"] == 0
+
+
+#: One row past the int32 id range: ids travel as int64.
+WIDE_ROWS = 2**31 + 1
+
+
+def _wide_grad(rank: int) -> SparseRows:
+    idx = np.array([0, 7 + rank, WIDE_ROWS - 2 - rank, WIDE_ROWS - 1])
+    vals = np.arange(len(idx) * DIM, dtype=np.float32).reshape(-1, DIM) + rank
+    return SparseRows(idx, vals, WIDE_ROWS)
+
+
+def run_wide(comm):
+    g = _wide_grad(comm.rank)
+    sent, counters = _accounted(comm, lambda c: alltoall_column_shards(c, g))
+    return (
+        sent,
+        counters,
+        alltoall_column_shards(comm, g),
+        allreduce_sparse_adaptive(comm, g),
+        allreduce_sparse_via_allgather(comm, g),
+    )
+
+
+class TestIdWidth:
+    def test_wire_type_follows_the_row_space(self):
+        assert ids_dtype(1) == np.int32
+        assert ids_dtype(2**31) == np.int32  # largest id 2**31 - 1 fits
+        assert ids_dtype(WIDE_ROWS) == np.int64
+
+    def test_ids_travel_as_int32(self):
+        for sent, counters in run_threaded(2, run_shard_accounting):
+            assert "wire_bytes.int64" not in counters
+            assert counters["wire_bytes.int32"] > 0
+            assert counters["wire_bytes.alltoall_sparse"] == sent
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_wide_row_space_takes_the_int64_path(self, backend):
+        """No table is allocated: four rows of a 2**31 + 1 row space."""
+        grads = [_wide_grad(r) for r in range(2)]
+        total = SparseRows.merge_coalesced(
+            [(g.indices, g.values) for g in grads], WIDE_ROWS, DIM,
+            dtype=np.float32,
+        )
+        with open_group(2, backend=backend) as group:
+            results = group.run(run_wide)
+        for rank, (sent, counters, shard, ada, ref) in enumerate(results):
+            # Every index a peer receives is 8 bytes; none go as int32.
+            assert counters["wire_bytes.int64"] == 4 * 8
+            assert "wire_bytes.int32" not in counters
+            assert counters["wire_bytes.alltoall_sparse"] == sent
+            cols = column_slices(DIM, 2)[rank]
+            np.testing.assert_array_equal(shard.indices, total.indices)
+            np.testing.assert_array_equal(shard.values, total.values[:, cols])
+            for summed in (ada, ref):
+                assert summed.indices.dtype == np.int64
+                np.testing.assert_array_equal(summed.indices, total.indices)
+                np.testing.assert_array_equal(summed.values, total.values)

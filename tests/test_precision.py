@@ -280,7 +280,7 @@ def test_exchanged_row_costs_the_simulated_price(world):
         run_threaded(world, _one_prior_exchange)
     ):
         assert rows == ROWS
-        # Each peer receives its columns of every row: width * 4 + 8.
+        # Each peer receives its columns of every row: width * 4 + 4.
         price = sum(
             rows * EmbeddingTableConfig("shard", VOCAB, width).row_nbytes
             for peer, width in enumerate(widths)

@@ -126,8 +126,8 @@ class TestGradStats:
 
     def test_byte_sizes(self):
         st_ = EmbeddingGradStats("t", 100, 8, 10, 6, 2)
-        assert st_.row_nbytes == 8 * 4 + 8
-        assert st_.original_bytes == 10 * 40
+        assert st_.row_nbytes == 8 * 4 + 4
+        assert st_.original_bytes == 10 * 36
         assert st_.delayed_rows == 4
         assert st_.density == pytest.approx(0.06)
 

@@ -8,7 +8,7 @@ to the Horovod-AllGather baseline for every model family.
 import numpy as np
 import pytest
 
-from repro.comm import open_group
+from repro.comm import open_group, run_threaded
 from repro.engine.trainer_real import RealTrainer
 from repro.eval import bleu, perplexity, perplexity_curve, teacher_forced_argmax
 from repro.models import BERT_BASE, GNMT8, LM, TRANSFORMER, build_model
@@ -410,16 +410,16 @@ class TestNoCollectiveAfterLastStep:
 
     HOT = {"hot_fraction": 0.05, "repartition_interval": 2}
 
-    # Rank-0 comm_bytes when every run ended with a column AllGather of
-    # each table (seed 5); the runs now send exactly that much less.
+    # Rank-0 comm_bytes (seed 5, int32 ids) had every run ended with a
+    # column AllGather of each table; the runs send exactly that less.
     @pytest.mark.parametrize(
         "paper_cfg, world, steps, knobs, bytes_with_gather",
         [
-            (GNMT8, 2, 3, None, 110_888),
-            (GNMT8, 3, 3, None, 150_000),
-            (DLRM, 2, 3, None, 17_940),
-            (DLRM, 3, 3, None, 28_080),
-            (GNMT8, 2, 6, HOT, 221_552),
+            (GNMT8, 2, 3, None, 109_724),
+            (GNMT8, 3, 3, None, 147_636),
+            (DLRM, 2, 3, None, 15_828),
+            (DLRM, 3, 3, None, 23_868),
+            (GNMT8, 2, 6, HOT, 219_236),
         ],
         ids=["GNMT-8-w2", "GNMT-8-w3", "DLRM-w2", "DLRM-w3", "GNMT-8-w2-hot"],
     )
@@ -448,3 +448,41 @@ class TestNoCollectiveAfterLastStep:
         assert list(got.state) == list(ref.state)
         for key in ref.state:
             np.testing.assert_array_equal(got.state[key], ref.state[key], err_msg=key)
+
+
+#: The wire lanes of an embrace run without hot rows, by counter name.
+EMBRACE_LANES = ("dense", "ids", "alltoall_sparse", "lookup", "loss")
+
+
+def _scalar_allreduce_bytes(comm):
+    comm.allreduce(np.zeros(1))
+    return comm.bytes_sent
+
+
+class TestWireLanes:
+    """Every byte an embrace step sends is named by a lane counter, and
+    row ids travel as int32."""
+
+    @pytest.mark.parametrize("paper_cfg", [GNMT8, DLRM], ids=["GNMT-8", "DLRM"])
+    def test_lanes_sum_to_comm_bytes(self, paper_cfg):
+        steps = 3
+        res = RealTrainer(paper_cfg.tiny(), strategy="embrace", world_size=2,
+                          steps=steps, seed=5, trace=True).train()
+        counters = res.trace.counters[0]
+        lanes = {lane: counters[f"wire_bytes.{lane}"] for lane in EMBRACE_LANES}
+        assert all(lanes.values()), lanes
+        # One float64 scalar allreduce of the loss per step.
+        assert lanes["loss"] == steps * run_threaded(2, _scalar_allreduce_bytes)[0]
+        assert sum(lanes.values()) == res.comm_bytes
+        assert "wire_bytes.int64" not in counters
+
+    def test_process_backend_sends_no_int64(self):
+        with open_group(2, backend="process", trace=True) as group:
+            res = RealTrainer(DLRM.tiny(), strategy="embrace", world_size=2,
+                              steps=3, seed=5, group=group).train()
+        counters = res.trace.counters[0]
+        assert counters["wire_bytes.int32"] > 0
+        assert "wire_bytes.int64" not in counters
+        assert sum(counters[f"wire_bytes.{lane}"] for lane in EMBRACE_LANES) == (
+            res.comm_bytes
+        )
