@@ -41,12 +41,9 @@ TOP_K = 2
 #: Hard accuracy bar for predicted-vs-measured step time (fraction).
 MAX_STEP_TIME_ERROR = 0.25
 
-#: The bench's search grid: 12 simulated candidates, top-k replayed.
-BENCH_SPACE = SearchSpace(
-    chunk_elems=(16_384, 65_536, 262_144),
-    max_chunks=(4, 8),
-    bucket_elems=(65_536, 262_144),
-)
+#: The bench's search grid: the two default dense bucket sizes, top-k
+#: replayed.
+BENCH_SPACE = SearchSpace(bucket_elems=(65_536, 262_144))
 
 
 def measure(

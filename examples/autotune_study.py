@@ -3,8 +3,8 @@
 
 Probes the local transport with multi-size AllReduces, least-squares
 fits the alpha-beta link model (latency + bandwidth) from the measured
-spans, ranks a grid of scheduling knobs (dense chunk/bucket sizes,
-chunk cap) on the calibrated simulator, then replays the top candidates
+spans, ranks a grid of scheduling knobs (dense bucket sizes) on the
+calibrated simulator, then replays the top candidates
 on the real backend: predicted vs measured step time, default vs tuned
 computation stall, and a bit-identity check on the loss curves —
 tuning only moves *when* bytes travel, never the arithmetic.
@@ -35,11 +35,7 @@ def main() -> None:
     args = parser.parse_args()
 
     config = GNMT8.scaled(vocab=args.vocab, dim_divisor=16)
-    space = SearchSpace(
-        chunk_elems=(16_384, 65_536, 262_144),
-        max_chunks=(4, 8),
-        bucket_elems=(65_536, 262_144),
-    )
+    space = SearchSpace(bucket_elems=(65_536, 262_144))
     print(
         f"probing {args.world}-rank {args.backend} AllReduce, fitting "
         f"alpha-beta, searching {len(list(space.candidates()))} knob "

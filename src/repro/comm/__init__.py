@@ -41,7 +41,6 @@ from repro.comm.sched import (
     SchedComm,
     SchedKnobs,
     SchedulerClosed,
-    dense_chunk_bounds,
 )
 from repro.comm.sparse import (
     allgather_sparse,
@@ -88,7 +87,6 @@ __all__ = [
     "SchedulerClosed",
     "PRIORITY_SERVE",
     "PRIORITY_URGENT",
-    "dense_chunk_bounds",
     "allgather_sparse",
     "allreduce_hot_rows",
     "allreduce_sparse_adaptive",

@@ -3,11 +3,13 @@
 The simulator has always *modeled* EmbRace's 2D scheduling — priorities
 from :mod:`repro.schedule` deciding which transfer the link serves next.
 This module executes it: collectives are submitted as work items to a
-per-rank priority queue and return :class:`CommHandle` futures, and
-dense AllReduces are submitted as independent chunks (partitioned with
-the existing :func:`~repro.comm.backend.ring_chunk_bounds`) so a
+per-rank priority queue and return :class:`CommHandle` futures, so a
 high-priority item — a prior sparse AlltoAll, a hoisted embedding
-refresh — preempts a large dense reduction *between chunks*.
+refresh — runs before every queued dense bucket, whenever it was
+submitted.  The trainer submits each dense bucket as one item: since
+nothing runs beside compute, the urgent items queued behind a bucket
+already run first at the next wait, and splitting the bucket would only
+add per-message cost.
 
 **Caller-driven progress.**  No thread drains the queue.  ``submit``
 pushes ``(priority, seq)`` onto the heap and runs nothing;
@@ -21,18 +23,18 @@ slower than inline execution (``docs/mechanisms.md``).  The simulator
 keeps modelling the paper's GPU overlap.
 
 **One global order.**  Collectives are cooperative: if rank 0 starts
-chunk 7 while rank 1 starts the prior AlltoAll, both block forever (or
-worse, mis-match messages on the shared FIFO links).  The SPMD rule is
+a dense bucket while rank 1 starts the prior AlltoAll, both block
+forever (or worse, mis-match messages on the shared FIFO links).  The SPMD rule is
 that every rank makes the **same sequence of submit and wait calls**.
 The heap then holds the same items at every wait on every rank, so
 every rank pops the same items in the same order — no leader, no run
 tokens, no per-message envelope.  Ties break FIFO by submission order.
 
 **Bit-identity.**  ``overlap=False`` runs every item inside ``submit``,
-in submission order — the *same* chunk bounds, the same ring
-algorithms, the same reduction order.  Scheduling changes only *when* a
-collective runs, never its arithmetic, so both modes train
-bit-identically (asserted in ``tests/test_trainer_real.py``).
+in submission order — the *same* items, the same ring algorithms, the
+same reduction order.  Scheduling changes only *when* a collective
+runs, never its arithmetic, so both modes train bit-identically
+(asserted in ``tests/test_trainer_real.py``).
 
 **Failing fast.**  An item that raises fails itself and every queued
 item, and the scheduler refuses further work: past a failed collective
@@ -71,17 +73,14 @@ PRIORITY_URGENT = -100.0
 #: a facade collective the training thread is already blocked on.
 PRIORITY_SERVE = -50.0
 
-#: Elements per dense-AllReduce chunk: small enough that a pending prior
-#: sparse exchange preempts within a fraction of a large tensor, large
-#: enough that per-item overhead stays negligible.
-DEFAULT_CHUNK_ELEMS = 65536
-
-#: Upper bound on chunks per tensor (tiny-model runs stay one item).
-DEFAULT_MAX_CHUNKS = 8
+#: :meth:`CommScheduler.allreduce_chunks`' split: at most
+#: ``_MAX_CHUNKS`` items of about ``_CHUNK_ELEMS`` elements each.
+_CHUNK_ELEMS = 65536
+_MAX_CHUNKS = 8
 
 #: Elements per dense gradient bucket: consecutive dense parameters (in
 #: backward order) are flattened together until a bucket reaches this
-#: many elements, then reduced as one chunked AllReduce.
+#: many elements, then reduced as one AllReduce.
 DEFAULT_BUCKET_ELEMS = 65536
 
 
@@ -121,6 +120,12 @@ def pack_buckets(
 #: run configs) that have since been removed, each with the one value a
 #: saved dict may still carry: the removed behaviour's inert default.
 _REMOVED_FIELDS = {"dense_switch_density": 1.0}
+
+#: The dense chunk sizing, dropped from saved dicts whatever its value:
+#: each bucket is now one AllReduce, and no setting (the default
+#: included) reproduced that fold order at world >= 3, so refusing a
+#: value would protect nothing.
+_CHUNK_FIELDS = ("chunk_elems", "max_chunks")
 
 #: The pipeline fields, which moved to :class:`repro.tune.Candidate`
 #: (the real trainer never ran them): same rule, data-parallel defaults.
@@ -165,8 +170,6 @@ class SchedKnobs:
     train bit-identically.  Without a multi-node topology it is a no-op.
     """
 
-    chunk_elems: int = DEFAULT_CHUNK_ELEMS
-    max_chunks: int = DEFAULT_MAX_CHUNKS
     bucket_elems: int = DEFAULT_BUCKET_ELEMS
     delayed_min_rows: int = 0
     hot_fraction: float = 0.0
@@ -174,14 +177,6 @@ class SchedKnobs:
     hierarchical: bool = True
 
     def __post_init__(self):
-        if not isinstance(self.chunk_elems, int) or self.chunk_elems <= 0:
-            raise ValueError(
-                f"chunk_elems must be a positive int, got {self.chunk_elems!r}"
-            )
-        if not isinstance(self.max_chunks, int) or self.max_chunks < 1:
-            raise ValueError(
-                f"max_chunks must be an int >= 1, got {self.max_chunks!r}"
-            )
         if not isinstance(self.bucket_elems, int) or self.bucket_elems <= 0:
             raise ValueError(
                 f"bucket_elems must be a positive int, got {self.bucket_elems!r}"
@@ -223,12 +218,15 @@ class SchedKnobs:
 
         Dicts written by earlier releases may carry a field listed in
         :data:`_REMOVED_FIELDS` or :data:`_PIPELINE_FIELDS`: its inert
-        default is dropped, any other value is refused.  Their per-lane
-        ``hier_*`` switches load when the lanes agree: all automatic or
-        ``True`` is the default, all ``False`` is ``hierarchical=False``;
-        a per-lane mix is refused.
+        default is dropped, any other value is refused.  The
+        :data:`_CHUNK_FIELDS` are dropped whatever their value.  The
+        per-lane ``hier_*`` switches load when the lanes agree: all
+        automatic or ``True`` is the default, all ``False`` is
+        ``hierarchical=False``; a per-lane mix is refused.
         """
         d = dict(d)
+        for key in _CHUNK_FIELDS:
+            d.pop(key, None)
         for fields, why in (
             (_REMOVED_FIELDS, "the sparse collectives' dense switch was removed"),
             (_PIPELINE_FIELDS, "pipeline schedules are simulator-only"),
@@ -257,17 +255,13 @@ class SchedKnobs:
         return cls(**d)
 
 
-def dense_chunk_bounds(
-    n: int,
-    chunk_elems: int = DEFAULT_CHUNK_ELEMS,
-    max_chunks: int = DEFAULT_MAX_CHUNKS,
-) -> list[int]:
+def _dense_chunk_bounds(n: int) -> list[int]:
     """Flat split offsets for a dense tensor of ``n`` elements.
 
     A deterministic function of ``n`` alone, so every rank (and both
     overlap modes) partitions — and therefore reduces — identically.
     """
-    parts = max(1, min(max_chunks, -(-n // chunk_elems)))
+    parts = max(1, min(_MAX_CHUNKS, -(-n // _CHUNK_ELEMS)))
     return ring_chunk_bounds(n, parts)
 
 
@@ -394,16 +388,9 @@ class CommScheduler:
         return handle
 
     def allreduce_chunks(
-        self,
-        flat: np.ndarray,
-        priority: float = 0.0,
-        label: str = "",
-        chunk_elems: int = DEFAULT_CHUNK_ELEMS,
-        max_chunks: int = DEFAULT_MAX_CHUNKS,
-        topology: Any = None,
-        lane: str | None = None,
+        self, flat: np.ndarray, priority: float = 0.0, label: str = ""
     ) -> list[CommHandle]:
-        """Submit a dense sum-AllReduce of ``flat`` as preemptible chunks.
+        """Submit a dense sum-AllReduce of ``flat`` as up to eight chunks.
 
         ``flat`` must be 1-D C-contiguous; each chunk is reduced in
         place (``allreduce(view, out=view)``), so the array holds the
@@ -411,35 +398,23 @@ class CommScheduler:
         depend on the element count only — both overlap modes and all
         ranks reduce identically.
 
-        ``topology`` (a multi-node :class:`~repro.comm.NodeTopology`)
-        switches each chunk to the two-level
-        :func:`~repro.comm.two_level_allreduce` — bit-identical to the
-        flat ring, but bulk bytes cross the node boundary once per node
-        instead of once per rank.
+        The trainer reduces each dense bucket as one item.  The split
+        stays for the ``comm_step`` workload of ``benchmarks/e2e``, whose
+        one round of an EmbRace step's collectives reduces its dense
+        buffer this way.
         """
         if flat.ndim != 1 or not flat.flags.c_contiguous:
             raise ValueError("allreduce_chunks requires a 1-D contiguous array")
-        bounds = dense_chunk_bounds(flat.size, chunk_elems, max_chunks)
+        bounds = _dense_chunk_bounds(flat.size)
         handles = []
         for i in range(len(bounds) - 1):
             view = flat[bounds[i] : bounds[i + 1]]
 
-            if topology is not None and topology.multi_node:
-
-                def run(comm: Communicator, view=view) -> None:
-                    from repro.comm.hierarchy import two_level_allreduce
-
-                    two_level_allreduce(comm, view, topology, out=view)
-
-            else:
-
-                def run(comm: Communicator, view=view) -> None:
-                    comm.allreduce(view, out=view)
+            def run(comm: Communicator, view=view) -> None:
+                comm.allreduce(view, out=view)
 
             handles.append(
-                self.submit(
-                    run, priority=priority, label=f"{label}#c{i}", lane=lane
-                )
+                self.submit(run, priority=priority, label=f"{label}#c{i}")
             )
         return handles
 

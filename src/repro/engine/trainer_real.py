@@ -57,6 +57,7 @@ from repro.comm import (
     as_topology,
     narrow_ids,
     run_threaded,
+    two_level_allreduce,
     wide_ids,
 )
 from repro.comm.sched import DEFAULT_BUCKET_ELEMS, PRIORITY_URGENT, SchedKnobs, pack_buckets
@@ -191,24 +192,27 @@ class RealTrainer:
         Trace` schema the simulator emits.
 
         ``overlap`` (default True) queues every collective on the
-        per-rank :class:`~repro.comm.CommScheduler`: dense AllReduces
-        are chunked and enqueued in backward-completion order with
+        per-rank :class:`~repro.comm.CommScheduler`: each dense bucket
+        is one AllReduce enqueued in backward-completion order with
         :func:`~repro.schedule.horizontal_priorities`, prior sparse
-        exchanges preempt them at ``PRIORITY_PRIOR``, and delayed parts
-        trail to the next step boundary.  The training thread runs the
-        queue in that order whenever it waits on a handle; nothing runs
-        beside compute.  ``overlap=False`` executes the same work items
-        inline, in submission order — same chunking, same reduction
-        order — so both modes train **bit-identically**; only the order
-        of the collectives differs.
+        exchanges run ahead of them at ``PRIORITY_PRIOR``, and delayed
+        parts trail to the next step boundary.  The training thread runs
+        the queue in that order whenever it waits on a handle; nothing
+        runs beside compute.  ``overlap=False`` executes the same work
+        items inline, in submission order — same buckets, same
+        reduction order — so both modes train **bit-identically**; only
+        the order of the collectives differs.
 
         ``knobs`` (a :class:`~repro.comm.SchedKnobs` or its dict form)
-        overrides the scheduler's bucket/chunk sizing and the
-        delayed-fold threshold; a :class:`~repro.tune.TunedProfile`
-        from ``repro tune`` supplies them as ``knobs=profile.knobs``.
-        The defaults reproduce the historical constants, and every knob
-        setting trains bit-identically at a fixed seed — knobs move
-        *when* bytes travel, never their arithmetic.
+        overrides the dense bucket size, the delayed-fold threshold,
+        hybrid placement and the two-level switch; a
+        :class:`~repro.tune.TunedProfile` from ``repro tune`` supplies
+        them as ``knobs=profile.knobs``.  The defaults reproduce the
+        historical constants.  The delayed fold, placement and the
+        two-level switch never change the arithmetic; the bucket size
+        sets the ring's segment bounds, so at world >= 3 it moves the
+        dense fold order (``docs/mechanisms.md``, "Work items, handles,
+        buckets").
 
         ``placement`` (anything :func:`repro.placement.as_placement`
         accepts: a :class:`~repro.placement.PlacementPlan`, a single
@@ -611,24 +615,24 @@ class RealTrainer:
                 )
                 tokens.append(model.last_token_count())
 
-                # ---- dense gradients: chunked ring AllReduce -------------- #
+                # ---- dense gradients: one ring AllReduce per bucket ------- #
                 dense_handles: list[CommHandle] = []
                 dense_flats: list[tuple] = []
-                # Fused buckets in backward completion order; chunks let
-                # higher-priority sparse items preempt mid-bucket.
+                # Fused buckets in backward completion order, each one
+                # item at its horizontal priority.
                 for i, (prio, members, size) in enumerate(dense_buckets):
                     buf = np.empty(size, dtype=members[0][0].data.dtype)
                     for p, start, stop in members:
                         buf[start:stop] = p.grad.reshape(-1)
-                    dense_handles += sched.allreduce_chunks(
-                        buf,
+                    dense_handles.append(sched.submit(
+                        lambda c, b=buf: (
+                            c.allreduce(b, out=b) if dense_topo is None
+                            else two_level_allreduce(c, b, dense_topo, out=b)
+                        ),
                         priority=prio,
                         label=f"dense:b{i}",
                         lane="dense",
-                        chunk_elems=self.knobs.chunk_elems,
-                        max_chunks=self.knobs.max_chunks,
-                        topology=dense_topo,
-                    )
+                    ))
                     dense_flats.append((members, buf))
 
                 # ---- sparse gradients ------------------------------------- #
@@ -663,7 +667,7 @@ class RealTrainer:
                     for table in tables.values():
                         table.weight.grad = None
 
-                # Drain the dense queue: chunk sums land in place, then
+                # Drain the dense queue: bucket sums land in place, then
                 # average exactly where allreduce_mean used to.
                 for h in dense_handles:
                     h.wait()
@@ -881,9 +885,9 @@ class RealTrainer:
         tensors — in backward-completion order, up to ``bucket_elems``
         elements (default :data:`~repro.comm.sched.DEFAULT_BUCKET_ELEMS`,
         tunable via :class:`~repro.comm.SchedKnobs`) — into a handful of
-        fused reductions, each still submitted through
-        :meth:`~repro.comm.CommScheduler.allreduce_chunks` so sparse
-        items preempt between chunks.  A bucket takes the most urgent
+        fused reductions, each one scheduled AllReduce; urgent sparse
+        items queued behind a bucket still run before it at the next
+        wait.  A bucket takes the most urgent
         (minimum) priority of its members.  Bounds depend only on the
         parameter list, so every rank and both overlap modes pack — and
         therefore reduce — identically.
@@ -936,11 +940,11 @@ class RealTrainer:
         because hot, prior, and delayed row sets are pairwise disjoint.
         Cold rows continue into Algorithm 1's split below.
 
-        The prior part runs at ``PRIORITY_PRIOR`` — preempting queued
-        dense chunks — and gates this step's refresh; the delayed part
-        enqueues at ``PRIORITY_DELAYED`` and is only waited on at the
-        *next* step boundary (:meth:`_flush_delayed`), so it trails this
-        step's dense chunks and runs at that wait.
+        The prior part runs at ``PRIORITY_PRIOR`` — ahead of the dense
+        buckets queued before it — and gates this step's refresh; the
+        delayed part enqueues at ``PRIORITY_DELAYED`` and is only waited
+        on at the *next* step boundary (:meth:`_flush_delayed`), so it
+        trails this step's dense buckets and runs at that wait.
 
         All groups' next-iteration ids travel in **one** AllGather (per-
         collective fixed cost dominates these tiny payloads), and the

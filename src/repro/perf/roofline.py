@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from repro.cluster.topology import ClusterSpec
 from repro.collectives.cost import CostModel
-from repro.models.blocks import EMBEDDING, block_specs
+from repro.models.blocks import block_specs
 from repro.models.config import ModelConfig
 from repro.perf.estimator import ComputeEstimator
 
@@ -67,19 +67,3 @@ def analyze(
             )
         )
     return out
-
-
-def embedding_blocks_are_comm_dominated(
-    config: ModelConfig, cluster: ClusterSpec, gpu_kind: str = "rtx3090"
-) -> bool:
-    """The premise of the paper in one predicate: every embedding block's
-    dense-format communication dwarfs its own backward compute, while
-    most dense blocks are far more balanced."""
-    rows = analyze(config, cluster, gpu_kind)
-    emb = [r for r in rows if r.kind == EMBEDDING]
-    dense = [r for r in rows if r.kind != EMBEDDING]
-    if not emb or not dense:
-        return False
-    min_emb = min(r.comm_to_compute for r in emb)
-    median_dense = sorted(r.comm_to_compute for r in dense)[len(dense) // 2]
-    return min_emb > 3 * median_dense

@@ -89,12 +89,6 @@ class TablePlacement:
             return np.zeros(len(ids), dtype=bool)
         return np.isin(ids, self.hot_array)
 
-    def split_ids(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Partition ``ids`` into (hot, cold) preserving order."""
-        ids = np.asarray(ids, dtype=np.int64)
-        mask = self.hot_mask(ids)
-        return ids[mask], ids[~mask]
-
     def to_dict(self) -> dict:
         return {"table": self.table, "hot_ids": [int(i) for i in self.hot_ids]}
 

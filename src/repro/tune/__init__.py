@@ -1,7 +1,7 @@
 """Trace-calibrated cost-model fitting and schedule auto-tuning.
 
 EmbRace's gains depend on per-cluster configuration the paper hand-picks
-— partition strategy, bucket/chunk sizes, the prior/delayed split.  This
+— partition strategy, dense bucket sizes, the prior/delayed split.  This
 package *chooses* them from measurement instead, closing the loop
 between the repo's two worlds:
 

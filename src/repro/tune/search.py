@@ -7,9 +7,8 @@ forward/backward and optimizer compute lanes from *measured* spans,
 every collective priced by the profile-calibrated
 :class:`~repro.collectives.CostModel` — and executing it on the
 discrete-event simulator (:func:`repro.sim.execute`).  The graph mirrors
-:class:`~repro.engine.trainer_real.RealTrainer`'s schedule: dense
-buckets split into preemptible chunks at their horizontal priorities,
-prior sparse AlltoAlls at ``PRIORITY_PRIOR`` gating the hoisted refresh,
+:class:`~repro.engine.trainer_real.RealTrainer`'s schedule: one dense
+AllReduce per bucket at its horizontal priority, prior sparse AlltoAlls at ``PRIORITY_PRIOR`` gating the hoisted refresh,
 delayed parts trailing into the next step's boundary flush.
 
 Ranking runs grid search refined by successive halving: every candidate
@@ -27,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.comm.sched import PRIORITY_URGENT, SchedKnobs, dense_chunk_bounds, pack_buckets
+from repro.comm.sched import PRIORITY_URGENT, SchedKnobs, pack_buckets
 from repro.comm.sparse import ids_dtype
 from repro.schedule import PRIORITY_DELAYED, PRIORITY_PRIOR, SCHEDULE_NAMES
 from repro.sim import TaskGraph, execute
@@ -82,8 +81,6 @@ class Candidate:
         k = self.knobs
         parts = [
             self.strategy,
-            f"chunk={k.chunk_elems}",
-            f"maxc={k.max_chunks}",
             f"bucket={k.bucket_elems}",
         ]
         if k.delayed_min_rows:
@@ -103,8 +100,6 @@ class Candidate:
 class SearchSpace:
     """Cartesian knob grid; every axis is a tuple of candidate values."""
 
-    chunk_elems: tuple[int, ...] = (16_384, 65_536, 262_144)
-    max_chunks: tuple[int, ...] = (4, 8, 16)
     bucket_elems: tuple[int, ...] = (65_536, 262_144)
     delayed_min_rows: tuple[int, ...] = (0,)
     hot_fraction: tuple[float, ...] = (0.0,)
@@ -126,8 +121,7 @@ class SearchSpace:
 
     def __post_init__(self):
         for name in (
-            "chunk_elems", "max_chunks", "bucket_elems",
-            "delayed_min_rows", "hot_fraction",
+            "bucket_elems", "delayed_min_rows", "hot_fraction",
             "repartition_interval", "hier", "strategy",
             "schedule", "pipeline_stages", "microbatches",
         ):
@@ -136,12 +130,9 @@ class SearchSpace:
 
     @classmethod
     def smoke(cls) -> "SearchSpace":
-        """A <= 4-candidate grid for CI smoke runs (``repro tune --smoke``)."""
-        return cls(
-            chunk_elems=(16_384, 65_536),
-            max_chunks=(8,),
-            bucket_elems=(65_536, 262_144),
-        )
+        """A <= 4-candidate grid for CI smoke runs (``repro tune --smoke``):
+        the default grid."""
+        return cls()
 
     def candidates(self) -> list[Candidate]:
         """The grid in deterministic (itertools.product) order; validation
@@ -149,17 +140,15 @@ class SearchSpace:
         :class:`Candidate`."""
         out = []
         seen: set[Candidate] = set()
-        for ce, mc, be, dm, hf, ri, hi, st, sc, ps, mb in itertools.product(
-            self.chunk_elems, self.max_chunks, self.bucket_elems,
-            self.delayed_min_rows, self.hot_fraction, self.repartition_interval,
-            self.hier, self.strategy,
+        for be, dm, hf, ri, hi, st, sc, ps, mb in itertools.product(
+            self.bucket_elems, self.delayed_min_rows, self.hot_fraction,
+            self.repartition_interval, self.hier, self.strategy,
             self.schedule, self.pipeline_stages, self.microbatches,
         ):
             if sc == "data_parallel":
                 ps, mb = 1, 1
             cand = Candidate(
                 knobs=SchedKnobs(
-                    chunk_elems=ce, max_chunks=mc,
                     bucket_elems=be, delayed_min_rows=dm,
                     hot_fraction=hf, repartition_interval=ri,
                     hierarchical=hi,
@@ -375,7 +364,7 @@ def calibrate_overhead(
     Simulates the *default* candidate with zero overhead and attributes
     the measured-vs-simulated step-time residual to per-step host work.
     The overhead is knob-independent (same Python bookkeeping whatever
-    the chunk sizes), so calibrating it on the default configuration
+    the bucket sizes), so calibrating it on the default configuration
     leaves candidate *differences* purely model-driven.  Clamped at 0:
     a simulator already slower than reality gets no negative help.
     """
@@ -547,19 +536,15 @@ def predict_candidate(
             loss, cost.allreduce(8).seconds, resource="comm", kind="comm",
             priority=0.0, deps=[fwd],
         )
-        # Dense buckets -> preemptible chunks.
-        dense_chunks: list[str] = []
+        # One AllReduce per dense bucket, as the trainer issues them.
+        dense: list[str] = []
         for b, (prio, total, _members) in enumerate(buckets):
-            bounds = dense_chunk_bounds(total, k.chunk_elems, k.max_chunks)
-            for c in range(len(bounds) - 1):
-                elems = bounds[c + 1] - bounds[c]
-                tname = f"dense:{i}:b{b}:c{c}"
-                g.add_task(
-                    tname,
-                    dense_cost(elems * DTYPE_BYTES),
-                    resource="comm", kind="comm", priority=prio, deps=[fwd],
-                )
-                dense_chunks.append(tname)
+            tname = f"dense:{i}:b{b}"
+            g.add_task(
+                tname, dense_cost(total * DTYPE_BYTES),
+                resource="comm", kind="comm", priority=prio, deps=[fwd],
+            )
+            dense.append(tname)
         # Host time outside the compute spans: real traces count it as
         # stall (it is not a recorded ``compute``-kind span), so the
         # model gives it kind="overhead" — same §5.4 arithmetic.  The
@@ -657,7 +642,7 @@ def predict_candidate(
         opt = f"opt:{i}"
         g.add_task(
             opt, workload.optimizer_s, resource="compute", kind="compute",
-            deps=boundary_deps + dense_chunks + sparse_done,
+            deps=boundary_deps + dense + sparse_done,
         )
         if candidate.strategy == "embrace":
             for name, lookup_b, prior in refresh_tasks:

@@ -344,8 +344,6 @@ class TestHybridMode:
         from repro.tune import SearchSpace
 
         space = SearchSpace(
-            chunk_elems=(16_384,),
-            max_chunks=(4,),
             bucket_elems=(65_536,),
             hier=(True, False),
         )

@@ -62,8 +62,6 @@ class TestTablePlacement:
         p = TablePlacement(table="t", hot_ids=(1, 4))
         ids = np.array([0, 4, 1, 4, 3])
         assert p.hot_mask(ids).tolist() == [False, True, True, True, False]
-        hot, cold = p.split_ids(ids)
-        assert hot.tolist() == [4, 1, 4] and cold.tolist() == [0, 3]
         assert not p.is_uniform and p.n_hot == 2
         assert TablePlacement(table="t").is_uniform
 
@@ -316,7 +314,6 @@ class TestKnobsAndSearch:
         from repro.tune import SearchSpace
 
         space = SearchSpace(
-            chunk_elems=(1024,),
             hot_fraction=(0.0, 0.01),
             repartition_interval=(0, 8),
         )

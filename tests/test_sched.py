@@ -19,27 +19,27 @@ from repro.comm import (
     CommScheduler,
     SchedComm,
     SchedulerClosed,
-    dense_chunk_bounds,
     run_threaded,
 )
+from repro.comm.sched import _dense_chunk_bounds
 from repro.faults import FaultPlan, run_threaded_with_faults
 
 
 class TestChunkBounds:
     def test_small_tensor_is_one_chunk(self):
-        assert dense_chunk_bounds(1000) == [0, 1000]
+        assert _dense_chunk_bounds(1000) == [0, 1000]
 
     def test_large_tensor_splits(self):
-        bounds = dense_chunk_bounds(200_000, chunk_elems=65536)
+        bounds = _dense_chunk_bounds(200_000)
         assert bounds[0] == 0 and bounds[-1] == 200_000
         assert len(bounds) == 5  # ceil(200000/65536) = 4 chunks
 
     def test_max_chunks_cap(self):
-        bounds = dense_chunk_bounds(10_000_000, chunk_elems=65536, max_chunks=8)
+        bounds = _dense_chunk_bounds(10_000_000)
         assert len(bounds) == 9
 
     def test_deterministic_in_size_only(self):
-        assert dense_chunk_bounds(123_456) == dense_chunk_bounds(123_456)
+        assert _dense_chunk_bounds(123_456) == _dense_chunk_bounds(123_456)
 
 
 class TestPriorityOrder:
@@ -74,9 +74,9 @@ class TestPriorityOrder:
         def worker(comm):
             sched = CommScheduler(comm)
             try:
-                flat = np.arange(400, dtype=np.float64)
+                flat = np.arange(4 * 65536, dtype=np.float64)
                 handles = sched.allreduce_chunks(
-                    flat, priority=5.0, label="dense", chunk_elems=100
+                    flat, priority=5.0, label="dense"
                 )
                 urgent = sched.submit(lambda c: "now", priority=-1.0, label="prior")
                 assert urgent.wait(30) == "now"
@@ -124,8 +124,10 @@ class TestGlobalOrder:
         def worker(comm):
             sched = CommScheduler(comm)
             try:
-                flat = np.full(1000, float(comm.rank + 1))
-                for h in sched.allreduce_chunks(flat, chunk_elems=64):
+                flat = np.full(200_000, float(comm.rank + 1))
+                handles = sched.allreduce_chunks(flat)
+                assert len(handles) == 4
+                for h in handles:
                     h.wait(30)
                 return flat
             finally:
@@ -133,7 +135,7 @@ class TestGlobalOrder:
 
         out = run_threaded(2, worker)
         for flat in out:
-            assert np.array_equal(flat, np.full(1000, 3.0))
+            assert np.array_equal(flat, np.full(200_000, 3.0))
 
 
 class TestInlineMode:
@@ -142,8 +144,8 @@ class TestInlineMode:
             sched = CommScheduler(comm, overlap=overlap)
             try:
                 rng = np.random.default_rng(comm.rank)
-                flat = rng.normal(size=10_000)
-                handles = sched.allreduce_chunks(flat, chunk_elems=1000)
+                flat = rng.normal(size=200_000)
+                handles = sched.allreduce_chunks(flat)
                 gathered = sched.submit(
                     lambda c: c.allgather(float(c.rank)), priority=-1.0
                 ).wait(30)

@@ -8,6 +8,8 @@ here asserts the contract that makes that legal: the grouped step is
 table per table, and never sends more bytes.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,8 @@ from repro.comm.sched import SchedKnobs
 from repro.engine.embrace_runtime import TableGroupRuntime
 from repro.engine.trainer_real import RealTrainer
 from repro.faults import FaultPlan
-from repro.models.config import DLRM
+from repro.models.config import DLRM, GNMT8
+from repro.models.registry import build_model
 from repro.nn.embedding import Embedding
 from repro.tensors import SparseRows
 
@@ -318,8 +321,6 @@ class TestCollectiveCount:
     structure, not of timing), so these bounds cannot flake."""
 
     def test_dlrm_smoke_step_issues_at_most_eight_collectives(self):
-        from dataclasses import replace
-
         config = replace(
             DLRM.scaled(vocab=2000, dim_divisor=4), batch_size_rtx3090=32
         )
@@ -327,12 +328,33 @@ class TestCollectiveCount:
         assert _comm_lane_collectives_per_step(config) <= 8
 
     def test_gnmt_smoke_step_issues_no_more_than_per_table(self):
-        from dataclasses import replace
-
-        from repro.models import GNMT8
-
         config = replace(
             GNMT8.scaled(vocab=512, dim_divisor=32), batch_size_rtx3090=8
         )
         # 9.33 with per-table exchanges (two tables); one group now.
         assert _comm_lane_collectives_per_step(config) <= 9.34
+
+    @pytest.mark.parametrize("config, n_buckets", [
+        # 7 items a step when the 217,088-element bucket was chunked.
+        (replace(GNMT8.scaled(vocab=4096, dim_divisor=16), batch_size_rtx3090=32), 4),
+        # 4 items a step when the 73,728-element bucket was chunked.
+        (replace(DLRM.scaled(vocab=20000, dim_divisor=2), batch_size_rtx3090=256), 3),
+    ], ids=["gnmt_compute", "dlrm_sparse"])
+    def test_one_dense_allreduce_per_bucket(self, config, n_buckets):
+        """``benchmarks/e2e``'s train configs: each dense bucket is one
+        AllReduce a step, however large, beside the one loss average."""
+        model = build_model(config, rng=np.random.default_rng(1))
+        trainer = RealTrainer(config)
+        buckets = trainer._dense_buckets(
+            trainer._dense_schedule(model, model.dense_parameters())
+        )
+        assert len(buckets) == n_buckets
+        steps = 2
+        with open_group(2, backend="thread", trace=True) as g:
+            result = RealTrainer(
+                config, strategy="embrace", world_size=2, steps=steps, seed=1,
+                group=g,
+            ).train()
+        spans = result.trace.trace.by_resource("comm:0")
+        allreduces = sum(span.name == "allreduce" for span in spans)
+        assert allreduces == steps * (len(buckets) + 1)

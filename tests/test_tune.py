@@ -156,7 +156,7 @@ TWELVE_FIELD_PROFILE_JSON = """{
 class TestTunedProfile:
     def test_json_roundtrip(self):
         p = make_profile(
-            knobs=SchedKnobs(chunk_elems=1024), strategy="embrace",
+            knobs=SchedKnobs(bucket_elems=1024), strategy="embrace",
             meta={"host": "ci"},
         )
         p2 = TunedProfile.from_json(p.to_json())
@@ -166,7 +166,7 @@ class TestTunedProfile:
         """A profile written when a second wire could be chosen: the
         top-level ``transport`` key loads as ``"shm"`` and is refused
         as ``"queue"``, like a link labelled ``"queue"``."""
-        p = make_profile(knobs=SchedKnobs(chunk_elems=1024), strategy="embrace")
+        p = make_profile(knobs=SchedKnobs(bucket_elems=1024), strategy="embrace")
         d = json.loads(p.to_json())
         assert "transport" not in d
         d["transport"] = "shm"
@@ -213,7 +213,7 @@ class TestTunedProfile:
 
     def test_rejects_malformed_knobs(self):
         d = json.loads(make_profile().to_json())
-        d["knobs"] = {"chunk_elems": -5}
+        d["knobs"] = {"bucket_elems": -5}
         with pytest.raises(ValueError):
             TunedProfile.from_json(json.dumps(d))
         d["knobs"] = {"no_such_knob": 1}
@@ -249,19 +249,21 @@ class TestTunedProfile:
 
 class TestSchedKnobs:
     def test_defaults_match_historical_constants(self):
-        from repro.comm.sched import DEFAULT_CHUNK_ELEMS, DEFAULT_MAX_CHUNKS
+        from repro.comm.sched import DEFAULT_BUCKET_ELEMS
 
         k = SchedKnobs()
-        assert k.chunk_elems == DEFAULT_CHUNK_ELEMS == 65536
-        assert k.max_chunks == DEFAULT_MAX_CHUNKS == 8
-        assert k.bucket_elems == 65536
+        assert k.bucket_elems == DEFAULT_BUCKET_ELEMS == 65536
         assert k.delayed_min_rows == 0
+        assert [f.name for f in dataclasses.fields(k)] == [
+            "bucket_elems", "delayed_min_rows", "hot_fraction",
+            "repartition_interval", "hierarchical",
+        ]
 
     @pytest.mark.parametrize("kw", [
-        {"chunk_elems": 0},
-        {"chunk_elems": -1},
-        {"chunk_elems": 2.5},
-        {"max_chunks": 0},
+        {"bucket_elems": -1},
+        {"bucket_elems": 2.5},
+        {"delayed_min_rows": 2.5},
+        {"repartition_interval": -1},
         {"bucket_elems": 0},
         {"delayed_min_rows": -1},
     ])
@@ -270,7 +272,7 @@ class TestSchedKnobs:
             SchedKnobs(**kw)
 
     def test_dict_roundtrip(self):
-        k = SchedKnobs(chunk_elems=1024, delayed_min_rows=7)
+        k = SchedKnobs(bucket_elems=1024, delayed_min_rows=7)
         assert SchedKnobs.from_dict(k.to_dict()) == k
         with pytest.raises(ValueError, match="unknown"):
             SchedKnobs.from_dict({"bogus": 1})
@@ -278,13 +280,28 @@ class TestSchedKnobs:
     def test_saved_dense_switch_default_is_dropped(self):
         # Knob dicts and profiles saved before the dense wire was removed
         # carry its never-switching threshold; they still load.
-        saved = dict(SchedKnobs(chunk_elems=1024).to_dict(), dense_switch_density=1.0)
-        assert SchedKnobs.from_dict(saved) == SchedKnobs(chunk_elems=1024)
-        d = json.loads(make_profile(knobs=SchedKnobs(chunk_elems=1024)).to_json())
+        saved = dict(SchedKnobs(bucket_elems=1024).to_dict(), dense_switch_density=1.0)
+        assert SchedKnobs.from_dict(saved) == SchedKnobs(bucket_elems=1024)
+        d = json.loads(make_profile(knobs=SchedKnobs(bucket_elems=1024)).to_json())
         d["knobs"]["dense_switch_density"] = 1.0
         assert TunedProfile.from_json(json.dumps(d)).knobs == SchedKnobs(
-            chunk_elems=1024
+            bucket_elems=1024
         )
+
+    @pytest.mark.parametrize("chunking", [
+        {"chunk_elems": 65536, "max_chunks": 8},
+        {"chunk_elems": 262144, "max_chunks": 4},  # BENCH_tune.json's profile
+        {"chunk_elems": -5},
+        {"max_chunks": 0},
+    ])
+    def test_saved_chunk_knobs_are_dropped(self, chunking):
+        """Dicts saved while dense buckets were chunked load with the
+        chunk sizing dropped, whatever its value: each bucket is now one
+        AllReduce."""
+        saved = dict(SchedKnobs(bucket_elems=1024).to_dict(), **chunking)
+        assert SchedKnobs.from_dict(saved) == SchedKnobs(bucket_elems=1024)
+        with pytest.raises(TypeError):
+            SchedKnobs(**chunking)
 
     @pytest.mark.parametrize("value", [0.25, 0.0])
     def test_saved_dense_switch_threshold_is_refused(self, value):
@@ -298,9 +315,7 @@ class TestSchedKnobs:
         """A profile written while knobs carried per-lane ``hier_*``
         switches and the pipeline fields loads to the same knobs."""
         loaded = TunedProfile.from_json(TWELVE_FIELD_PROFILE_JSON)
-        assert loaded.knobs == SchedKnobs(
-            chunk_elems=1024, delayed_min_rows=7, hot_fraction=0.01
-        )
+        assert loaded.knobs == SchedKnobs(delayed_min_rows=7, hot_fraction=0.01)
         assert loaded.strategy == "embrace"
         assert loaded.links["shm"].bandwidth_Bps == 2.5e9
         assert TunedProfile.from_json(loaded.to_json()) == loaded
@@ -322,12 +337,12 @@ class TestSchedKnobs:
     ])
     def test_saved_agreeing_hier_lanes_load(self, lanes, hierarchical):
         saved = dict(
-            SchedKnobs(chunk_elems=1024).to_dict(),
+            SchedKnobs(bucket_elems=1024).to_dict(),
             **dict(zip(("hier_dense", "hier_sparse", "hier_hot"), lanes)),
         )
         del saved["hierarchical"]
         assert SchedKnobs.from_dict(saved) == SchedKnobs(
-            chunk_elems=1024, hierarchical=hierarchical
+            bucket_elems=1024, hierarchical=hierarchical
         )
 
     @pytest.mark.parametrize("lanes", [
@@ -346,23 +361,23 @@ class TestSchedKnobs:
 
 class TestSearchSpace:
     def test_grid_is_deterministic_product(self):
-        space = SearchSpace(
-            chunk_elems=(1024, 4096), max_chunks=(2,), bucket_elems=(8192,)
-        )
+        space = SearchSpace(bucket_elems=(1024, 4096), delayed_min_rows=(7,))
         cands = space.candidates()
-        assert [c.knobs.chunk_elems for c in cands] == [1024, 4096]
+        assert [c.knobs.bucket_elems for c in cands] == [1024, 4096]
+        assert {c.knobs.delayed_min_rows for c in cands} == {7}
         assert cands == space.candidates()
 
     def test_smoke_grid_small(self):
         assert len(SearchSpace.smoke().candidates()) <= 4
+        assert len(SearchSpace().candidates()) == 2
 
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            SearchSpace(chunk_elems=())
+            SearchSpace(bucket_elems=())
 
     def test_invalid_knob_value_rejected_at_expansion(self):
         with pytest.raises(ValueError):
-            SearchSpace(chunk_elems=(0,)).candidates()
+            SearchSpace(bucket_elems=(0,)).candidates()
 
 
 def make_workload(world=4):
@@ -407,6 +422,36 @@ class TestSearch:
         assert pred.step_time_s > 0
         assert 0.0 <= pred.stall_frac < 1.0
         assert pred.makespan_s == pytest.approx(pred.step_time_s * 3)
+
+    @pytest.mark.parametrize("bucket_elems", [32_768, 65_536, 262_144])
+    def test_one_dense_task_per_bucket(self, monkeypatch, bucket_elems):
+        """The twin prices one dense AllReduce per ``pack_buckets``
+        bucket per step, as the trainer issues them."""
+        import repro.tune.search as search
+
+        graphs, execute = [], search.execute
+
+        def capture(graph):
+            graphs.append(graph)
+            return execute(graph)
+
+        monkeypatch.setattr(search, "execute", capture)
+        w = make_workload()
+        n_steps = 3
+        predict_candidate(
+            make_profile(), w,
+            Candidate(knobs=SchedKnobs(bucket_elems=bucket_elems)),
+            n_steps=n_steps,
+        )
+        (graph,) = graphs
+        buckets = pack_buckets(w.dense_param_sizes, bucket_elems)
+        for i in range(n_steps):
+            dense = sorted(
+                name for name in graph.tasks if name.startswith(f"dense:{i}:")
+            )
+            assert dense == sorted(f"dense:{i}:b{b}" for b in range(len(buckets)))
+            for b, (prio, total, _) in enumerate(buckets):
+                assert graph[f"dense:{i}:b{b}"].priority == prio
 
     def test_allgather_priced_flat_under_either_wire(self):
         """The AllGather baseline's sparse exchange runs flat on real
@@ -482,8 +527,7 @@ class TestSearch:
     def test_rank_candidates_deterministic_and_complete(self):
         p, w = make_profile(), make_workload()
         space = SearchSpace(
-            chunk_elems=(4_096, 65_536), max_chunks=(2, 8),
-            bucket_elems=(65_536,),
+            bucket_elems=(4_096, 65_536), delayed_min_rows=(0, 1_000),
         )
         r1 = rank_candidates(p, w, space, rungs=(2, 3), seed=0)
         r2 = rank_candidates(p, w, space, rungs=(2, 3), seed=123)
@@ -506,24 +550,25 @@ class TestSearch:
 class TestKnobPlumbing:
     def test_trainer_knob_resolution_order(self):
         cfg = GNMT8.tiny()
-        profile = make_profile().with_choice(SchedKnobs(chunk_elems=2048))
+        profile = make_profile().with_choice(SchedKnobs(bucket_elems=2048))
         t = RealTrainer(cfg, knobs=profile.knobs)
-        assert t.knobs.chunk_elems == 2048
-        t = RealTrainer(cfg, knobs={"chunk_elems": 4096})
-        assert t.knobs == SchedKnobs(chunk_elems=4096)  # dict form
+        assert t.knobs.bucket_elems == 2048
+        t = RealTrainer(cfg, knobs={"bucket_elems": 4096})
+        assert t.knobs == SchedKnobs(bucket_elems=4096)  # dict form
         assert RealTrainer(cfg).knobs == SchedKnobs()
 
     def test_runconfig_carries_knobs(self):
         cfg = RunConfig(model=GNMT8.tiny(), mode="real",
-                        knobs=SchedKnobs(chunk_elems=128))
-        assert cfg.knobs.chunk_elems == 128
+                        knobs=SchedKnobs(bucket_elems=128))
+        assert cfg.knobs.bucket_elems == 128
 
 
 class TestKnobBitIdentity:
     def test_losses_identical_across_knobs(self):
-        """Knobs move bytes between buckets/chunks and fold tiny delayed
-        parts forward — never the arithmetic.  Any knob setting must
-        train bit-identically to the defaults at a fixed seed."""
+        """Knobs move bytes between buckets and fold tiny delayed parts
+        forward — never the arithmetic at world 2, where a two-operand
+        sum commutes.  Any knob setting must train bit-identically to
+        the defaults at a fixed seed."""
         cfg = GNMT8.tiny()
 
         def train(knobs):
@@ -534,7 +579,7 @@ class TestKnobBitIdentity:
 
         base = train(None)
         weird = train(SchedKnobs(
-            chunk_elems=1_024, max_chunks=3, bucket_elems=8_192,
+            bucket_elems=8_192,
             delayed_min_rows=10_000,  # folds every delayed part forward
         ))
         assert weird.losses == base.losses
@@ -587,7 +632,7 @@ class TestScheduleAxis:
         """data_parallel collapses the stage/microbatch axes to 1x1, so
         the grid holds one data-parallel point plus the pipelined ones."""
         space = SearchSpace(
-            chunk_elems=(4096,), max_chunks=(2,), bucket_elems=(8192,),
+            bucket_elems=(8192,),
             schedule=("data_parallel", "1f1b"),
             pipeline_stages=(2, 4), microbatches=(2, 4),
         )
