@@ -43,6 +43,7 @@ from repro.comm.sched import (
     SchedulerClosed,
 )
 from repro.comm.sparse import (
+    RowSetMismatch,
     allgather_sparse,
     allreduce_hot_rows,
     allreduce_sparse_adaptive,
@@ -91,6 +92,7 @@ __all__ = [
     "allreduce_hot_rows",
     "allreduce_sparse_adaptive",
     "allreduce_sparse_via_allgather",
+    "RowSetMismatch",
     "alltoall_column_shards",
     "alltoall_lookup_results",
     "column_slices",

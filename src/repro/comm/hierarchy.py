@@ -40,6 +40,10 @@ import numpy as np
 from repro.comm.arena import BufferArena, default_arena
 from repro.comm.backend import Communicator, ring_chunk_bounds
 from repro.comm.sparse import (
+    RowSetMismatch,
+    _block_fault,
+    _own_rows_fault,
+    _rank_rows,
     allreduce_hot_rows,
     alltoall_column_shards,
     column_slices,
@@ -48,7 +52,7 @@ from repro.comm.sparse import (
 )
 from repro.comm.topology import NodeComms, NodeTopology, node_comms
 from repro.obs.instrument import traced_collective
-from repro.tensors import SparseRows
+from repro.tensors import SparseRows, sorted_union
 
 
 def _comms(comm: Communicator, topology: NodeTopology, comms: NodeComms | None) -> NodeComms:
@@ -195,27 +199,50 @@ def two_level_allreduce(
 def _gather_node_parts(
     nc: NodeComms,
     grad: SparseRows,
+    rows: list[np.ndarray] | None = None,
+    faults: list[str] | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray]] | None:
     """Leader: members' coalesced ``(indices, values)`` in rank order
-    (own included).  Member: sends its part and returns ``None``."""
+    (own included).  Member: sends its part and returns ``None``.
+
+    With ``rows`` (every rank's row ids) only values travel, and the
+    leader takes each member's ids from ``rows``; a member that found
+    its own mismatch (``faults``) sends ``None``, and a block that
+    disagrees with ``rows`` lands in the leader's ``faults``."""
     intra = nc.intra
     if not nc.is_leader:
-        _send_rows(intra, [0], grad)
+        _send_rows(intra, [0], grad, values_only=rows is not None, ok=not faults)
         return None
     members = nc.topology.nodes[nc.node]
     parts: list[tuple[np.ndarray, np.ndarray]] = []
     for li, r in enumerate(members):
         if li == intra.rank:
             parts.append((grad.indices, grad.values))
-        else:
+            continue
+        if rows is None:
             idx, vals = intra.recv(li)
             idx = np.asarray(idx)
-            parts.append((idx, np.asarray(vals).reshape(len(idx), grad.dim)))
+        else:
+            idx, vals = rows[r], intra.recv(li)
+            fault = _block_fault(r, vals, len(idx))
+            if fault:
+                faults += fault
+                continue
+        parts.append((idx, np.asarray(vals).reshape(len(idx), grad.dim)))
     return parts
 
 
-def _send_rows(comm: Communicator, dsts, rows: SparseRows) -> None:
-    """Send ``rows`` as ``(wire ids, values)`` to every rank in ``dsts``."""
+def _send_rows(
+    comm: Communicator, dsts, rows: SparseRows, values_only: bool = False,
+    ok: bool = True,
+) -> None:
+    """Send ``rows`` as ``(wire ids, values)`` to every rank in ``dsts``;
+    ``values_only`` when the receivers already know the ids (``None``
+    instead of the values when ``ok`` is False: a row-set mismatch)."""
+    if values_only:
+        for dst in dsts:
+            comm.send(dst, comm.snapshot(rows.values) if ok else None)
+        return
     arena = default_arena()
     idx = narrow_ids(comm, rows.indices, rows.num_rows, arena)
     for dst in dsts:
@@ -223,8 +250,10 @@ def _send_rows(comm: Communicator, dsts, rows: SparseRows) -> None:
     arena.put(idx)
 
 
-def _rows_nbytes(rows: SparseRows) -> int:
-    """Wire bytes of one ``(wire ids, values)`` message of ``rows``."""
+def _rows_nbytes(rows: SparseRows, values_only: bool = False) -> int:
+    """Wire bytes of one :func:`_send_rows` message of ``rows``."""
+    if values_only:
+        return rows.values.nbytes
     return len(rows.indices) * ids_dtype(rows.num_rows).itemsize + rows.values.nbytes
 
 
@@ -262,6 +291,7 @@ def two_level_alltoall_shards(
     *,
     table: str | None = None,
     comms: NodeComms | None = None,
+    rows: list[np.ndarray] | None = None,
 ) -> SparseRows:
     """Hierarchical EmbRace gradient exchange: this rank's column shard
     of the globally-summed sparse gradient, with intra-node coalescing
@@ -279,7 +309,12 @@ def two_level_alltoall_shards(
 
     The wire win: a row contributed by several ranks of one node crosses
     the NIC **once** (in the merged node gradient) instead of once per
-    contributing rank, and only one index vector per node pair moves.
+    contributing rank.  Without ``rows`` each leg carries its index
+    vector beside the values; with ``rows`` (every rank's coalesced row
+    ids, as for :func:`~repro.comm.sparse.alltoall_column_shards`) no
+    leg does — a node's rows are the union of its members' entries and
+    a shard's rows the union of all — and a mismatch raises
+    :class:`~repro.comm.sparse.RowSetMismatch` on every rank it reaches.
     """
     grad = grad.coalesce()
     if comm.world_size == 1:
@@ -289,30 +324,41 @@ def two_level_alltoall_shards(
             f"topology world {topology.world_size} != comm world {comm.world_size}"
         )
     if not topology.multi_node:
-        return alltoall_column_shards(comm, grad, table=table)
+        return alltoall_column_shards(comm, grad, table=table, rows=rows)
     nc = _comms(comm, topology, comms)
     rank, world = comm.rank, comm.world_size
     num_rows, dim, vdtype = grad.num_rows, grad.dim, grad.values.dtype
     slices = column_slices(dim, world)
     my_width = slices[rank].stop - slices[rank].start
     obs = comm.obs
+    values_only = rows is not None
+    faults: list[str] = []
+    if values_only:
+        rows = _rank_rows(rows, world)
+        faults = _own_rows_fault(grad.indices, rows[rank])
 
-    parts = _gather_node_parts(nc, grad)
+    parts = _gather_node_parts(nc, grad, rows, faults)
     if parts is None:
         # Member: account the intra leg, then wait for the merged shard.
         if obs.enabled:
-            sent = float(_rows_nbytes(grad))
+            sent = float(_rows_nbytes(grad, values_only))
             obs.count("wire_bytes.alltoall_sparse", sent)
             if table is not None:
                 obs.count(f"wire_bytes.table.{table}", sent)
-        idx, vals = nc.intra.recv(0)
-        idx = np.asarray(idx)
+        if values_only:
+            idx, vals = sorted_union(rows), nc.intra.recv(0)
+            faults += _block_fault(topology.nodes[nc.node][0], vals, len(idx))
+            if faults:
+                raise RowSetMismatch(rank, faults)
+        else:
+            idx, vals = nc.intra.recv(0)
+            idx = np.asarray(idx)
         return SparseRows(
             idx, np.asarray(vals).reshape(len(idx), my_width), num_rows,
             coalesced=True,
         )
 
-    node_grad = _merge_node(parts, grad)
+    node_grad = None if faults else _merge_node(parts, grad)
     inter = nc.inter
     assert inter is not None
     m = topology.num_nodes
@@ -324,13 +370,22 @@ def two_level_alltoall_shards(
     ]
     sent = 0
     arena = default_arena()
-    wire_idx = narrow_ids(inter, node_grad.indices, num_rows, arena)
+    wire_idx = None
+    if not values_only:
+        wire_idx = narrow_ids(inter, node_grad.indices, num_rows, arena)
     for q in range(m):
         if q == me:
             continue
+        if faults:
+            inter.send(q, None)
+            continue
         block = node_grad.values[:, node_cols[q]]
-        inter.send(q, (wire_idx, inter.snapshot(block)))
-        sent += wire_idx.nbytes + block.nbytes
+        if wire_idx is None:
+            inter.send(q, inter.snapshot(block))
+        else:
+            inter.send(q, (wire_idx, inter.snapshot(block)))
+            sent += wire_idx.nbytes
+        sent += block.nbytes
     arena.put(wire_idx)
     my_cols = node_cols[me]
     my_node_width = my_cols.stop - my_cols.start
@@ -338,17 +393,33 @@ def two_level_alltoall_shards(
     try:
         for q in range(m):
             if q == me:
-                node_parts.append((node_grad.indices, node_grad.values[:, my_cols]))
+                if node_grad is not None:
+                    node_parts.append(
+                        (node_grad.indices, node_grad.values[:, my_cols])
+                    )
+                continue
+            if values_only:
+                # Node q's rows: the union of its members' entries.
+                idx = sorted_union([rows[r] for r in topology.nodes[q]])
+                vals = inter.recv_view_pinned(q)
+                fault = _block_fault(topology.nodes[q][0], vals, len(idx))
+                if fault:
+                    faults += fault
+                    continue
             else:
                 idx, vals = inter.recv_view_pinned(q)
                 idx = np.asarray(idx)
-                node_parts.append(
-                    (idx, np.asarray(vals).reshape(len(idx), my_node_width))
-                )
+            node_parts.append(
+                (idx, np.asarray(vals).reshape(len(idx), my_node_width))
+            )
         # Outer fold per member shard: node order, assign-then-add.
         members = topology.nodes[me]
         mine: SparseRows | None = None
         for li, r in enumerate(members):
+            if faults:
+                if r != rank:
+                    nc.intra.send(li, None)
+                continue
             rel = slice(
                 slices[r].start - my_cols.start, slices[r].stop - my_cols.start
             )
@@ -361,10 +432,12 @@ def two_level_alltoall_shards(
             if r == rank:
                 mine = merged
             else:
-                _send_rows(nc.intra, [li], merged)
-                sent += _rows_nbytes(merged)
+                _send_rows(nc.intra, [li], merged, values_only)
+                sent += _rows_nbytes(merged, values_only)
     finally:
         comm.release_views()
+    if faults:
+        raise RowSetMismatch(rank, faults)
     if obs.enabled:
         obs.count("wire_bytes.alltoall_sparse", float(sent))
         if table is not None:

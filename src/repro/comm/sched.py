@@ -121,11 +121,13 @@ def pack_buckets(
 #: saved dict may still carry: the removed behaviour's inert default.
 _REMOVED_FIELDS = {"dense_switch_density": 1.0}
 
-#: The dense chunk sizing, dropped from saved dicts whatever its value:
-#: each bucket is now one AllReduce, and no setting (the default
+#: Fields dropped from saved dicts whatever their value.  The dense chunk
+#: sizing: each bucket is now one AllReduce, and no setting (the default
 #: included) reproduced that fold order at world >= 3, so refusing a
-#: value would protect nothing.
-_CHUNK_FIELDS = ("chunk_elems", "max_chunks")
+#: value would protect nothing.  The delayed-part fold: folding a delayed
+#: part into the prior exchange never changed the bits, and the exchange
+#: now sends values only, so every rank must split the same way.
+_DROPPED_FIELDS = ("chunk_elems", "max_chunks", "delayed_min_rows")
 
 #: The pipeline fields, which moved to :class:`repro.tune.Candidate`
 #: (the real trainer never ran them): same rule, data-parallel defaults.
@@ -145,14 +147,6 @@ class SchedKnobs:
     bit-for-bit.  Instances are frozen (hashable, safe to share across
     trainer ranks) and validate on construction.
 
-    ``delayed_min_rows`` folds a *smaller-than-threshold* delayed sparse
-    part back into the prior part (the whole gradient is exchanged
-    before the optimizer step).  Folding is loss-curve-safe — both parts
-    of the §5.7 split update use the same bias-correction step and the
-    rows are disjoint — whereas delaying *more* rows would change which
-    shards the next step's refresh observes, so the knob only moves
-    bytes in the bit-identical direction.
-
     ``hot_fraction`` / ``repartition_interval`` drive hybrid hot/cold
     placement (:mod:`repro.placement`): every ``repartition_interval``
     committed steps the trainer's drift monitor promotes the hottest
@@ -171,7 +165,6 @@ class SchedKnobs:
     """
 
     bucket_elems: int = DEFAULT_BUCKET_ELEMS
-    delayed_min_rows: int = 0
     hot_fraction: float = 0.0
     repartition_interval: int = 0
     hierarchical: bool = True
@@ -180,11 +173,6 @@ class SchedKnobs:
         if not isinstance(self.bucket_elems, int) or self.bucket_elems <= 0:
             raise ValueError(
                 f"bucket_elems must be a positive int, got {self.bucket_elems!r}"
-            )
-        if not isinstance(self.delayed_min_rows, int) or self.delayed_min_rows < 0:
-            raise ValueError(
-                f"delayed_min_rows must be an int >= 0, "
-                f"got {self.delayed_min_rows!r}"
             )
         if (
             not isinstance(self.hot_fraction, (int, float))
@@ -219,13 +207,13 @@ class SchedKnobs:
         Dicts written by earlier releases may carry a field listed in
         :data:`_REMOVED_FIELDS` or :data:`_PIPELINE_FIELDS`: its inert
         default is dropped, any other value is refused.  The
-        :data:`_CHUNK_FIELDS` are dropped whatever their value.  The
+        :data:`_DROPPED_FIELDS` are dropped whatever their value.  The
         per-lane ``hier_*`` switches load when the lanes agree: all
         automatic or ``True`` is the default, all ``False`` is
         ``hierarchical=False``; a per-lane mix is refused.
         """
         d = dict(d)
-        for key in _CHUNK_FIELDS:
+        for key in _DROPPED_FIELDS:
             d.pop(key, None)
         for fields, why in (
             (_REMOVED_FIELDS, "the sparse collectives' dense switch was removed"),

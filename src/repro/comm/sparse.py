@@ -9,10 +9,13 @@
 * :func:`alltoall_column_shards` — EmbRace's hybrid path: each rank
   sends each peer the *column slice* that peer owns, and receives the
   slices of its own columns from everyone (one AlltoAll of §4.1.1),
-  moving indices and values as raw frames (the narrow id copy is the
-  one scratch buffer, from the arena).
+  moving values as raw frames — with their row ids (the narrow id copy
+  is the one scratch buffer, from the arena), or alone when the caller
+  passes every rank's row set (``rows=``; a mismatch raises
+  :class:`RowSetMismatch` instead of summing wrong rows).
 
-Every sparse message is a plain ``(indices, values)`` pair — or, on the
+Every sparse message is a plain ``(indices, values)`` pair — or a bare
+value block when the receiver knows the rows, or, on the
 recursive-doubling path, ``(parts, union)`` — so ``payload_nbytes`` /
 ``obs.count_bytes`` account exactly the arrays that travel.  Row ids
 travel in :func:`ids_dtype` of the row space — ``int32`` up to 2**31
@@ -84,6 +87,55 @@ def narrow_ids(
 def wide_ids(ids) -> np.ndarray:
     """Received wire ids as int64 (no copy when they already are)."""
     return np.asarray(ids, dtype=np.int64)
+
+
+class RowSetMismatch(RuntimeError):
+    """A values-only exchange (``rows=``) met a row set that disagrees
+    with the values: a sender's coalesced gradient rows differ from its
+    own ``rows`` entry, or a received block's row count differs from the
+    sender's entry.  A sender that finds its own mismatch sends ``None``
+    in place of its values, so each of its peers raises this too; every
+    rank still sends and receives all its messages first, so the
+    communicator stays in step.  ``rank`` is the rank that raised.
+    """
+
+    def __init__(self, rank: int, faults: list[str]):
+        super().__init__(f"rank {rank}: " + "; ".join(faults))
+        self.rank = rank
+        self.faults = list(faults)
+
+
+def _rank_rows(rows, world_size: int) -> list[np.ndarray]:
+    """``rows`` (one sorted-unique id set per rank) as int64 arrays,
+    checked for one entry per rank."""
+    if len(rows) != world_size:
+        raise ValueError(
+            f"rows has {len(rows)} entries for world size {world_size}"
+        )
+    return [np.asarray(r, dtype=np.int64) for r in rows]
+
+
+def _own_rows_fault(indices: np.ndarray, rows: np.ndarray) -> list[str]:
+    """The sender guard: ``[]`` when this rank's coalesced ``indices``
+    are exactly its ``rows`` entry, else the fault to report."""
+    if np.array_equal(indices, rows):
+        return []
+    return [
+        f"its {len(indices)} gradient rows differ from the {len(rows)} rows "
+        f"its peers infer for it"
+    ]
+
+
+def _block_fault(src: int, block, n_rows: int) -> list[str]:
+    """The receiver check of one values-only block from ``src``: ``[]``
+    when it holds ``n_rows`` rows, else the fault to report (``None``
+    is a sender that found its own mismatch)."""
+    if block is None:
+        return [f"rank {src} sent no values: some rank's rows disagree with its entry"]
+    got = np.shape(block)[0]
+    if got != n_rows:
+        return [f"rank {src} sent {got} value rows where {n_rows} are known"]
+    return []
 
 
 def column_slices(dim: int, world_size: int) -> list[slice]:
@@ -279,6 +331,7 @@ def alltoall_column_shards(
     *,
     table: str | None = None,
     fold_groups: tuple[int, ...] | None = None,
+    rows: list[np.ndarray] | None = None,
 ) -> SparseRows:
     """EmbRace gradient exchange: return this rank's column shard of the
     globally-summed sparse gradient.
@@ -290,6 +343,14 @@ def alltoall_column_shards(
     transport views (``recv_view_pinned``) and the rank-ordered merge
     reads them straight out of the sender's shared-memory segments.
     The result's ``dim`` is this rank's shard width.
+
+    ``rows`` (optional) is every rank's coalesced row ids, in rank
+    order — sorted unique, identical on every rank.  With it only the
+    ``(n, peer_cols)`` value blocks travel and the merge runs on the
+    given ids.  Each rank first checks that its own gradient rows equal
+    its entry, and each receiver that every block has its sender's row
+    count; a disagreement raises :class:`RowSetMismatch` on every rank
+    it reaches, never a wrong sum.
 
     The local gradient is coalesced before slicing so that every
     strategy sums per-row contributions with identical grouping (local
@@ -323,18 +384,28 @@ def alltoall_column_shards(
     # is no separate pack copy.  ``snapshot`` is the identity there;
     # transports that defer capture copy here instead.
     arena = default_arena()
-    wire_idx = narrow_ids(comm, grad.indices, num_rows, arena)
+    wire_idx = None
+    faults: list[str] = []
+    if rows is None:
+        wire_idx = narrow_ids(comm, grad.indices, num_rows, arena)
+    else:
+        rows = _rank_rows(rows, world)
+        faults = _own_rows_fault(grad.indices, rows[rank])
     for dst in range(world):
         if dst != rank:
-            comm.send(
-                dst, (wire_idx, comm.snapshot(grad.values[:, slices[dst]]))
-            )
+            block = comm.snapshot(grad.values[:, slices[dst]])
+            if wire_idx is not None:
+                comm.send(dst, (wire_idx, block))
+            else:
+                comm.send(dst, None if faults else block)
 
     obs = comm.obs
     if obs.enabled:
         itemsize = np.dtype(vdtype).itemsize
         peer_cols = grad.dim - my_width  # value columns leaving this rank
-        sent = (world - 1) * wire_idx.nbytes + n * peer_cols * itemsize
+        sent = n * peer_cols * itemsize
+        if wire_idx is not None:
+            sent += (world - 1) * wire_idx.nbytes
         obs.count("wire_bytes.alltoall_sparse", float(sent))
         if table is not None:
             obs.count(f"wire_bytes.table.{table}", float(sent))
@@ -350,11 +421,20 @@ def alltoall_column_shards(
             if src == rank:
                 parts.append((grad.indices, grad.values[:, slices[rank]]))
                 continue
-            p_idx, p_vals = comm.recv_view_pinned(src)
-            p_idx = np.asarray(p_idx)
+            if rows is None:
+                p_idx, p_vals = comm.recv_view_pinned(src)
+                p_idx = np.asarray(p_idx)
+            else:
+                p_idx, p_vals = rows[src], comm.recv_view_pinned(src)
+                fault = _block_fault(src, p_vals, len(p_idx))
+                if fault:
+                    faults += fault
+                    continue
             parts.append(
                 (p_idx, np.asarray(p_vals).reshape(len(p_idx), my_width))
             )
+        if faults:
+            raise RowSetMismatch(rank, faults)
         # Every received part is a coalesced (sorted-unique) run: merge
         # the runs directly instead of sorting their concatenation —
         # bit-identical, and it skips the argsort + reduceat that

@@ -7,7 +7,10 @@ and :class:`~repro.serve.ShardedEmbeddingService` both run on it — can
 adopt it:
 
 * ``apply_gradient`` — Algorithm 1 split, the two AlltoAll column-shard
-  exchanges, and the modified-Adam shard updates;
+  exchanges, and the modified-Adam shard updates; ``exchange`` sends
+  values alone when the caller passes every rank's row set
+  (``cold_rows`` / ``split_rows``, derived from the gathered ids every
+  rank already holds), so the row ids cross the wire once a step;
 * ``refresh_rows`` — the forward lookup-result AlltoAll that rewrites
   the local replica's rows for the upcoming batch;
 * ``own_columns`` — this rank's authoritative columns of every member,
@@ -59,7 +62,7 @@ from repro.nn.parameter import Parameter
 from repro.optim import EmbraceAdam
 from repro.placement import TablePlacement, as_placement, learn_hot_ids
 from repro.schedule.vertical import vertical_split
-from repro.tensors import SparseRows
+from repro.tensors import SparseRows, unique_rows
 
 
 def join_column_shards(shards: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
@@ -243,18 +246,62 @@ class TableGroupRuntime:
             )
         return vertical_split(grad, current_ids, next_ids)
 
+    def cold_rows(self, all_ids: list[np.ndarray]) -> list[np.ndarray]:
+        """Every rank's coalesced cold gradient rows, from the ids each
+        rank's batch reads (``all_ids``, in rank order, as gathered).
+
+        A rank's gradient touches exactly the rows its batch reads, so
+        its coalesced rows are those ids, sorted unique, less the hot
+        set (replicated, so every rank drops the same rows).  Every rank
+        already holds every peer's ids from the ids AllGather, so no
+        index has to travel beside the values (``docs/mechanisms.md``,
+        "Row ids travel once"); the exchange checks the claim.
+        """
+        out = []
+        for ids in all_ids:
+            ids = np.asarray(ids, dtype=np.int64)
+            # A batch carries each table's ids sorted unique, so stacked
+            # ids usually are already; the sort is only for those not.
+            u = ids if np.all(ids[1:] > ids[:-1]) else unique_rows(ids)
+            out.append(u[~self.hot_mask(u)] if self.n_hot else u)
+        return out
+
+    def split_rows(
+        self, rows: list[np.ndarray], next_ids: np.ndarray | None
+    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Algorithm 1's membership test on every rank's ``rows``: the
+        row sets of :meth:`split`'s prior and delayed parts on each rank
+        (rows in the gathered ``next_ids`` are prior; at end of stream,
+        ``None``, every row is).
+
+        One mark per row of the group's space serves every rank's test
+        with a gather — over an order of magnitude cheaper than a
+        ``searchsorted`` per rank at these sizes."""
+        if next_ids is None:
+            return rows, [r[:0] for r in rows]
+        wanted = np.zeros(self.num_rows, dtype=np.bool_)
+        wanted[next_ids] = True
+        masks = [wanted[r] for r in rows]
+        return (
+            [r[m] for r, m in zip(rows, masks)],
+            [r[~m] for r, m in zip(rows, masks)],
+        )
+
     def exchange(
         self,
         comm: Communicator,
         part: SparseRows,
         scale: float = 1.0,
+        rows: list[np.ndarray] | None = None,
     ) -> SparseRows:
         """AlltoAll one split part into this rank's scaled column shard.
 
         Takes the communicator explicitly so the same code runs inline
         (``self.comm``) or inside a scheduled work item on the
         communicator it is given; the arithmetic — exchange then scale
-        — is identical either way.
+        — is identical either way.  ``rows`` (every rank's row ids of
+        this part, from :meth:`cold_rows` / :meth:`split_rows`) sends
+        the values alone; without it the ids travel beside them.
 
         Under a multi-node topology the exchange is node-aware: the
         two-level wire (``hierarchical``, the default) coalesces each
@@ -265,11 +312,12 @@ class TableGroupRuntime:
         """
         if self.hierarchical:
             out = two_level_alltoall_shards(
-                comm, part, self.topology, table=self.name
+                comm, part, self.topology, table=self.name, rows=rows
             )
         else:
             out = alltoall_column_shards(
-                comm, part, table=self.name, fold_groups=self.fold_groups
+                comm, part, table=self.name, fold_groups=self.fold_groups,
+                rows=rows,
             )
         self._credit_tables(comm.obs, part)
         return out.scale(scale)

@@ -580,6 +580,9 @@ class RealTrainer:
         # Delayed sparse parts carried across the step boundary:
         # (group, handle) pairs applied by _flush_delayed.
         pending_delayed: list[tuple[TableGroupRuntime, CommHandle]] = []
+        # Every rank's ids of this step's batch, per group: the previous
+        # step's ids AllGather (None on the first step of this call).
+        gathered_ids: list[list[np.ndarray]] | None = None
         try:
             for _step in range(start_step, self.steps):
                 if fault_comm is not None:
@@ -658,9 +661,10 @@ class RealTrainer:
                         summed = coll.allreduce(dense) / comm.world_size
                         table.weight.grad = SparseRows.from_dense(summed)
                 else:
-                    gathered_next = self._embrace_sparse_step(
+                    gathered_ids = self._embrace_sparse_step(
                         sched, coll, model, batch, next_batch, groups,
-                        pending_delayed, hot_priority, live_counts,
+                        pending_delayed, gathered_ids, hot_priority,
+                        live_counts,
                     )
                     # Dense params still use the fused optimizer; detach
                     # sparse grads so step() skips them.
@@ -683,7 +687,7 @@ class RealTrainer:
                     # applied) — the delayed exchange keeps trailing.  Reuses
                     # the id lists gathered for Algorithm 1's split instead
                     # of a second identical AllGather.
-                    for group, all_ids in zip(groups, gathered_next):
+                    for group, all_ids in zip(groups, gathered_ids):
                         group.refresh_rows(all_ids[comm.rank], all_ids=all_ids)
                 losses.append(float(loss_h.wait()[0]))
 
@@ -920,7 +924,7 @@ class RealTrainer:
 
     def _embrace_sparse_step(
         self, sched, coll, model, batch, next_batch, groups, pending_delayed,
-        hot_priority=0.0, live_counts=None,
+        gathered_ids=None, hot_priority=0.0, live_counts=None,
     ) -> list[list[np.ndarray]] | None:
         """Algorithm 1 + AlltoAll + EmbraceAdam, once per table group.
 
@@ -929,10 +933,9 @@ class RealTrainer:
         gradients and id sets are stacked with the table offsets, so one
         coalesce, one split and one prior / delayed / hot work item
         cover every member, with the per-table step's bits.  Judged on
-        the group rather than the table, all bit-safe
-        (``docs/mechanisms.md``, "Table groups"): the
-        ``delayed_min_rows`` fold and ``merge_coalesced``'s choice of
-        finish.
+        the group rather than the table, and bit-safe
+        (``docs/mechanisms.md``, "Table groups"): ``merge_coalesced``'s
+        choice of finish.
 
         Hot rows (hybrid placement) leave first: their full-dimension
         AllReduce rides the dense lane at ``hot_priority`` and is
@@ -948,8 +951,15 @@ class RealTrainer:
 
         All groups' next-iteration ids travel in **one** AllGather (per-
         collective fixed cost dominates these tiny payloads), and the
-        gathered lists (per group, per rank) are returned so the hoisted
-        refresh reuses them instead of gathering the same ids again.
+        gathered lists (per group, per rank) are returned: the hoisted
+        refresh reuses them instead of gathering the same ids again, and
+        the next step passes them back as ``gathered_ids``, every rank's
+        ids of *its* batch.  From those every rank infers each peer's
+        prior and delayed rows, so the exchanges send values only
+        (``docs/mechanisms.md``, "Row ids travel once").  On the first
+        step of a call (``gathered_ids`` is None) the current batch's
+        ids ride in the same AllGather; with no next batch either, the
+        ids travel beside the values.
 
         Averaging (``scale``) happens *after* the cross-rank sum, at the
         same point as the baseline path, so float rounding matches
@@ -963,15 +973,20 @@ class RealTrainer:
             # D_next is the *gathered* next-iteration data (Alg. 1) —
             # one fused collective for every group's id set, in the
             # narrow wire type.
-            local_next = [
-                narrow_ids(coll, self._group_ids(model, g, next_batch), g.num_rows)
+            batches = [next_batch] if gathered_ids is not None else [next_batch, batch]
+            local = [
+                narrow_ids(coll, self._group_ids(model, g, b), g.num_rows)
+                for b in batches
                 for g in groups
             ]
             gathered = sched.submit(
-                lambda c: c.allgather(local_next),
+                lambda c: c.allgather(local),
                 priority=PRIORITY_URGENT, label="ids", lane="ids",
             ).wait()
-            gathered_next = [[wide_ids(i) for i in ids] for ids in zip(*gathered)]
+            per_group = [[wide_ids(i) for i in ids] for ids in zip(*gathered)]
+            gathered_next = per_group[: len(groups)]
+            if gathered_ids is None:
+                gathered_ids = per_group[len(groups) :]
         for i, group in enumerate(groups):
             grad = group.stack_grads(
                 {name: tables[name].weight.grad for name in group.tables}
@@ -1001,25 +1016,22 @@ class RealTrainer:
                     label=f"hot:{group.name}",
                 )
             prior, delayed = group.split(grad, current_ids, global_next)
-            if (
-                self.knobs.delayed_min_rows
-                and 0 < delayed.nnz_rows < self.knobs.delayed_min_rows
-            ):
-                # A tiny delayed part still costs one more exchange at
-                # the next step boundary: fold it back into the prior
-                # exchange.  Bit-safe — both split parts use the
-                # same bias-correction step and rows stay disjoint, so
-                # prior-of-everything ≡ prior+delayed (see SchedKnobs).
-                # ``grad`` here is already the cold remainder, so the
-                # fold never resurrects hot rows.
-                prior, delayed = group.split(grad, current_ids, None)
+            prior_rows = delayed_rows = None
+            if gathered_ids is not None:
+                prior_rows, delayed_rows = group.split_rows(
+                    group.cold_rows(gathered_ids[i]), global_next
+                )
             prior_h = sched.submit(
-                lambda c, g=prior, rt=group: rt.exchange(c, g, inv_world),
+                lambda c, g=prior, rt=group, r=prior_rows: rt.exchange(
+                    c, g, inv_world, rows=r
+                ),
                 priority=PRIORITY_PRIOR,
                 label=f"prior:{group.name}",
             )
             delayed_h = sched.submit(
-                lambda c, g=delayed, rt=group: rt.exchange(c, g, inv_world),
+                lambda c, g=delayed, rt=group, r=delayed_rows: rt.exchange(
+                    c, g, inv_world, rows=r
+                ),
                 priority=PRIORITY_DELAYED,
                 label=f"delayed:{group.name}",
             )

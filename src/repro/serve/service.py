@@ -252,8 +252,11 @@ def _start_step(state: _WorkerState) -> None:
             priority=PRIORITY_TRAIN,
             label=f"hot:{step}",
         )
+    # Every rank's cold rows follow from the gathered ids, so the
+    # exchange sends values only.
+    rows = group.cold_rows(gathered)
     exchange = state.sched.submit(
-        lambda c, g=grad: group.exchange(c, g, scale=1.0 / world),
+        lambda c, g=grad: group.exchange(c, g, scale=1.0 / world, rows=rows),
         priority=PRIORITY_TRAIN,
         label=f"exchange:{step}",
     )

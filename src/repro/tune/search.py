@@ -83,8 +83,6 @@ class Candidate:
             self.strategy,
             f"bucket={k.bucket_elems}",
         ]
-        if k.delayed_min_rows:
-            parts.append(f"fold<{k.delayed_min_rows}")
         if k.hot_fraction > 0.0:
             parts.append(f"hot={k.hot_fraction:g}")
         if k.repartition_interval:
@@ -101,7 +99,6 @@ class SearchSpace:
     """Cartesian knob grid; every axis is a tuple of candidate values."""
 
     bucket_elems: tuple[int, ...] = (65_536, 262_144)
-    delayed_min_rows: tuple[int, ...] = (0,)
     hot_fraction: tuple[float, ...] = (0.0,)
     repartition_interval: tuple[int, ...] = (0,)
     #: ``SchedKnobs.hierarchical``: two-level collectives on a
@@ -121,8 +118,8 @@ class SearchSpace:
 
     def __post_init__(self):
         for name in (
-            "bucket_elems", "delayed_min_rows", "hot_fraction",
-            "repartition_interval", "hier", "strategy",
+            "bucket_elems", "hot_fraction", "repartition_interval",
+            "hier", "strategy",
             "schedule", "pipeline_stages", "microbatches",
         ):
             if not getattr(self, name):
@@ -140,8 +137,8 @@ class SearchSpace:
         :class:`Candidate`."""
         out = []
         seen: set[Candidate] = set()
-        for be, dm, hf, ri, hi, st, sc, ps, mb in itertools.product(
-            self.bucket_elems, self.delayed_min_rows, self.hot_fraction,
+        for be, hf, ri, hi, st, sc, ps, mb in itertools.product(
+            self.bucket_elems, self.hot_fraction,
             self.repartition_interval, self.hier, self.strategy,
             self.schedule, self.pipeline_stages, self.microbatches,
         ):
@@ -149,8 +146,7 @@ class SearchSpace:
                 ps, mb = 1, 1
             cand = Candidate(
                 knobs=SchedKnobs(
-                    bucket_elems=be, delayed_min_rows=dm,
-                    hot_fraction=hf, repartition_interval=ri,
+                    bucket_elems=be, hot_fraction=hf, repartition_interval=ri,
                     hierarchical=hi,
                 ),
                 strategy=st,
@@ -598,9 +594,6 @@ def predict_candidate(
                         priority=dense_prio, deps=[fwd],
                     )
                     sparse_done.append(hot)
-                delayed_rows = sum(t.delayed_rows for t in members)
-                if k.delayed_min_rows and 0 < delayed_rows < k.delayed_min_rows:
-                    prior_b, delayed_b = prior_b + delayed_b, 0.0
                 prior = f"prior:{i}:{gname}"
                 g.add_task(
                     prior, sparse_alltoall_cost(prior_b),

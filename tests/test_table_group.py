@@ -257,18 +257,6 @@ class TestTrainerOnGroups:
         for key in a.state:
             np.testing.assert_array_equal(a.state[key], b.state[key], err_msg=key)
 
-    @pytest.mark.parametrize("min_rows", [8, 10**6])
-    def test_delayed_min_rows_folds_on_the_group_count(self, min_rows):
-        """8 is above nearly every single table's delayed row count here
-        (1-9 a step) and below the group's (22-36): per table it folded
-        most exchanges, on the group it folds none; 10**6 always folds.
-        The fold is bit-safe, so the new granularity moves no bits."""
-        base = RealTrainer(DLRM.tiny(), **self.KW).train()
-        folded = RealTrainer(
-            DLRM.tiny(), knobs=SchedKnobs(delayed_min_rows=min_rows), **self.KW
-        ).train()
-        self._assert_same(base, folded)
-
     def test_live_repartition_matches_uniform_sharding(self):
         base = RealTrainer(DLRM.tiny(), **self.KW).train()
         hybrid = RealTrainer(

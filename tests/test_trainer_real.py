@@ -410,16 +410,17 @@ class TestNoCollectiveAfterLastStep:
 
     HOT = {"hot_fraction": 0.05, "repartition_interval": 2}
 
-    # Rank-0 comm_bytes (seed 5, int32 ids) had every run ended with a
-    # column AllGather of each table; the runs send exactly that less.
+    # Rank-0 comm_bytes (seed 5, int32 ids, values-only sparse
+    # exchanges) had every run ended with a column AllGather of each
+    # table; the runs send exactly that less.
     @pytest.mark.parametrize(
         "paper_cfg, world, steps, knobs, bytes_with_gather",
         [
-            (GNMT8, 2, 3, None, 109_724),
-            (GNMT8, 3, 3, None, 147_636),
-            (DLRM, 2, 3, None, 15_828),
-            (DLRM, 3, 3, None, 23_868),
-            (GNMT8, 2, 6, HOT, 219_236),
+            (GNMT8, 2, 3, None, 109_312),
+            (GNMT8, 3, 3, None, 146_828),
+            (DLRM, 2, 3, None, 15_120),
+            (DLRM, 3, 3, None, 22_400),
+            (GNMT8, 2, 6, HOT, 218_324),
         ],
         ids=["GNMT-8-w2", "GNMT-8-w3", "DLRM-w2", "DLRM-w3", "GNMT-8-w2-hot"],
     )
@@ -459,9 +460,47 @@ def _scalar_allreduce_bytes(comm):
     return comm.bytes_sent
 
 
+def _sparse_value_bytes(config, world, steps, seed):
+    """What rank 0's column-shard exchanges send when only values travel:
+    every step, each row its batch reads times the columns it does not
+    own times the value itemsize (no hot set, so every row is cold)."""
+    from repro.comm.sparse import column_slices
+    from repro.engine.workload import batch_stream
+
+    trainer = RealTrainer(config, seed=seed)
+    model = build_model(config, rng=np.random.default_rng(0))
+    stream = batch_stream(config, trainer.gpu_kind, seed=seed + 1)
+    total = 0
+    for _ in range(steps):
+        batch = next(stream)
+        for name, table in model.embedding_tables().items():
+            rows = len(np.unique(trainer._table_ids(model, name, batch)))
+            dim = table.embedding_dim
+            own = column_slices(dim, world)[0]
+            peer_cols = dim - (own.stop - own.start)
+            total += rows * peer_cols * table.weight.data.itemsize
+    return total
+
+
 class TestWireLanes:
-    """Every byte an embrace step sends is named by a lane counter, and
-    row ids travel as int32."""
+    """Every byte an embrace step sends is named by a lane counter, row
+    ids travel as int32, and they travel once: on the ids lane."""
+
+    @pytest.mark.parametrize("world", [2, 3])
+    @pytest.mark.parametrize("paper_cfg", [GNMT8, DLRM], ids=["GNMT-8", "DLRM"])
+    def test_row_ids_travel_once(self, paper_cfg, world):
+        steps = 4
+        res = RealTrainer(paper_cfg.tiny(), strategy="embrace", world_size=world,
+                          steps=steps, seed=5, trace=True).train()
+        counters = res.trace.counters[0]
+        # Every int32 byte is a gathered id: the sparse exchanges send
+        # values only, their rows inferred from the ids AllGather.
+        assert counters["wire_bytes.int32"] == counters["wire_bytes.ids"] > 0
+        assert counters["wire_bytes.alltoall_sparse"] == _sparse_value_bytes(
+            paper_cfg.tiny(), world, steps, seed=5
+        )
+        lanes = {lane: counters[f"wire_bytes.{lane}"] for lane in EMBRACE_LANES}
+        assert sum(lanes.values()) == res.comm_bytes
 
     @pytest.mark.parametrize("paper_cfg", [GNMT8, DLRM], ids=["GNMT-8", "DLRM"])
     def test_lanes_sum_to_comm_bytes(self, paper_cfg):

@@ -253,26 +253,25 @@ class TestSchedKnobs:
 
         k = SchedKnobs()
         assert k.bucket_elems == DEFAULT_BUCKET_ELEMS == 65536
-        assert k.delayed_min_rows == 0
         assert [f.name for f in dataclasses.fields(k)] == [
-            "bucket_elems", "delayed_min_rows", "hot_fraction",
-            "repartition_interval", "hierarchical",
+            "bucket_elems", "hot_fraction", "repartition_interval",
+            "hierarchical",
         ]
 
     @pytest.mark.parametrize("kw", [
         {"bucket_elems": -1},
         {"bucket_elems": 2.5},
-        {"delayed_min_rows": 2.5},
+        {"hot_fraction": 1.5},
         {"repartition_interval": -1},
         {"bucket_elems": 0},
-        {"delayed_min_rows": -1},
+        {"repartition_interval": 2.5},
     ])
     def test_validation(self, kw):
         with pytest.raises(ValueError):
             SchedKnobs(**kw)
 
     def test_dict_roundtrip(self):
-        k = SchedKnobs(bucket_elems=1024, delayed_min_rows=7)
+        k = SchedKnobs(bucket_elems=1024, repartition_interval=7)
         assert SchedKnobs.from_dict(k.to_dict()) == k
         with pytest.raises(ValueError, match="unknown"):
             SchedKnobs.from_dict({"bogus": 1})
@@ -303,6 +302,16 @@ class TestSchedKnobs:
         with pytest.raises(TypeError):
             SchedKnobs(**chunking)
 
+    @pytest.mark.parametrize("value", [0, 7, 10**9])
+    def test_saved_delayed_fold_is_dropped(self, value):
+        """Dicts saved while a small delayed part could fold into the
+        prior exchange load with the fold dropped, whatever its value:
+        folding never changed the bits."""
+        saved = dict(SchedKnobs(bucket_elems=1024).to_dict(), delayed_min_rows=value)
+        assert SchedKnobs.from_dict(saved) == SchedKnobs(bucket_elems=1024)
+        with pytest.raises(TypeError):
+            SchedKnobs(delayed_min_rows=value)
+
     @pytest.mark.parametrize("value", [0.25, 0.0])
     def test_saved_dense_switch_threshold_is_refused(self, value):
         saved = dict(SchedKnobs().to_dict(), dense_switch_density=value)
@@ -313,9 +322,10 @@ class TestSchedKnobs:
 
     def test_profile_saved_with_twelve_knob_fields_round_trips(self):
         """A profile written while knobs carried per-lane ``hier_*``
-        switches and the pipeline fields loads to the same knobs."""
+        switches and the pipeline fields loads to the same knobs, less
+        the dropped chunk and fold fields."""
         loaded = TunedProfile.from_json(TWELVE_FIELD_PROFILE_JSON)
-        assert loaded.knobs == SchedKnobs(delayed_min_rows=7, hot_fraction=0.01)
+        assert loaded.knobs == SchedKnobs(hot_fraction=0.01)
         assert loaded.strategy == "embrace"
         assert loaded.links["shm"].bandwidth_Bps == 2.5e9
         assert TunedProfile.from_json(loaded.to_json()) == loaded
@@ -361,10 +371,10 @@ class TestSchedKnobs:
 
 class TestSearchSpace:
     def test_grid_is_deterministic_product(self):
-        space = SearchSpace(bucket_elems=(1024, 4096), delayed_min_rows=(7,))
+        space = SearchSpace(bucket_elems=(1024, 4096), repartition_interval=(7,))
         cands = space.candidates()
         assert [c.knobs.bucket_elems for c in cands] == [1024, 4096]
-        assert {c.knobs.delayed_min_rows for c in cands} == {7}
+        assert {c.knobs.repartition_interval for c in cands} == {7}
         assert cands == space.candidates()
 
     def test_smoke_grid_small(self):
@@ -490,14 +500,6 @@ class TestSearch:
         long = predict_candidate(p, w, default_candidate(), n_steps=6)
         assert long.step_time_s <= short.step_time_s * 1.05
 
-    def test_delayed_fold_changes_prediction(self):
-        p, w = make_profile(), make_workload()
-        base = predict_candidate(p, w, default_candidate(), n_steps=3)
-        folded = predict_candidate(
-            p, w, Candidate(knobs=SchedKnobs(delayed_min_rows=1_000)), n_steps=3
-        )
-        assert folded.step_time_s != pytest.approx(base.step_time_s, rel=1e-6)
-
     def test_same_width_tables_price_as_one_group(self):
         """Eight equal-width tables pay one latency per exchange, as the
         trainer's table group does; unknown widths stay per table."""
@@ -527,7 +529,7 @@ class TestSearch:
     def test_rank_candidates_deterministic_and_complete(self):
         p, w = make_profile(), make_workload()
         space = SearchSpace(
-            bucket_elems=(4_096, 65_536), delayed_min_rows=(0, 1_000),
+            bucket_elems=(4_096, 65_536), hot_fraction=(0.0, 0.05),
         )
         r1 = rank_candidates(p, w, space, rungs=(2, 3), seed=0)
         r2 = rank_candidates(p, w, space, rungs=(2, 3), seed=123)
@@ -565,8 +567,8 @@ class TestKnobPlumbing:
 
 class TestKnobBitIdentity:
     def test_losses_identical_across_knobs(self):
-        """Knobs move bytes between buckets and fold tiny delayed parts
-        forward — never the arithmetic at world 2, where a two-operand
+        """Knobs move bytes between buckets — never the arithmetic at
+        world 2, where a two-operand
         sum commutes.  Any knob setting must train bit-identically to
         the defaults at a fixed seed."""
         cfg = GNMT8.tiny()
@@ -578,10 +580,7 @@ class TestKnobBitIdentity:
             ).train()
 
         base = train(None)
-        weird = train(SchedKnobs(
-            bucket_elems=8_192,
-            delayed_min_rows=10_000,  # folds every delayed part forward
-        ))
+        weird = train(SchedKnobs(bucket_elems=8_192))
         assert weird.losses == base.losses
         for key in base.state:
             np.testing.assert_array_equal(weird.state[key], base.state[key])
