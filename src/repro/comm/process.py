@@ -7,8 +7,9 @@ raw buffers, the buffers travel through pooled
 ``multiprocessing.shared_memory`` segments (:mod:`repro.comm.shm`), and
 the template travels as one binary *control record* the sending thread
 writes itself.  Two memcpys per frame, independent of payload size; no
-pickle, no queue and no feeder thread on the message path
-(``multiprocessing.Queue`` carries only command dispatch and results).
+pickle, no queue and no feeder thread on the message path.  Each
+worker's own duplex ``multiprocessing.Pipe`` carries only its commands
+and its one pickled result per run (see :func:`_service_loop`).
 
 **Control channel.**  Every rank owns one inbox: an
 ``os.pipe`` created before the fork, both ends non-blocking, written by
@@ -67,8 +68,9 @@ call time, so closures and other non-picklable callables still work.
 
 ``timeout`` bounds every blocking receive/barrier in the workers
 (mirroring :class:`~repro.comm.local.ThreadGroup`); the parent's wait
-for results is derived from it, so a dead worker surfaces as an error
-instead of a parent hang.
+for results is derived from it.  The parent waits on every worker's
+pipe and process sentinel together, so a worker that dies surfaces as
+an error the moment it exits, not as a parent hang.
 """
 
 from __future__ import annotations
@@ -78,12 +80,12 @@ import itertools
 import multiprocessing as mp
 import os
 import pickle
-import queue
 import select
 import struct
 import threading
 import time
 from collections import deque
+from multiprocessing.connection import wait
 from typing import Any, Callable
 
 import numpy as np
@@ -538,41 +540,40 @@ class ProcessCommunicator(Communicator):
         return out
 
 
-def _service_loop(
-    rank,
-    world_size,
-    inboxes,
-    barrier,
-    timeout,
-    owner_tag,
-    cmd_queue,
-    result_queue,
-    initial,
-    persist,
-):
+def _service_loop(rank, world_size, res, timeout, owner_tag, initial):
     """Worker main: execute dispatched callables until stopped.
 
-    One-shot mode (``persist=False``) receives its single command via
-    ``initial`` — captured at fork, so it needs no pickling — and exits
-    after reporting.  Persistent mode loops on ``cmd_queue``.
+    One-shot mode receives its single command via ``initial`` — captured
+    at fork, so it needs no pickling — and exits after reporting.
+    Persistent mode (``initial is None``) reads pickled ``(epoch, fn,
+    args, kwargs)`` commands from its pipe until an empty one (stop).
+
+    Each result goes back on the same pipe as one pickle of ``(epoch,
+    rank, status, payload, names)``, written by this thread — no feeder
+    thread keeps a copy — and every reference the call made is dropped
+    before the worker blocks for the next command, so nothing a finished
+    call allocated lives on into the next one.
     """
     # One BLAS thread per rank: unpinned, every forked rank spins a pool
     # sized to the machine and the ranks fight over the cores.
     pin_blas_threads()
-    runtime = _WorkerRuntime(rank, world_size, inboxes, owner_tag)
+    link = res.adopt(rank)
+    runtime = _WorkerRuntime(rank, world_size, res.inboxes, owner_tag)
+    persist = initial is None
     try:
-        epoch = 0
         while True:
             if initial is not None:
-                fn, args, kwargs = initial
-                initial = None
+                epoch, (fn, args, kwargs), initial = 0, initial, None
             else:
-                cmd = cmd_queue.get()
-                if cmd[0] == "stop":
+                try:
+                    cmd = link.recv_bytes()
+                except EOFError:
+                    return  # the parent is gone
+                if not cmd:
                     return
-                _, epoch, blob = cmd
-                fn, args, kwargs = pickle.loads(blob)
-            comm = ProcessCommunicator(runtime, barrier, timeout, epoch)
+                epoch, fn, args, kwargs = pickle.loads(cmd)
+                del cmd
+            comm = ProcessCommunicator(runtime, res.barrier, timeout, epoch)
             try:
                 status, payload = "ok", fn(comm, *args, **kwargs)
             except BaseException as exc:  # noqa: BLE001 - reported to parent
@@ -584,25 +585,31 @@ def _service_loop(
                 pass  # the owner is gone; close() sweeps its segments
             names = runtime.segment_names()
             try:
-                blob = pickle.dumps((status, payload, names))
+                blob = pickle.dumps((epoch, rank, status, payload, names))
             except Exception as exc:  # result not picklable
                 blob = pickle.dumps(
-                    ("error", f"result not picklable: {exc!r}", names)
+                    (epoch, rank, "error", f"result not picklable: {exc!r}", names)
                 )
-            result_queue.put((epoch, rank, blob))
+            del fn, args, kwargs, comm, payload
+            try:
+                link.send_bytes(blob)
+            except OSError:
+                return  # the parent is gone
+            del blob
             if not persist:
                 return
     finally:
         # One-shot workers must not unlink: peers may still be reading
         # in-flight segments; the parent unlinks after joining everyone.
         runtime.close(unlink_pool=persist)
+        link.close()
 
 
 class _GroupResources:
-    """Links, barrier and dispatch queues shared by the parent and its
+    """Links, barrier and per-worker pipes shared by the parent and its
     workers.  Everything here is created before the fork and inherited."""
 
-    def __init__(self, ctx, world_size: int, persistent: bool):
+    def __init__(self, ctx, world_size: int):
         # One control channel per destination rank.  Both ends are
         # non-blocking: a full inbox is the sender's cue to ingest its
         # own (see ``_write_blocked``), never a blocked write.
@@ -611,10 +618,26 @@ class _GroupResources:
             for fd in fds:
                 os.set_blocking(fd, False)
         self.barrier = ctx.Barrier(world_size)
-        self.result_queue = ctx.Queue()
-        self.cmd_queues = (
-            [ctx.Queue() for _ in range(world_size)] if persistent else None
-        )
+        # One duplex pipe per worker: its commands go down, its result
+        # comes back.  ``links`` are the parent's ends.
+        pairs = [ctx.Pipe(duplex=True) for _ in range(world_size)]
+        self.links = [parent for parent, _ in pairs]
+        self.worker_links = [worker for _, worker in pairs]
+
+    def adopt(self, rank: int):
+        """In worker ``rank``: close every pipe end but its own and
+        return that one, so a worker's death is its pipe's EOF."""
+        for r, (parent, worker) in enumerate(zip(self.links, self.worker_links)):
+            parent.close()
+            if r != rank:
+                worker.close()
+        return self.worker_links[rank]
+
+    def forked(self) -> None:
+        """In the parent, once every worker is running: drop the
+        parent's copies of the workers' pipe ends."""
+        for worker in self.worker_links:
+            worker.close()
 
     def close(self) -> None:
         """Close the parent's copies of the channel ends (the workers'
@@ -623,6 +646,8 @@ class _GroupResources:
             for fd in fds:
                 os.close(fd)
         self.inboxes = []
+        for link in self.links:
+            link.close()
 
 
 class ProcessGroup:
@@ -666,29 +691,23 @@ class ProcessGroup:
             raise RuntimeError("process group is broken (a worker died)")
         if self._procs is not None:
             return self
-        self._res = _GroupResources(self._ctx, self.world_size, persistent=True)
-        self._procs = [
+        self._res = _GroupResources(self._ctx, self.world_size)
+        self._procs = self._spawn(self._res, None)
+        return self
+
+    def _spawn(self, res: _GroupResources, initial) -> list:
+        procs = [
             self._ctx.Process(
                 target=_service_loop,
-                args=(
-                    r,
-                    self.world_size,
-                    self._res.inboxes,
-                    self._res.barrier,
-                    self.timeout,
-                    self._owner_tag,
-                    self._res.cmd_queues[r],
-                    self._res.result_queue,
-                    None,
-                    True,
-                ),
+                args=(r, self.world_size, res, self.timeout, self._owner_tag, initial),
                 daemon=True,
             )
             for r in range(self.world_size)
         ]
-        for p in self._procs:
+        for p in procs:
             p.start()
-        return self
+        res.forked()
+        return procs
 
     def close(self) -> None:
         """Stop the workers and release every link resource.
@@ -703,10 +722,10 @@ class ProcessGroup:
         """
         if self._procs is None:
             return
-        for q in self._res.cmd_queues:
+        for link in self._res.links:
             try:
-                q.put(("stop",))
-            except Exception:  # pragma: no cover - queue already torn down
+                link.send_bytes(b"")
+            except OSError:  # the worker is gone
                 pass
         grace = 1.0 if self._last_run_failed else self.timeout
         for p in self._procs:
@@ -737,15 +756,16 @@ class ProcessGroup:
     def _run_persistent(self, fn, args, kwargs) -> list[Any]:
         if self._broken:
             raise RuntimeError("process group is broken (a worker died)")
+        epoch = self._epoch + 1
         try:
-            blob = pickle.dumps((fn, args, kwargs))
+            blob = pickle.dumps((epoch, fn, args, kwargs))
         except Exception as exc:
             raise TypeError(
                 "a persistent ProcessGroup dispatches callables through a "
-                "queue, so fn/args must be picklable (module-level "
+                "pipe, so fn/args must be picklable (module-level "
                 f"functions, bound methods of picklable objects): {exc!r}"
             ) from exc
-        self._epoch += 1
+        self._epoch = epoch
         if self._last_run_failed:
             # A failed run can leave the barrier broken (a rank timed out
             # inside wait); every worker is idle now, so reset is safe.
@@ -753,35 +773,19 @@ class ProcessGroup:
                 self._res.barrier.reset()
             except Exception:  # pragma: no cover - platform quirks
                 pass
-        for q in self._res.cmd_queues:
-            q.put(("run", self._epoch, blob))
-        return self._collect(self._epoch, self._procs)
+        for link in self._res.links:
+            try:
+                link.send_bytes(blob)
+            except OSError:  # a dead worker: _collect reports it by rank
+                pass
+        del blob
+        return self._collect(epoch, self._procs, self._res.links)
 
     def _run_once(self, fn, args, kwargs) -> list[Any]:
-        res = _GroupResources(self._ctx, self.world_size, persistent=False)
-        procs = [
-            self._ctx.Process(
-                target=_service_loop,
-                args=(
-                    r,
-                    self.world_size,
-                    res.inboxes,
-                    res.barrier,
-                    self.timeout,
-                    self._owner_tag,
-                    None,
-                    res.result_queue,
-                    (fn, args, kwargs),
-                    False,
-                ),
-                daemon=True,
-            )
-            for r in range(self.world_size)
-        ]
-        for p in procs:
-            p.start()
+        res = _GroupResources(self._ctx, self.world_size)
+        procs = self._spawn(res, (fn, args, kwargs))
         try:
-            return self._collect(0, procs, result_queue=res.result_queue)
+            return self._collect(0, procs, res.links)
         finally:
             for p in procs:
                 p.join(timeout=self.timeout)
@@ -790,17 +794,15 @@ class ProcessGroup:
             res.close()
             self._sweep_segments()
 
-    def _collect(self, epoch: int, procs, result_queue=None) -> list[Any]:
+    def _collect(self, epoch: int, procs, links) -> list[Any]:
         """Gather one result per rank, bounding the wait by the timeout."""
-        rq = result_queue if result_queue is not None else self._res.result_queue
         results: list[Any] = [None] * self.world_size
         failures: list[tuple[int, str]] = []
-        reported: set[int] = set()
         # Workers abort within `timeout` of a peer failure; 2.5x leaves
         # room for result marshalling (300s at the 120s default).
         deadline = time.monotonic() + 2.5 * self.timeout
         try:
-            self._collect_loop(epoch, procs, rq, results, failures, reported, deadline)
+            self._collect_loop(epoch, procs, links, results, failures, deadline)
         except KeyboardInterrupt:
             # Ctrl-C on the launcher: the workers are still mid-dispatch.
             # Mark the run failed so close() (a) resets the barrier if the
@@ -817,39 +819,55 @@ class ProcessGroup:
             raise RuntimeError(f"rank {rank} failed: {err}")
         return results
 
-    def _collect_loop(
-        self, epoch, procs, rq, results, failures, reported, deadline
-    ) -> None:
-        while len(reported) < self.world_size:
-            remaining = max(0.01, deadline - time.monotonic())
-            try:
-                msg_epoch, rank, blob = rq.get(timeout=min(remaining, 1.0))
-            except queue.Empty:
-                missing = sorted(set(range(self.world_size)) - reported)
-                dead = [r for r in missing if not procs[r].is_alive()]
-                if dead:
-                    self._broken = self._procs is not None
-                    self._last_run_failed = True
-                    raise RuntimeError(
-                        f"worker processes for ranks {dead} died without "
-                        "reporting a result"
-                    ) from None
-                if time.monotonic() >= deadline:
-                    self._last_run_failed = True
-                    raise RuntimeError(
-                        f"no result from ranks {missing} within "
-                        f"{2.5 * self.timeout:.0f}s (worker dead or deadlocked?)"
-                    ) from None
-                continue
-            if msg_epoch != epoch:  # leftover from an earlier failed run
-                continue
-            status, payload, names = pickle.loads(blob)
-            self._segment_names.update(names)
-            reported.add(rank)
-            if status == "ok":
-                results[rank] = payload
-            else:
-                failures.append((rank, payload))
+    def _collect_loop(self, epoch, procs, links, results, failures, deadline) -> None:
+        """Wait on every unreported rank's pipe and process sentinel: a
+        result is read as soon as it is written, and a worker that exits
+        without one is reported as soon as it exits."""
+        pending = set(range(self.world_size))
+        while pending:
+            ready = set(
+                wait(
+                    [links[r] for r in pending] + [procs[r].sentinel for r in pending],
+                    timeout=max(0.0, deadline - time.monotonic()),
+                )
+            )
+            if not ready:
+                self._last_run_failed = True
+                raise RuntimeError(
+                    f"no result from ranks {sorted(pending)} within "
+                    f"{2.5 * self.timeout:.0f}s (worker dead or deadlocked?)"
+                )
+            dead = []
+            for r in sorted(pending):
+                link = links[r]
+                if link not in ready and procs[r].sentinel not in ready:
+                    continue
+                # A worker may exit right after writing its result: read
+                # what it left before calling it dead.
+                try:
+                    if not link.poll():
+                        raise EOFError
+                    blob = link.recv_bytes()
+                except (EOFError, OSError):
+                    dead.append(r)
+                    continue
+                msg_epoch, rank, status, payload, names = pickle.loads(blob)
+                del blob
+                if msg_epoch != epoch:  # leftover from an earlier failed run
+                    continue
+                self._segment_names.update(names)
+                pending.discard(rank)
+                if status == "ok":
+                    results[rank] = payload
+                else:
+                    failures.append((rank, payload))
+            if dead:
+                self._broken = self._procs is not None
+                self._last_run_failed = True
+                raise RuntimeError(
+                    f"worker processes for ranks {dead} died without "
+                    "reporting a result"
+                )
 
     # -- shared-memory hygiene ------------------------------------------ #
     def _sweep_segments(self) -> None:

@@ -8,6 +8,7 @@ import numpy as np
 
 from repro.data.corpus import SyntheticCorpus, SyntheticPairCorpus
 from repro.data.tokenizer import count_tokens, pad_batch
+from repro.tensors.ops import unique_rows
 from repro.utils.validation import check_positive
 
 
@@ -61,7 +62,7 @@ class BatchIterator:
             inputs=inputs,
             targets=targets,
             num_tokens=count_tokens(targets, pad),
-            token_ids={"embedding": np.unique(inputs[inputs != pad])},
+            token_ids={"embedding": unique_rows(inputs[inputs != pad])},
         )
 
 
@@ -93,8 +94,8 @@ class PairBatchIterator:
             targets=tgt,
             num_tokens=count_tokens(tgt, tgt_pad),
             token_ids={
-                "encoder_embedding": np.unique(src[src != src_pad]),
-                "decoder_embedding": np.unique(tgt[tgt != tgt_pad]),
+                "encoder_embedding": unique_rows(src[src != src_pad]),
+                "decoder_embedding": unique_rows(tgt[tgt != tgt_pad]),
             },
         )
 
@@ -136,7 +137,7 @@ class DLRMBatchIterator:
                 self.rng, (self.batch_size, self.degree)
             ).astype(np.int64)
             streams[t.name] = ids
-            token_ids[t.name] = np.unique(ids)
+            token_ids[t.name] = unique_rows(ids)
             acc += ids.sum(axis=1)
         streams["__dense__"] = self.rng.standard_normal(
             (self.batch_size, DLRM_DENSE_FEATURES)
@@ -192,7 +193,7 @@ class TokenBudgetBatcher:
             targets=tgt,
             num_tokens=count_tokens(tgt, tgt_pad),
             token_ids={
-                "encoder_embedding": np.unique(src[src != src_pad]),
-                "decoder_embedding": np.unique(tgt[tgt != tgt_pad]),
+                "encoder_embedding": unique_rows(src[src != src_pad]),
+                "decoder_embedding": unique_rows(tgt[tgt != tgt_pad]),
             },
         )

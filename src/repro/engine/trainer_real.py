@@ -84,7 +84,7 @@ from repro.models.blocks import block_specs
 from repro.models.config import ModelConfig
 from repro.models.registry import build_model
 from repro.schedule import PRIORITY_DELAYED, PRIORITY_PRIOR, horizontal_priorities
-from repro.tensors import SparseRows
+from repro.tensors import SparseRows, unique_rows
 from repro.utils.validation import check_in, check_positive
 
 #: Group timeout of fault-free real training runs.
@@ -1060,7 +1060,7 @@ class RealTrainer:
             head = getattr(model, "loss_head", None)
             if head is not None and head.num_sampled is None:
                 return np.arange(model.softmax_embedding.num_embeddings)
-            return np.unique(batch.targets[batch.targets != 0])
+            return unique_rows(batch.targets[batch.targets != 0])
         if table_name in batch.token_ids:
             return batch.token_ids[table_name]
         raise KeyError(f"batch carries no ids for table {table_name!r}")

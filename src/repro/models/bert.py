@@ -22,7 +22,12 @@ class BertModel(BaseNLPModel):
     preserves the loss/gradient structure without SQuAD labels.
     """
 
-    def __init__(self, config: ModelConfig, rng: np.random.Generator | None = None):
+    def __init__(
+        self,
+        config: ModelConfig,
+        rng: np.random.Generator | None = None,
+        dtype=None,
+    ):
         super().__init__(config)
         if config.family != "bert":
             raise ValueError(f"BertModel requires a 'bert' config, got {config.family}")
@@ -31,21 +36,24 @@ class BertModel(BaseNLPModel):
         if emb_cfg.dim != config.hidden_dim:
             raise ValueError("BERT embedding dim must equal hidden_dim")
         self.embedding = nn.Embedding(
-            emb_cfg.vocab_size, emb_cfg.dim, padding_idx=0, rng=rng, name="embedding"
+            emb_cfg.vocab_size, emb_cfg.dim, padding_idx=0, rng=rng, name="embedding",
+            dtype=dtype,
         )
         self.position_embedding = Parameter(
-            rng.normal(0, 0.02, size=(config.src_seq_len, emb_cfg.dim)),
+            nn.init.normal(rng, (config.src_seq_len, emb_cfg.dim), dtype=dtype),
             name="position_embedding",
         )
-        self.embedding_ln = nn.LayerNorm(emb_cfg.dim, name="embedding_ln")
+        self.embedding_ln = nn.LayerNorm(emb_cfg.dim, name="embedding_ln", dtype=dtype)
         self.encoder_layers = [
             nn.TransformerLayer(
                 config.hidden_dim, config.num_heads, config.ffn_dim,
-                activation="gelu", rng=rng, name=f"encoder.{i}",
+                activation="gelu", rng=rng, name=f"encoder.{i}", dtype=dtype,
             )
             for i in range(config.num_encoder_layers)
         ]
-        self.qa_head = nn.Linear(config.hidden_dim, 2, rng=rng, name="qa_head")
+        self.qa_head = nn.Linear(
+            config.hidden_dim, 2, rng=rng, name="qa_head", dtype=dtype
+        )
         self.loss_fn = nn.CrossEntropyLoss()
 
     # ------------------------------------------------------------------ #

@@ -24,10 +24,10 @@ from repro.nn import functional as F
 class _MLP(nn.Module):
     """Linear stack with ReLU between layers (none after the last)."""
 
-    def __init__(self, dims: list[int], rng: np.random.Generator, name: str):
+    def __init__(self, dims: list[int], rng: np.random.Generator, name: str, dtype):
         super().__init__()
         self.layers = [
-            nn.Linear(dims[i], dims[i + 1], rng=rng, name=f"{name}.{i}")
+            nn.Linear(dims[i], dims[i + 1], rng=rng, name=f"{name}.{i}", dtype=dtype)
             for i in range(len(dims) - 1)
         ]
 
@@ -64,7 +64,12 @@ class DLRMModel(BaseNLPModel):
     binary cross-entropy loss is computed over one logit per sample.
     """
 
-    def __init__(self, config: ModelConfig, rng: np.random.Generator | None = None):
+    def __init__(
+        self,
+        config: ModelConfig,
+        rng: np.random.Generator | None = None,
+        dtype=None,
+    ):
         super().__init__(config)
         if config.family != "dlrm":
             raise ValueError(f"DLRMModel requires a 'dlrm' config, got {config.family}")
@@ -72,12 +77,12 @@ class DLRMModel(BaseNLPModel):
         dim = config.tables[0].dim
         self.tables = {
             t.name: nn.Embedding(
-                t.vocab_size, t.dim, padding_idx=0, rng=rng, name=t.name
+                t.vocab_size, t.dim, padding_idx=0, rng=rng, name=t.name, dtype=dtype
             )
             for t in config.tables
         }
         self.bottom_mlp = _MLP(
-            [DLRM_DENSE_FEATURES, config.hidden_dim, dim], rng, "bottom_mlp"
+            [DLRM_DENSE_FEATURES, config.hidden_dim, dim], rng, "bottom_mlp", dtype
         )
         concat = (len(config.tables) + 1) * dim
         top_dims = (
@@ -85,7 +90,7 @@ class DLRMModel(BaseNLPModel):
             + [config.hidden_dim] * max(1, config.num_encoder_layers - 1)
             + [1]
         )
-        self.top_mlp = _MLP(top_dims, rng, "top_mlp")
+        self.top_mlp = _MLP(top_dims, rng, "top_mlp", dtype)
 
     # ------------------------------------------------------------------ #
     def forward_backward(self, batch: Batch) -> float:

@@ -19,7 +19,12 @@ from repro.models.config import ModelConfig
 class GNMTModel(EncoderDecoderModel):
     """Runnable GNMT-8 at any configured scale."""
 
-    def __init__(self, config: ModelConfig, rng: np.random.Generator | None = None):
+    def __init__(
+        self,
+        config: ModelConfig,
+        rng: np.random.Generator | None = None,
+        dtype=None,
+    ):
         super().__init__(config)
         if config.family != "gnmt":
             raise ValueError(f"GNMTModel requires a 'gnmt' config, got {config.family}")
@@ -28,19 +33,19 @@ class GNMTModel(EncoderDecoderModel):
         dec_cfg = config.table("decoder_embedding")
         self.encoder_embedding = nn.Embedding(
             enc_cfg.vocab_size, enc_cfg.dim, padding_idx=0, rng=rng,
-            name="encoder_embedding",
+            name="encoder_embedding", dtype=dtype,
         )
         self.decoder_embedding = nn.Embedding(
             dec_cfg.vocab_size, dec_cfg.dim, padding_idx=0, rng=rng,
-            name="decoder_embedding",
+            name="decoder_embedding", dtype=dtype,
         )
         self.encoder = nn.LSTM(
             enc_cfg.dim, config.hidden_dim, config.num_encoder_layers, rng=rng,
-            name="encoder",
+            name="encoder", dtype=dtype,
         )
         self.attention = nn.BahdanauAttention(
             dec_cfg.dim, config.hidden_dim, config.hidden_dim, rng=rng,
-            name="attention",
+            name="attention", dtype=dtype,
         )
         # Decoder consumes [embedding ; attention context].
         self.decoder = nn.LSTM(
@@ -49,9 +54,11 @@ class GNMTModel(EncoderDecoderModel):
             config.num_decoder_layers,
             rng=rng,
             name="decoder",
+            dtype=dtype,
         )
         self.output_projection = nn.Linear(
-            config.hidden_dim, dec_cfg.vocab_size, rng=rng, name="output_projection"
+            config.hidden_dim, dec_cfg.vocab_size, rng=rng, name="output_projection",
+            dtype=dtype,
         )
 
     # ------------------------------------------------------------------ #

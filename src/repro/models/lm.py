@@ -23,6 +23,7 @@ class LMModel(BaseNLPModel):
         config: ModelConfig,
         rng: np.random.Generator | None = None,
         num_sampled: int | None = None,
+        dtype=None,
     ):
         super().__init__(config)
         if config.family != "lm":
@@ -31,16 +32,19 @@ class LMModel(BaseNLPModel):
         emb_cfg = config.table("embedding")
         out_cfg = config.table("softmax_embedding")
         self.embedding = nn.Embedding(
-            emb_cfg.vocab_size, emb_cfg.dim, padding_idx=0, rng=rng, name="embedding"
+            emb_cfg.vocab_size, emb_cfg.dim, padding_idx=0, rng=rng, name="embedding",
+            dtype=dtype,
         )
         self.lstm = nn.LSTM(
-            emb_cfg.dim, config.hidden_dim, config.num_encoder_layers, rng=rng, name="lstm"
+            emb_cfg.dim, config.hidden_dim, config.num_encoder_layers, rng=rng, name="lstm",
+            dtype=dtype,
         )
         self.projection = nn.Linear(
-            config.hidden_dim, out_cfg.dim, rng=rng, name="projection"
+            config.hidden_dim, out_cfg.dim, rng=rng, name="projection", dtype=dtype
         )
         self.softmax_embedding = nn.Embedding(
-            out_cfg.vocab_size, out_cfg.dim, rng=rng, name="softmax_embedding"
+            out_cfg.vocab_size, out_cfg.dim, rng=rng, name="softmax_embedding",
+            dtype=dtype,
         )
         self.loss_head = SampledSoftmax(
             self.softmax_embedding, num_sampled=num_sampled, rng=rng

@@ -39,10 +39,12 @@ def build_model(
     for real-execution scales).
 
     The model trains in float32, the paper's precision: weights are
-    drawn in double precision from ``rng`` and rounded once, and every
-    layer computes in its weights' dtype.  A test that needs double
-    precision (finite differences, say) converts the result with
+    drawn in double precision from ``rng`` and rounded once, chunk by
+    chunk straight into float32 arrays (:mod:`repro.nn.init`), so no
+    double-precision copy of a table is ever alive; every layer computes
+    in its weights' dtype.  A test that needs double precision (finite
+    differences, say) converts the result with
     :meth:`~repro.nn.Module.astype`.
     """
     cls = _FAMILIES[config.family]
-    return cls(config, rng=rng, **kwargs).astype(np.float32)
+    return cls(config, rng=rng, dtype=np.float32, **kwargs)

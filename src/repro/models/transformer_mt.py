@@ -28,7 +28,12 @@ def sinusoidal_positions(seq_len: int, dim: int, dtype=float) -> np.ndarray:
 class TransformerMTModel(EncoderDecoderModel):
     """Runnable encoder-decoder Transformer at any configured scale."""
 
-    def __init__(self, config: ModelConfig, rng: np.random.Generator | None = None):
+    def __init__(
+        self,
+        config: ModelConfig,
+        rng: np.random.Generator | None = None,
+        dtype=None,
+    ):
         super().__init__(config)
         if config.family != "transformer":
             raise ValueError(
@@ -41,28 +46,29 @@ class TransformerMTModel(EncoderDecoderModel):
             raise ValueError("transformer embeddings must match hidden_dim")
         self.encoder_embedding = nn.Embedding(
             enc_cfg.vocab_size, enc_cfg.dim, padding_idx=0, rng=rng,
-            name="encoder_embedding",
+            name="encoder_embedding", dtype=dtype,
         )
         self.decoder_embedding = nn.Embedding(
             dec_cfg.vocab_size, dec_cfg.dim, padding_idx=0, rng=rng,
-            name="decoder_embedding",
+            name="decoder_embedding", dtype=dtype,
         )
         self.encoder_layers = [
             nn.TransformerLayer(
                 config.hidden_dim, config.num_heads, config.ffn_dim,
-                rng=rng, name=f"encoder.{i}",
+                rng=rng, name=f"encoder.{i}", dtype=dtype,
             )
             for i in range(config.num_encoder_layers)
         ]
         self.decoder_layers = [
             nn.TransformerLayer(
                 config.hidden_dim, config.num_heads, config.ffn_dim,
-                cross_attention=True, rng=rng, name=f"decoder.{i}",
+                cross_attention=True, rng=rng, name=f"decoder.{i}", dtype=dtype,
             )
             for i in range(config.num_decoder_layers)
         ]
         self.output_projection = nn.Linear(
-            config.hidden_dim, dec_cfg.vocab_size, rng=rng, name="output_projection"
+            config.hidden_dim, dec_cfg.vocab_size, rng=rng, name="output_projection",
+            dtype=dtype,
         )
 
     # ------------------------------------------------------------------ #

@@ -24,6 +24,7 @@ class MultiHeadAttention(Module):
         num_heads: int,
         rng: np.random.Generator | None = None,
         name: str = "attn",
+        dtype=None,
     ):
         super().__init__()
         if dim % num_heads != 0:
@@ -32,10 +33,10 @@ class MultiHeadAttention(Module):
         self.dim = dim
         self.num_heads = num_heads
         self.head_dim = dim // num_heads
-        self.wq = Linear(dim, dim, rng=rng, name=f"{name}.wq")
-        self.wk = Linear(dim, dim, rng=rng, name=f"{name}.wk")
-        self.wv = Linear(dim, dim, rng=rng, name=f"{name}.wv")
-        self.wo = Linear(dim, dim, rng=rng, name=f"{name}.wo")
+        self.wq = Linear(dim, dim, rng=rng, name=f"{name}.wq", dtype=dtype)
+        self.wk = Linear(dim, dim, rng=rng, name=f"{name}.wk", dtype=dtype)
+        self.wv = Linear(dim, dim, rng=rng, name=f"{name}.wv", dtype=dtype)
+        self.wo = Linear(dim, dim, rng=rng, name=f"{name}.wo", dtype=dtype)
 
     def _split_heads(self, x: np.ndarray) -> np.ndarray:
         b, s, _ = x.shape

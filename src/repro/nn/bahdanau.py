@@ -30,19 +30,20 @@ class BahdanauAttention(Module):
         attn_dim: int,
         rng: np.random.Generator | None = None,
         name: str = "attention",
+        dtype=None,
     ):
         super().__init__()
         if min(dec_dim, enc_dim, attn_dim) <= 0:
             raise ValueError(f"{name}: dims must be positive")
         rng = rng or np.random.default_rng(0)
         self.w_query = Parameter(
-            init.xavier_uniform(rng, (dec_dim, attn_dim)), name=f"{name}.w_query"
+            init.xavier_uniform(rng, (dec_dim, attn_dim), dtype), name=f"{name}.w_query"
         )
         self.w_key = Parameter(
-            init.xavier_uniform(rng, (enc_dim, attn_dim)), name=f"{name}.w_key"
+            init.xavier_uniform(rng, (enc_dim, attn_dim), dtype), name=f"{name}.w_key"
         )
         self.v = Parameter(
-            init.xavier_uniform(rng, (attn_dim, 1))[:, 0], name=f"{name}.v"
+            init.xavier_uniform(rng, (attn_dim, 1), dtype)[:, 0], name=f"{name}.v"
         )
 
     def forward(self, queries: np.ndarray, memory: np.ndarray) -> np.ndarray:

@@ -20,6 +20,10 @@ class Embedding(Module):
       row per looked-up token — **uncoalesced**, which is exactly the
       "Original Grad Size" column of the paper's Table 3,
     * ``padding_idx`` rows receive no gradient and stay frozen.
+
+    The table is drawn into ``dtype`` (``None``: float64) with
+    :func:`repro.nn.init.normal`, so a float32 table never has a
+    double-precision copy.
     """
 
     def __init__(
@@ -29,6 +33,7 @@ class Embedding(Module):
         padding_idx: int | None = None,
         rng: np.random.Generator | None = None,
         name: str = "embedding",
+        dtype=None,
     ):
         super().__init__()
         if num_embeddings <= 0 or embedding_dim <= 0:
@@ -42,7 +47,7 @@ class Embedding(Module):
         self.embedding_dim = embedding_dim
         self.padding_idx = padding_idx
         self.weight = Parameter(
-            init.normal(rng, (num_embeddings, embedding_dim)),
+            init.normal(rng, (num_embeddings, embedding_dim), dtype=dtype),
             name=f"{name}.weight",
             sparse_grad=True,
         )

@@ -20,13 +20,14 @@ class FeedForward(Module):
         activation: str = "relu",
         rng: np.random.Generator | None = None,
         name: str = "ffn",
+        dtype=None,
     ):
         super().__init__()
         check_in("activation", activation, {"relu", "gelu"})
         rng = rng or np.random.default_rng(0)
         self.activation = activation
-        self.fc1 = Linear(dim, hidden_dim, rng=rng, name=f"{name}.fc1")
-        self.fc2 = Linear(hidden_dim, dim, rng=rng, name=f"{name}.fc2")
+        self.fc1 = Linear(dim, hidden_dim, rng=rng, name=f"{name}.fc1", dtype=dtype)
+        self.fc2 = Linear(hidden_dim, dim, rng=rng, name=f"{name}.fc2", dtype=dtype)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         hidden = self.fc1(x)

@@ -11,14 +11,16 @@ from repro.nn.parameter import Parameter
 class LayerNorm(Module):
     """``y = gamma * (x - mean) / sqrt(var + eps) + beta`` over the last axis."""
 
-    def __init__(self, dim: int, eps: float = 1e-5, name: str = "ln"):
+    def __init__(
+        self, dim: int, eps: float = 1e-5, name: str = "ln", dtype=None
+    ):
         super().__init__()
         if dim <= 0:
             raise ValueError(f"{name}: dim must be positive, got {dim}")
         self.dim = dim
         self.eps = eps
-        self.gamma = Parameter(np.ones(dim), name=f"{name}.gamma")
-        self.beta = Parameter(np.zeros(dim), name=f"{name}.beta")
+        self.gamma = Parameter(np.ones(dim, dtype=dtype), name=f"{name}.gamma")
+        self.beta = Parameter(np.zeros(dim, dtype=dtype), name=f"{name}.beta")
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=self.gamma.data.dtype)

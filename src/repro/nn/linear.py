@@ -23,6 +23,7 @@ class Linear(Module):
         bias: bool = True,
         rng: np.random.Generator | None = None,
         name: str = "linear",
+        dtype=None,
     ):
         super().__init__()
         if in_features <= 0 or out_features <= 0:
@@ -33,10 +34,13 @@ class Linear(Module):
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Parameter(
-            init.xavier_uniform(rng, (in_features, out_features)), name=f"{name}.weight"
+            init.xavier_uniform(rng, (in_features, out_features), dtype),
+            name=f"{name}.weight",
         )
         self.bias = (
-            Parameter(np.zeros(out_features), name=f"{name}.bias") if bias else None
+            Parameter(np.zeros(out_features, dtype=dtype), name=f"{name}.bias")
+            if bias
+            else None
         )
 
     def forward(self, x: np.ndarray) -> np.ndarray:

@@ -26,6 +26,7 @@ class LSTMCell(Module):
         hidden_dim: int,
         rng: np.random.Generator | None = None,
         name: str = "lstm_cell",
+        dtype=None,
     ):
         super().__init__()
         if input_dim <= 0 or hidden_dim <= 0:
@@ -34,13 +35,15 @@ class LSTMCell(Module):
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         self.w_x = Parameter(
-            init.xavier_uniform(rng, (input_dim, 4 * hidden_dim)), name=f"{name}.w_x"
+            init.xavier_uniform(rng, (input_dim, 4 * hidden_dim), dtype),
+            name=f"{name}.w_x",
         )
         self.w_h = Parameter(
-            init.xavier_uniform(rng, (hidden_dim, 4 * hidden_dim)), name=f"{name}.w_h"
+            init.xavier_uniform(rng, (hidden_dim, 4 * hidden_dim), dtype),
+            name=f"{name}.w_h",
         )
         # Forget-gate bias starts at 1 (standard trick for gradient flow).
-        bias = np.zeros(4 * hidden_dim)
+        bias = np.zeros(4 * hidden_dim, dtype=dtype)
         bias[hidden_dim : 2 * hidden_dim] = 1.0
         self.bias = Parameter(bias, name=f"{name}.bias")
 
@@ -131,6 +134,7 @@ class LSTM(Module):
         num_layers: int = 1,
         rng: np.random.Generator | None = None,
         name: str = "lstm",
+        dtype=None,
     ):
         super().__init__()
         if num_layers <= 0:
@@ -144,6 +148,7 @@ class LSTM(Module):
                 hidden_dim,
                 rng=rng,
                 name=f"{name}.cell{layer}",
+                dtype=dtype,
             )
             for layer in range(num_layers)
         ]

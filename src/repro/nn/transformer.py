@@ -27,17 +27,24 @@ class TransformerLayer(Module):
         activation: str = "relu",
         rng: np.random.Generator | None = None,
         name: str = "layer",
+        dtype=None,
     ):
         super().__init__()
         rng = rng or np.random.default_rng(0)
         self.cross_attention = cross_attention
-        self.ln1 = LayerNorm(dim, name=f"{name}.ln1")
-        self.attn = MultiHeadAttention(dim, num_heads, rng=rng, name=f"{name}.attn")
+        self.ln1 = LayerNorm(dim, name=f"{name}.ln1", dtype=dtype)
+        self.attn = MultiHeadAttention(
+            dim, num_heads, rng=rng, name=f"{name}.attn", dtype=dtype
+        )
         if cross_attention:
-            self.ln_cross = LayerNorm(dim, name=f"{name}.ln_cross")
-            self.cross = MultiHeadAttention(dim, num_heads, rng=rng, name=f"{name}.cross")
-        self.ln2 = LayerNorm(dim, name=f"{name}.ln2")
-        self.ffn = FeedForward(dim, ffn_dim, activation=activation, rng=rng, name=f"{name}.ffn")
+            self.ln_cross = LayerNorm(dim, name=f"{name}.ln_cross", dtype=dtype)
+            self.cross = MultiHeadAttention(
+                dim, num_heads, rng=rng, name=f"{name}.cross", dtype=dtype
+            )
+        self.ln2 = LayerNorm(dim, name=f"{name}.ln2", dtype=dtype)
+        self.ffn = FeedForward(
+            dim, ffn_dim, activation=activation, rng=rng, name=f"{name}.ffn", dtype=dtype
+        )
 
     def forward(
         self,

@@ -19,6 +19,7 @@ the millisecond-scale spans being compared.
 
 from __future__ import annotations
 
+import resource
 from dataclasses import dataclass, field
 
 from repro.sim.trace import Trace, TraceEntry
@@ -194,8 +195,11 @@ def scrape_counters(comm, recorder) -> None:
     ``transport_counters()`` (segment-pool hit rate, attachment counts)
     and any fault injector's :class:`~repro.faults.inject.InjectionStats`
     as ``faults.*`` counters, then folds in the sparse collectives'
-    buffer-arena hit/miss/fallback counts (``arena.*``).  Zero hot-path
-    cost: everything here is already tracked by the transport and arena
+    buffer-arena hit/miss/fallback counts (``arena.*``) and the rank
+    process's peak resident set (``mem.peak_rss_bytes``, its
+    ``ru_maxrss``).  Thread ranks share one process, so each of them
+    reports that one process's peak.  Zero hot-path cost: everything
+    here is already tracked by the transport, the arena and the kernel
     for their own purposes.
     """
     layer = comm
@@ -213,6 +217,11 @@ def scrape_counters(comm, recorder) -> None:
 
     for name, value in arena_counters().items():
         recorder.count(name, float(value))
+    # A peak, not a sum: a second scrape replaces the first.  Linux
+    # reports ru_maxrss in KiB.
+    maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    recorder.take("mem.peak_rss_bytes")
+    recorder.count("mem.peak_rss_bytes", float(maxrss * 1024))
 
 
 def gather_spans(comm, recorder, finalize: bool = True) -> TraceBundle | None:

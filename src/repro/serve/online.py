@@ -28,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.zipf import ZipfSampler
+from repro.nn import init
 from repro.nn.embedding import Embedding
 from repro.optim import EmbraceAdam
 from repro.serve.config import ServeConfig
@@ -39,12 +40,12 @@ def build_tables(cfg: ServeConfig) -> dict[str, Embedding]:
 
     One generator seeded with ``cfg.seed`` is threaded through the
     tables in declaration order, so every rank — and the offline
-    replay — materializes identical weights, in float32 like the
-    trainer's.
+    replay — materializes identical weights, drawn straight into
+    float32 like the trainer's.
     """
     rng = np.random.default_rng(cfg.seed)
     return {
-        name: Embedding(cfg.vocab, cfg.dim, rng=rng, name=name).astype(np.float32)
+        name: Embedding(cfg.vocab, cfg.dim, rng=rng, name=name, dtype=np.float32)
         for name in cfg.tables
     }
 
@@ -71,7 +72,9 @@ class SparseEmbeddingTask:
 
     def __init__(self, vocab: int, dim: int, seed: int):
         rng = np.random.default_rng((seed, 99))
-        self.targets = (rng.standard_normal((vocab, dim)) * 0.1).astype(np.float32)
+        self.targets = init.drawn(
+            lambda size: rng.standard_normal(size) * 0.1, (vocab, dim), np.float32
+        )
 
     def loss_and_grad(
         self, weight: np.ndarray, ids: np.ndarray

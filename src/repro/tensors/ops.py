@@ -11,8 +11,17 @@ import numpy as np
 
 
 def unique_rows(ids: np.ndarray) -> np.ndarray:
-    """Sorted unique int64 ids (UNIQUE in Algorithm 1)."""
-    return np.unique(np.asarray(ids, dtype=np.int64).ravel())
+    """Sorted unique int64 ids (UNIQUE in Algorithm 1).
+
+    A sort plus an adjacent-difference mask: equal to ``np.unique``, but
+    numpy 2.x computes ``np.unique`` of integers with a hash table, which
+    costs ~10x a sort at the few thousand ids a batch touches.
+    """
+    rows = np.sort(np.asarray(ids, dtype=np.int64).ravel())
+    keep = np.empty(rows.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(rows[1:], rows[:-1], out=keep[1:])
+    return rows[keep]
 
 
 def rows_intersect(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -229,6 +229,21 @@ class TestTracedRuns:
         counters = bundle.total_counters()
         assert counters.get("wire_bytes.float32", 0.0) > 0.0
 
+    def test_process_ranks_report_their_peak_rss(self):
+        """Each process rank records its own ru_maxrss; thread ranks
+        share one process and so one peak."""
+        with open_group(2, backend="process", trace=True) as group:
+            group.run(_sleepy_step, 0.0, 1)
+            bundle = group.last_trace
+        assert bundle.ranks == [0, 1]
+        for rank in bundle.ranks:
+            assert bundle.counters[rank]["mem.peak_rss_bytes"] > 0.0
+        with open_group(2, trace=True) as group:
+            group.run(_sleepy_step, 0.0, 1)
+            bundle = group.last_trace
+        peaks = [bundle.counters[r]["mem.peak_rss_bytes"] for r in bundle.ranks]
+        assert peaks[0] > 0.0 and peaks[0] == peaks[1]
+
     def test_untraced_run_records_nothing(self):
         with open_group(2) as group:
             results = group.run(_sleepy_step, 0.0, 1)

@@ -298,6 +298,25 @@ class TestRowOps:
         out = unique_rows(np.array([[3, 1], [3, 2]]))
         assert out.tolist() == [1, 2, 3]
 
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize(
+        "case", ["random", "sorted", "empty", "single", "all_duplicate"]
+    )
+    def test_unique_rows_equals_np_unique(self, dtype, case):
+        """The sort + adjacent-difference mask returns exactly what
+        np.unique returns, as int64."""
+        rng = np.random.default_rng(7)
+        ids = {
+            "random": rng.integers(0, 500, 4000),
+            "sorted": np.sort(rng.integers(0, 20000, 4000)),
+            "empty": np.array([], dtype=np.int64),
+            "single": np.array([42]),
+            "all_duplicate": np.full(300, 9),
+        }[case].astype(dtype)
+        out = unique_rows(ids)
+        assert out.dtype == np.int64
+        np.testing.assert_array_equal(out, np.unique(ids).astype(np.int64))
+
     def test_intersect_and_diff_partition(self):
         a = np.array([1, 2, 3, 4])
         b = np.array([3, 4, 5])
