@@ -105,6 +105,7 @@ from repro.comm.shm import (
     frame_layout,
 )
 from repro.utils.blas import pin_blas_threads
+from repro.utils.memory import trim_heap
 from repro.utils.validation import check_positive
 
 DEFAULT_TIMEOUT = 120.0
@@ -540,6 +541,29 @@ class ProcessCommunicator(Communicator):
         return out
 
 
+def _send_result(link, blob: bytes, buffers: list[pickle.PickleBuffer]) -> None:
+    """One result on ``link``: the out-of-band buffers' sizes, the
+    pickle, then each buffer straight from the memory it views."""
+    raws = [b.raw() for b in buffers]
+    link.send_bytes(struct.pack(f"<{len(raws)}Q", *(r.nbytes for r in raws)))
+    link.send_bytes(blob)
+    for raw in raws:
+        link.send_bytes(raw)
+
+
+def _recv_result(link) -> tuple:
+    """The result :func:`_send_result` wrote, unpickled; its arrays own
+    writable memory."""
+    header = link.recv_bytes()
+    sizes = struct.unpack(f"<{len(header) // 8}Q", header)
+    blob = link.recv_bytes()
+    buffers = []
+    for size in sizes:
+        buffers.append(bytearray(size))
+        link.recv_bytes_into(buffers[-1])
+    return pickle.loads(blob, buffers=buffers)
+
+
 def _service_loop(rank, world_size, res, timeout, owner_tag, initial):
     """Worker main: execute dispatched callables until stopped.
 
@@ -552,7 +576,10 @@ def _service_loop(rank, world_size, res, timeout, owner_tag, initial):
     rank, status, payload, names)``, written by this thread — no feeder
     thread keeps a copy — and every reference the call made is dropped
     before the worker blocks for the next command, so nothing a finished
-    call allocated lives on into the next one.
+    call allocated lives on into the next one.  The pickle is protocol
+    5 with out-of-band buffers (:func:`_send_result`): a contiguous
+    array in the result — a rank's embedding columns — is written to
+    the pipe from its own memory, never copied into the pickle.
     """
     # One BLAS thread per rank: unpinned, every forked rank spins a pool
     # sized to the machine and the ranks fight over the cores.
@@ -584,20 +611,27 @@ def _service_loop(rank, world_size, res, timeout, owner_tag, initial):
             except TimeoutError:
                 pass  # the owner is gone; close() sweeps its segments
             names = runtime.segment_names()
+            buffers: list[pickle.PickleBuffer] = []
             try:
-                blob = pickle.dumps((epoch, rank, status, payload, names))
+                blob = pickle.dumps(
+                    (epoch, rank, status, payload, names),
+                    protocol=5,
+                    buffer_callback=buffers.append,
+                )
             except Exception as exc:  # result not picklable
+                buffers.clear()
                 blob = pickle.dumps(
                     (epoch, rank, "error", f"result not picklable: {exc!r}", names)
                 )
             del fn, args, kwargs, comm, payload
             try:
-                link.send_bytes(blob)
+                _send_result(link, blob, buffers)
             except OSError:
                 return  # the parent is gone
-            del blob
+            del blob, buffers
             if not persist:
                 return
+            trim_heap()  # ... and its freed pages go back to the OS
     finally:
         # One-shot workers must not unlink: peers may still be reading
         # in-flight segments; the parent unlinks after joining everyone.
@@ -847,12 +881,10 @@ class ProcessGroup:
                 try:
                     if not link.poll():
                         raise EOFError
-                    blob = link.recv_bytes()
+                    msg_epoch, rank, status, payload, names = _recv_result(link)
                 except (EOFError, OSError):
                     dead.append(r)
                     continue
-                msg_epoch, rank, status, payload, names = pickle.loads(blob)
-                del blob
                 if msg_epoch != epoch:  # leftover from an earlier failed run
                     continue
                 self._segment_names.update(names)

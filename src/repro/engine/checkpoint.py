@@ -17,6 +17,7 @@ import tempfile
 import numpy as np
 
 from repro.nn.module import Module
+from repro.nn.parameter import Parameter
 from repro.optim.base import Optimizer
 
 _STATE_PREFIX = "optstate"
@@ -29,21 +30,26 @@ def save_checkpoint(
     optimizer: Optimizer | None = None,
     step: int = 0,
     extras: dict[str, np.ndarray] | None = None,
+    values: dict[Parameter, np.ndarray] | None = None,
 ) -> None:
     """Write model (and optionally optimizer) state to ``path`` atomically.
 
     ``extras`` holds arbitrary named arrays riding along with the model
     state (loss history, sharded-optimizer moments, …); read them back
-    with :func:`load_extras`.
+    with :func:`load_extras`.  ``values`` supplies the full array of a
+    parameter the model holds only part of (a column-sharded table's
+    gathered rows), written in place of its ``data``.  Optimizer state
+    is written for the parameters that have some.
     """
+    values = values or {}
     arrays: dict[str, np.ndarray] = {"__step__": np.array(step, dtype=np.int64)}
     for name, p in model.named_parameters():
-        arrays[f"param/{name}"] = p.data
+        arrays[f"param/{name}"] = values.get(p, p.data)
     for name, value in (extras or {}).items():
         arrays[f"{_EXTRA_PREFIX}/{name}"] = np.asarray(value)
     if optimizer is not None:
         for pi, p in enumerate(optimizer.params):
-            st = optimizer.state_for(p)
+            st = optimizer.state.get(id(p), {})
             for key, value in st.items():
                 arrays[f"{_STATE_PREFIX}/{pi}/{key}"] = np.asarray(value)
     directory = os.path.dirname(os.path.abspath(path)) or "."

@@ -11,8 +11,8 @@ adopt it:
   values alone when the caller passes every rank's row set
   (``cold_rows`` / ``split_rows``, derived from the gathered ids every
   rank already holds), so the row ids cross the wire once a step;
-* ``refresh_rows`` — the forward lookup-result AlltoAll that rewrites
-  the local replica's rows for the upcoming batch;
+* ``refresh_rows`` — the forward lookup-result AlltoAll that fills the
+  row block for the upcoming batch;
 * ``own_columns`` — this rank's authoritative columns of every member,
   which the launcher joins (:func:`join_column_shards`) after a run;
   ``gather_tables`` joins them collectively, for checkpoints.
@@ -23,22 +23,28 @@ hot exchange, one lookup AlltoAll and one shard update per *group*
 instead of per table (``docs/mechanisms.md``, "Table groups").  A group
 of one table is the per-table runtime.
 
-The local replica trick: each rank holds the full ``(vocab, dim)``
-array but only its column slice is authoritative; ``refresh_rows``
-makes exactly the rows the next forward reads fresh, which is
-numerically identical to true model parallelism while letting the
-unmodified model code look up locally.
+Column-only storage, the paper's model parallelism: each rank stores
+its own columns of every row, one contiguous ``(rows, dim / world)``
+shard, and nothing else of the cold rows.  The forward reads a
+full-width **row block** holding exactly the rows the current batch
+reads (:class:`~repro.nn.embedding.RowBlock`, installed on each member
+table): ``refresh_rows``' lookup AlltoAll fills it for the next batch,
+and construction fills the first one from the tables it adopts, so no
+extra exchange precedes step 0.  Gradients stay ``SparseRows`` over
+global rows, so Algorithm 1, the optimizer and every wire are the
+same as for a full replica.
 
 Hybrid placement (:mod:`repro.placement`): a non-uniform placement
 marks a *hot set* of rows that are replicated — not sharded — on every
-rank.  Hot-row gradients travel on the dense lane
+rank, in a small full-width ``(n_hot, dim)`` array with its own Adam
+moments.  Hot-row gradients travel on the dense lane
 (:func:`~repro.comm.allreduce_hot_rows`, bit-identical to the AlltoAll
-sum) and are applied full-dimension to the replica by a second
+sum) and are applied full-dimension by a second
 :class:`~repro.optim.EmbraceAdam` on every rank identically, so hot rows
-never need refreshing; cold rows keep the sharded path above.  Because
-the shard is a *view* of the replica's columns, hot updates are visible
-through it automatically and a hot→cold demotion migrates only optimizer
-moments, never values.
+never need refreshing; cold rows keep the sharded path above.  The hot
+array is the authority for its rows: their shard entries are settled
+from it when the shard is read whole (``own_columns``,
+``gather_tables``) and when a row is demoted.
 """
 
 from __future__ import annotations
@@ -57,12 +63,13 @@ from repro.comm import (
     two_level_alltoall_shards,
     wide_ids,
 )
-from repro.nn.embedding import Embedding
+from repro.nn.embedding import Embedding, RowBlock
 from repro.nn.parameter import Parameter
 from repro.optim import EmbraceAdam
 from repro.placement import TablePlacement, as_placement, learn_hot_ids
 from repro.schedule.vertical import vertical_split
 from repro.tensors import SparseRows, unique_rows
+from repro.utils.memory import trim_heap
 
 
 def join_column_shards(shards: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
@@ -74,19 +81,23 @@ def join_column_shards(shards: list[dict[str, np.ndarray]]) -> dict[str, np.ndar
 class TableGroupRuntime:
     """EmbRace semantics for several same-width tables in one row space.
 
-    The group owns one stacked ``(sum of vocab, dim)`` array, ``weight``
-    — virtual row = table offset + row — and rebinds every member's
-    ``table.weight.data`` to its row-slice view, so the unmodified model
-    keeps looking up locally while split, prior / delayed / hot
-    exchange, refresh, shard update, state gather and repartition each
-    run once for all members.  Offsets keep the tables' rows disjoint
-    and every fold on the path (``coalesce``, ``merge_coalesced``,
+    Virtual row = table offset + row.  The group stores this rank's
+    columns of every member as one contiguous ``(sum of vocab, width)``
+    array, ``weight``, and rebinds every member's ``table.weight.data``
+    to its row slice, so split, prior / delayed / hot exchange, refresh,
+    shard update, state gather and repartition each run once for all
+    members.  The member tables look up through the group's row
+    :attr:`block` instead.  Offsets keep the tables' rows disjoint and
+    every fold on the path (``coalesce``, ``merge_coalesced``,
     ``merge_grouped``, the Adam row update) is per-row, so the result is
-    bit-identical to one group per table.  A group of one table adopts
-    its array as is.
+    bit-identical to one group per table.  A group of one table whose
+    columns are its whole width (world 1) adopts its array as is.
 
     ``placement`` is anything :func:`repro.placement.as_placement`
-    accepts, in the member tables' own row ids.
+    accepts, in the member tables' own row ids.  ``first_rows`` maps
+    each member to the rows (its own ids) the first forward reads:
+    their full-width values are kept from the adopted tables as the
+    first row block, so no lookup exchange precedes the first step.
     """
 
     def __init__(
@@ -98,22 +109,22 @@ class TableGroupRuntime:
         placement=None,
         topology=None,
         hierarchical: bool = True,
+        first_rows: dict[str, np.ndarray] | None = None,
     ):
         if not tables:
             raise ValueError("a table group needs at least one table")
-        weights = [t.weight.data for t in tables.values()]
-        if len({(w.shape[1], w.dtype) for w in weights}) != 1:
+        if len({(t.embedding_dim, t.weight.data.dtype) for t in tables.values()}) != 1:
             raise ValueError(
                 f"tables {sorted(tables)} differ in width or dtype; group "
                 "them with TableGroupRuntime.by_width"
             )
         self.comm = comm
         self.tables = dict(tables)
-        ends = np.cumsum([len(w) for w in weights])
+        ends = np.cumsum([t.num_embeddings for t in tables.values()])
         #: ``name -> (first, past-last)`` virtual rows of each member.
         self.bounds = {
-            name: (int(hi - len(w)), int(hi))
-            for name, w, hi in zip(tables, weights, ends)
+            name: (int(hi - t.num_embeddings), int(hi))
+            for (name, t), hi in zip(tables.items(), ends)
         }
         self.name = "+".join(tables)
         # Node structure: when a multi-node NodeTopology is
@@ -132,46 +143,60 @@ class TableGroupRuntime:
         multi = topology is not None and topology.multi_node
         self.fold_groups = topology.fold_groups if multi else None
         self.hierarchical = hierarchical and multi
-        self.weight = Parameter(
-            weights[0] if len(weights) == 1 else np.concatenate(weights),
-            name=f"{self.name}.weight",
-            sparse_grad=True,
-        )
+        first = next(iter(tables.values())).weight.data
+        self.dim = first.shape[1]
+        self.my_columns = column_slices(self.dim, comm.world_size)[comm.rank]
         plan = as_placement(placement)
         hot = []
-        for member, table in tables.items():
-            lo, hi = self.bounds[member]
-            table.weight.data = self.weight.data[lo:hi]
+        for member, (lo, hi) in self.bounds.items():
             ids = plan.for_table(member).hot_array
             if ids.size and ids[-1] >= hi - lo:
                 raise ValueError(
                     f"{member}: hot row {ids[-1]} outside its {hi - lo} rows"
                 )
             hot.append(ids + lo)
-        cols = column_slices(self.weight.data.shape[1], comm.world_size)
-        self.my_columns = cols[comm.rank]
-        # A writable view of this rank's authoritative columns.
-        self.shard = Parameter(
-            self.weight.data[:, self.my_columns],
-            name=f"{self.weight.name}.shard{comm.rank}",
-            sparse_grad=True,
-        )
-        self.optimizer = EmbraceAdam([self.shard], lr=lr, betas=betas)
-        # Hot lane: the replicated rows update the *full replica* in
-        # place, identically on every rank.  ``Parameter`` keeps a
-        # floating array by reference, so ``hot_param.data`` *is*
-        # ``weight.data`` and the shard view observes hot updates
-        # automatically.  Moment state is allocated lazily on first use.
         self.placement = TablePlacement(
             table=self.name, hot_ids=tuple(int(i) for i in np.concatenate(hot))
         )
         self.hot_ids = self.placement.hot_array
-        self.hot_param = Parameter(
-            self.weight.data,
-            name=f"{self.weight.name}.hot",
-            sparse_grad=True,
+        block_ids = (
+            self.stack_ids({name: first_rows[name] for name in tables})
+            if first_rows is not None
+            else np.zeros(0, dtype=np.int64)
         )
-        self.hot_optimizer = EmbraceAdam([self.hot_param], lr=lr, betas=betas)
+        if len(block_ids) > 1 and not np.all(block_ids[1:] > block_ids[:-1]):
+            block_ids = unique_rows(block_ids)
+        width = self.my_columns.stop - self.my_columns.start
+        adopt = len(tables) == 1 and width == self.dim
+        shard = first if adopt else np.empty((ends[-1], width), dtype=first.dtype)
+        hot_values = np.empty((self.n_hot, self.dim), dtype=first.dtype)
+        block_values = np.empty((len(block_ids), self.dim), dtype=first.dtype)
+        # One member at a time: each full-width table is dropped as soon
+        # as its columns, hot rows and first-block rows are copied out.
+        for name, (lo, hi) in self.bounds.items():
+            table = self.tables[name]
+            if not adopt:
+                shard[lo:hi] = table.weight.data[:, self.my_columns]
+            for ids, values in ((self.hot_ids, hot_values), (block_ids, block_values)):
+                a, b = np.searchsorted(ids, (lo, hi))
+                values[a:b] = table.weight.data[ids[a:b] - lo]
+            table.weight.data = shard[lo:hi]
+        #: This rank's columns of every row — the shard its Adam
+        #: moments (``optimizer``) update.  Hot rows' entries are
+        #: settled from ``hot`` when read (:meth:`own_columns`).
+        self.weight = Parameter(
+            shard, name=f"{self.name}.shard{comm.rank}", sparse_grad=True
+        )
+        self.optimizer = EmbraceAdam([self.weight], lr=lr, betas=betas)
+        # Hot lane: the replicated rows, full width, updated in place
+        # identically on every rank by their own optimizer (moments
+        # allocated on first use, ``(n_hot, dim)`` like the values).
+        self.hot = Parameter(hot_values, name=f"{self.name}.hot", sparse_grad=True)
+        self.hot_optimizer = EmbraceAdam([self.hot], lr=lr, betas=betas)
+        self.block = RowBlock(block_ids, block_values)
+        # glibc keeps freed pages resident: hand the dropped full-width
+        # tables' pages back, or the rank's RSS would still hold them.
+        trim_heap()
 
     @classmethod
     def by_width(
@@ -189,6 +214,27 @@ class TableGroupRuntime:
     def num_rows(self) -> int:
         """Size of the virtual row space (sum of the members' vocab)."""
         return len(self.weight.data)
+
+    @property
+    def block(self) -> RowBlock:
+        """The full-width rows the current batch reads, over virtual rows.
+
+        Setting it hands every member table its slice (in the member's
+        own row ids) as ``table.block``, which its lookups read."""
+        return self._block
+
+    @block.setter
+    def block(self, block: RowBlock) -> None:
+        self._block = block
+        for name, (lo, hi) in self.bounds.items():
+            a, b = np.searchsorted(block.ids, (lo, hi))
+            self.tables[name].block = RowBlock(block.ids[a:b] - lo, block.values[a:b])
+
+    @property
+    def table_bytes(self) -> int:
+        """Bytes of table values this rank holds: its column shard, the
+        row block and the hot rows (moments not included)."""
+        return self.weight.data.nbytes + self._block.values.nbytes + self.hot.data.nbytes
 
     @property
     def n_hot(self) -> int:
@@ -393,17 +439,20 @@ class TableGroupRuntime:
         refresh or forward reads them in between) and the per-row
         optimizer-op sequence is unchanged.
         """
-        self.optimizer.apply_sparse_part(self.shard, shard_grad, final=final)
+        self.optimizer.apply_sparse_part(self.weight, shard_grad, final=final)
 
     def apply_hot(self, summed: SparseRows, final: bool = True) -> None:
-        """Replica-side Adam update for an exchanged hot part.
+        """Full-width Adam update of the hot rows for an exchanged hot part.
 
         Runs identically on every rank (the summed hot gradient is
-        replicated), writing through ``hot_param`` into the shared
-        ``weight.data`` — the shard view sees the new values, so no
-        refresh is ever needed for hot rows.
+        replicated), so hot rows never need refreshing.
         """
-        self.hot_optimizer.apply_sparse_part(self.hot_param, summed, final=final)
+        slots = np.searchsorted(self.hot_ids, summed.indices)
+        self.hot_optimizer.apply_sparse_part(
+            self.hot,
+            SparseRows(slots, summed.values, self.n_hot, coalesced=summed.coalesced),
+            final=final,
+        )
 
     def apply_gradient(
         self,
@@ -427,7 +476,7 @@ class TableGroupRuntime:
     def refresh_rows(
         self, local_ids: np.ndarray, all_ids: list[np.ndarray] | None = None
     ) -> None:
-        """Rewrite the replica's ``local_ids`` rows with fresh values.
+        """Make the rows ``local_ids`` the row :attr:`block`, fresh.
 
         Performs the forward AlltoAll of §4.1.1: every rank looks up all
         ranks' ids against its own columns; each rank reassembles its
@@ -436,12 +485,14 @@ class TableGroupRuntime:
         next-batch ids once for Algorithm 1's split and passes them here,
         skipping a second identical AllGather.
         """
-        local_ids = np.asarray(local_ids, dtype=np.int64)
+        wanted = local_ids = np.asarray(local_ids, dtype=np.int64)
+        hot = None
         if self.n_hot:
-            # Hot rows are updated identically on every replica and are
+            # Hot rows are updated identically on every rank and are
             # never stale; dropping them here (deterministically — the
             # hot set is replicated) is the lookup-byte saving.
-            local_ids = local_ids[~self.placement.hot_mask(local_ids)]
+            hot = self.placement.hot_mask(wanted)
+            local_ids = wanted[~hot]
             if all_ids is not None:
                 all_ids = [
                     ids[~self.placement.hot_mask(np.asarray(ids, dtype=np.int64))]
@@ -454,13 +505,20 @@ class TableGroupRuntime:
                     narrow_ids(self.comm, local_ids, self.num_rows)
                 )
             ]
-        # Gathered from the shard view: one copy of exactly this rank's
-        # columns, already in rank order.
-        shard_lookup = self.shard.data[np.concatenate(all_ids)]
-        fresh = alltoall_lookup_results(
+        # One copy of exactly this rank's columns, already in rank order.
+        shard_lookup = self.weight.data[np.concatenate(all_ids)]
+        values = alltoall_lookup_results(
             self.comm, all_ids, shard_lookup, own_count=len(local_ids)
         )
-        self.weight.data[local_ids] = fresh
+        if hot is not None:
+            fresh, values = values, np.empty((len(wanted), self.dim), dtype=values.dtype)
+            values[~hot] = fresh
+            values[hot] = self.hot.data[np.searchsorted(self.hot_ids, wanted[hot])]
+        if len(wanted) > 1 and not np.all(wanted[1:] > wanted[:-1]):
+            # The block is sorted unique; duplicates carry equal values.
+            wanted, first = np.unique(wanted, return_index=True)
+            values = values[first]
+        self.block = RowBlock(wanted, values)
 
     def _gather_columns(self, shard_rows: np.ndarray) -> dict[str, np.ndarray]:
         """Collective: shard-width group rows -> each member's full-width
@@ -476,15 +534,23 @@ class TableGroupRuntime:
         ]
         return join_column_shards([dict(zip(self.bounds, r)) for r in zip(*per_member)])
 
+    def _settle_hot(self) -> None:
+        """Write the hot rows' own columns into ``weight``, which then
+        holds every row's authoritative columns."""
+        if self.n_hot:
+            self.weight.data[self.hot_ids] = self.hot.data[:, self.my_columns]
+
     def own_columns(self) -> dict[str, np.ndarray]:
         """This rank's authoritative columns of every member table, hot
-        rows included (hot updates write through into the shard view)."""
-        return {name: self.shard.data[lo:hi].copy() for name, (lo, hi) in self.bounds.items()}
+        rows included: row slices of ``weight`` itself, not copies."""
+        self._settle_hot()
+        return {name: self.weight.data[lo:hi] for name, (lo, hi) in self.bounds.items()}
 
     def gather_tables(self) -> dict[str, np.ndarray]:
         """Every member's full table (collective; for checkpoints), each
         its own array — nothing the size of the stacked rows is built."""
-        return self._gather_columns(self.shard.data)
+        self._settle_hot()
+        return self._gather_columns(self.weight.data)
 
     def table_hot_ids(self) -> dict[str, np.ndarray]:
         """The hot set in force, per member table, in its own row ids."""
@@ -520,24 +586,24 @@ class TableGroupRuntime:
         over the virtual rows.
 
         Shard moments are column-allgathered; hot rows are overlaid from
-        the replica-local hot state.  The result is independent of the
+        the full-width hot state.  The result is independent of the
         placement in force, so checkpoints restore under any hot set.
         """
-        shard_st = self.optimizer.state_for(self.shard)
+        shard_st = self.optimizer.state_for(self.weight)
         full = {
             key: np.concatenate(list(self._gather_columns(shard_st[key]).values()))
             for key in ("exp_avg", "exp_avg_sq")
         }
         step = int(shard_st["step"])
         if self.n_hot:
-            hot_st = self.hot_optimizer.state_for(self.hot_param)
+            hot_st = self.hot_optimizer.state_for(self.hot)
             if int(hot_st["step"]) != step:
                 raise RuntimeError(
                     f"{self.name}: hot step {hot_st['step']} != shard step "
                     f"{step}; hot and cold lanes must advance together"
                 )
             for key in ("exp_avg", "exp_avg_sq"):
-                full[key][self.hot_ids] = hot_st[key][self.hot_ids]
+                full[key][self.hot_ids] = hot_st[key]
         return full, step
 
     def restore_optimizer_state(
@@ -545,8 +611,8 @@ class TableGroupRuntime:
     ) -> None:
         """Load full-table-layout moments under the current placement,
         in the shard's dtype (a float64 checkpoint resumes float32)."""
-        dtype = self.shard.data.dtype
-        shard_st = self.optimizer.state_for(self.shard)
+        dtype = self.weight.data.dtype
+        shard_st = self.optimizer.state_for(self.weight)
         shard_st["exp_avg"] = np.ascontiguousarray(
             exp_avg[:, self.my_columns], dtype=dtype
         )
@@ -555,10 +621,9 @@ class TableGroupRuntime:
         )
         shard_st["step"] = int(step)
         if self.n_hot:
-            hot_st = self.hot_optimizer.state_for(self.hot_param)
+            hot_st = self.hot_optimizer.state_for(self.hot)
             for key, full in (("exp_avg", exp_avg), ("exp_avg_sq", exp_avg_sq)):
-                hot_st[key][...] = 0.0
-                hot_st[key][self.hot_ids] = full[self.hot_ids]
+                hot_st[key][...] = full[self.hot_ids]
             hot_st["step"] = int(step)
 
     def repartition(self, comm: Communicator, new_hot_ids: np.ndarray) -> None:
@@ -566,46 +631,47 @@ class TableGroupRuntime:
 
         ``new_hot_ids`` are virtual rows.  Must run at a step boundary
         with no delayed parts outstanding and with the same
-        ``new_hot_ids`` on every rank.  Demotion moves moment columns
-        back into the shard state (values need no move — the shard is a
-        view of the replica, which is already fresh on the owner).
+        ``new_hot_ids`` on every rank.  Demotion writes each demoted
+        row's own value and moment columns back into the shard.
         Promotion allgathers each newly hot row's authoritative value
-        and moment columns into the replica and the full-dimension hot
-        state; per-row Adam arithmetic commutes with column slicing, so
-        training continues with unchanged bits.
+        and moment columns into the full-width hot arrays, which are
+        re-laid out to the new hot set; per-row Adam arithmetic
+        commutes with column slicing, so training continues with
+        unchanged bits.
         """
         new = np.unique(np.asarray(new_hot_ids, dtype=np.int64))
         old = self.hot_ids
         promoted = np.setdiff1d(new, old, assume_unique=True)
         demoted = np.setdiff1d(old, new, assume_unique=True)
         if promoted.size or demoted.size:
-            shard_st = self.optimizer.state_for(self.shard)
-            hot_st = self.hot_optimizer.state_for(self.hot_param)
-            weight = self.weight.data
+            self._settle_hot()  # the demoted rows' values
+            shard_st = self.optimizer.state_for(self.weight)
+            hot_st = self.hot_optimizer.state_for(self.hot)
+            keys = ("exp_avg", "exp_avg_sq")
             if demoted.size:
-                for key in ("exp_avg", "exp_avg_sq"):
-                    shard_st[key][demoted] = hot_st[key][demoted][
-                        :, self.my_columns
-                    ]
-                    hot_st[key][demoted] = 0.0
+                slots = np.searchsorted(old, demoted)
+                for key in keys:
+                    shard_st[key][demoted] = hot_st[key][slots, self.my_columns]
+            kept = np.isin(new, old, assume_unique=True)
+            slots = np.searchsorted(old, new[kept])
+            moved = []
+            for arr in (self.hot.data, hot_st["exp_avg"], hot_st["exp_avg_sq"]):
+                out = np.empty((len(new), self.dim), dtype=arr.dtype)
+                out[kept] = arr[slots]
+                moved.append(out)
             if promoted.size:
-                # Weight is the full-width replica (slice this rank's
-                # columns); the shard moments are already shard-width.
+                # new[~kept] is promoted, in order.
                 own = (
-                    np.ascontiguousarray(weight[promoted][:, self.my_columns]),
-                    np.ascontiguousarray(shard_st["exp_avg"][promoted]),
-                    np.ascontiguousarray(shard_st["exp_avg_sq"][promoted]),
+                    self.weight.data[promoted],
+                    shard_st["exp_avg"][promoted],
+                    shard_st["exp_avg_sq"][promoted],
                 )
                 blocks = comm.allgather(own)
-                weight[promoted] = np.concatenate([b[0] for b in blocks], axis=1)
-                hot_st["exp_avg"][promoted] = np.concatenate(
-                    [b[1] for b in blocks], axis=1
-                )
-                hot_st["exp_avg_sq"][promoted] = np.concatenate(
-                    [b[2] for b in blocks], axis=1
-                )
-                for key in ("exp_avg", "exp_avg_sq"):
+                for i, out in enumerate(moved):
+                    out[~kept] = np.concatenate([b[i] for b in blocks], axis=1)
+                for key in keys:
                     shard_st[key][promoted] = 0.0
+            self.hot.data, hot_st["exp_avg"], hot_st["exp_avg_sq"] = moved
             hot_st["step"] = int(shard_st["step"])
         self.placement = TablePlacement(
             table=self.name, hot_ids=tuple(int(i) for i in new)

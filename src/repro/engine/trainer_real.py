@@ -25,8 +25,8 @@ collectives in :mod:`repro.comm`:
     part only),
   - before the next forward, the rows the local batch will read are
     reassembled to full dimension by a second AlltoAll of lookup results
-    and written into the local replica — numerically identical to true
-    model parallelism, with all the real communication happening.
+    into the group's row block, which the tables' lookups read: each
+    rank stores only its own columns, as in true model parallelism.
 
 Because ``"allgather"`` and ``"embrace"`` sum sparse gradients in the
 same (rank) order and EmbraceAdam's split update is bit-equal to a
@@ -508,9 +508,16 @@ class RealTrainer:
         sched = CommScheduler(comm, overlap=self.overlap)
         coll = SchedComm(sched)
 
+        stream = Prefetcher(
+            batch_stream(self.config, self.gpu_kind, seed=self.seed + 1 + comm.rank)
+        )
+        for _ in range(start_step):  # resume: replay the stream position
+            next(stream)
+
         # EmbRace runtimes (column shards + modified Adam), one per
         # same-width table group — created after any restore so the
-        # groups stack the loaded tables.
+        # groups keep the loaded tables' columns, and the first batch's
+        # rows as their first row block.
         groups: list[TableGroupRuntime] = []
         live_counts: list[np.ndarray] | None = None
         if self.strategy == "embrace":
@@ -531,6 +538,9 @@ class RealTrainer:
                 placement=hot_sets,
                 topology=topo,
                 hierarchical=self.knobs.hierarchical,
+                first_rows={
+                    name: self._table_ids(model, name, stream.peek()) for name in tables
+                },
             )
             self._restore_shard_state(groups, extras)
             if self.knobs.repartition_interval > 0:
@@ -544,11 +554,6 @@ class RealTrainer:
                     np.zeros(group.num_rows, dtype=np.int64) for group in groups
                 ]
 
-        stream = Prefetcher(
-            batch_stream(self.config, self.gpu_kind, seed=self.seed + 1 + comm.rank)
-        )
-        for _ in range(start_step):  # resume: replay the stream position
-            next(stream)
         losses: list[float] = [float(x) for x in extras.get("loss_log", [])]
         tokens: list[int] = [int(x) for x in extras.get("token_log", [])]
         predictions: list[np.ndarray] = []
@@ -721,9 +726,13 @@ class RealTrainer:
 
             self._flush_delayed(pending_delayed)
             # No collective after the last step: a rank returns its own
-            # columns of group-owned tables (not the stale replica), rank
-            # 0 also the rest; _launch joins the columns.
+            # columns of group-owned tables (slices of the shard, hot
+            # rows settled in), rank 0 also the rest; _launch joins the
+            # columns.
             owned = {id(g.tables[n].weight): c for g in groups for n, c in g.own_columns().items()}
+            if groups:
+                obs.take("mem.table_bytes")  # a level, not a sum
+                obs.count("mem.table_bytes", float(sum(g.table_bytes for g in groups)))
             state = {
                 key: owned[id(p)] if id(p) in owned else p.data.copy()
                 for key, p in model.named_parameters()
@@ -768,18 +777,18 @@ class RealTrainer:
         the group, so checkpointing is itself a collective (an AllGather
         per table and array, just as a model-parallel system would
         serialize; a table group's moments are cut back per table — the
-        checkpoint format is per table).  Writing the gathered rows into
-        the local replica is a no-op on this rank's own columns and
-        merely freshens the rest.
+        checkpoint format is per table).  The gathered tables go to the
+        file in place of the model's column shards; no rank keeps them.
         """
         extras: dict[str, np.ndarray] = {
             "loss_log": np.asarray(losses, dtype=np.float64),
             "token_log": np.asarray(tokens, dtype=np.int64),
             "val_log": np.asarray(val_losses, dtype=np.float64),
         }
+        gathered = {}
         for group in groups:
             for name, rows in group.gather_tables().items():
-                group.tables[name].weight.data[:] = rows
+                gathered[group.tables[name].weight] = rows
             full, opt_step = group.optimizer_state_full()
             hot_ids = group.table_hot_ids()
             for name, (lo, hi) in group.bounds.items():
@@ -788,7 +797,9 @@ class RealTrainer:
                 extras[f"embrace/{name}/step"] = np.array(opt_step, dtype=np.int64)
                 extras[f"embrace/{name}/hot_ids"] = hot_ids[name]
         if comm.rank == 0:
-            save_checkpoint(path, model, optimizer, step=step, extras=extras)
+            save_checkpoint(
+                path, model, optimizer, step=step, extras=extras, values=gathered
+            )
 
     def _restore_shard_state(self, groups, extras) -> None:
         """Slice each group's Adam moments back out of the gathered state."""
@@ -838,17 +849,21 @@ class RealTrainer:
     def _validate(self, model, val_batches, groups) -> float:
         """Mean loss on held-out batches (gradients discarded).
 
-        Under EmbRace the local replica only holds fresh values for rows
-        the training stream refreshed, so each validation batch's rows
-        are fetched first (a real lookup AlltoAll, exactly as a
-        model-parallel system would serve evaluation).
+        Under EmbRace each rank stores only its own columns, so each
+        validation batch's rows are fetched into the row block first (a
+        real lookup AlltoAll, exactly as a model-parallel system would
+        serve evaluation).  The training block comes back afterwards:
+        nothing updates its rows in between.
         """
+        blocks = [group.block for group in groups]
         losses = []
         for batch in val_batches:
             for group in groups:
                 group.refresh_rows(self._group_ids(model, group, batch))
             losses.append(model.forward_backward(batch))
         model.zero_grad()
+        for group, block in zip(groups, blocks):
+            group.block = block
         return float(np.mean(losses))
 
     # ------------------------------------------------------------------ #

@@ -153,7 +153,7 @@ class SampledSoftmax(nn.Module):
         valid = (flat_t != pad_id) & (candidates[positions] == flat_t)
         self.last_token_count = int(valid.sum())
 
-        weights = self.table.weight.data[candidates]  # (C, dim)
+        weights = self.table.rows(candidates)  # (C, dim)
         logits = flat_h @ weights.T  # (T, C)
         mapped = np.where(valid, positions, -1)
         loss, grad_logits, _ = F.cross_entropy(logits, mapped, ignore_index=-1)

@@ -10,6 +10,45 @@ from repro.nn.parameter import Parameter
 from repro.tensors import SparseRows
 
 
+class RowBlock:
+    """Full-width rows of a table that stores only some of its columns.
+
+    ``values[i]`` is row ``ids[i]``; ``ids`` is sorted and unique, so
+    :meth:`take` maps a batch's ids to their slots with one
+    ``searchsorted``.
+    """
+
+    __slots__ = ("ids", "values")
+
+    def __init__(self, ids: np.ndarray, values: np.ndarray):
+        self.ids = ids
+        self.values = values
+
+    def take(self, ids: np.ndarray, padding_idx: int | None = None) -> np.ndarray:
+        """Rows ``ids`` (any shape) -> ``ids.shape + (dim,)``.
+
+        A row outside the block raises, except ``padding_idx``: that row
+        is frozen at zero, so it reads as zeros without being held.
+        """
+        flat = ids.reshape(-1)
+        dim = self.values.shape[1]
+        if len(self.ids):
+            slots = np.searchsorted(self.ids, flat)
+            np.minimum(slots, len(self.ids) - 1, out=slots)
+            missing = self.ids[slots] != flat
+            out = self.values[slots]
+        else:
+            missing = np.ones(flat.shape, dtype=np.bool_)
+            out = np.empty((len(flat), dim), dtype=self.values.dtype)
+        if missing.any():
+            if padding_idx is None or np.any(flat[missing] != padding_idx):
+                raise ValueError(
+                    f"rows {np.unique(flat[missing])[:8].tolist()} are not in the row block"
+                )
+            out[missing] = 0.0
+        return out.reshape(ids.shape + (dim,))
+
+
 class Embedding(Module):
     """Token-id -> vector lookup; gradient is a :class:`SparseRows`.
 
@@ -24,6 +63,11 @@ class Embedding(Module):
     The table is drawn into ``dtype`` (``None``: float64) with
     :func:`repro.nn.init.normal`, so a float32 table never has a
     double-precision copy.
+
+    A column-partitioned owner (EmbRace's
+    :class:`~repro.engine.embrace_runtime.TableGroupRuntime`) keeps only
+    its own columns in ``weight`` and installs the full-width rows the
+    current batch reads as ``block``; lookups then read the block.
     """
 
     def __init__(
@@ -53,6 +97,15 @@ class Embedding(Module):
         )
         if padding_idx is not None:
             self.weight.data[padding_idx] = 0.0
+        #: The rows lookups read when ``weight`` holds only some columns.
+        self.block: RowBlock | None = None
+
+    def rows(self, ids: np.ndarray) -> np.ndarray:
+        """Full-width rows ``ids`` (any shape), from ``block`` when one is
+        installed, else from ``weight``; records no gradient."""
+        if self.block is None:
+            return self.weight.data[ids]
+        return self.block.take(ids, self.padding_idx)
 
     def forward(self, ids: np.ndarray) -> np.ndarray:
         ids = np.asarray(ids, dtype=np.int64)
@@ -60,7 +113,7 @@ class Embedding(Module):
             raise ValueError(
                 f"{self.weight.name}: ids out of range [0, {self.num_embeddings})"
             )
-        out = self.weight.data[ids]
+        out = self.rows(ids)
 
         def back(grad):
             grad = np.asarray(grad)

@@ -198,7 +198,10 @@ def scrape_counters(comm, recorder) -> None:
     buffer-arena hit/miss/fallback counts (``arena.*``) and the rank
     process's peak resident set (``mem.peak_rss_bytes``, its
     ``ru_maxrss``).  Thread ranks share one process, so each of them
-    reports that one process's peak.  Zero hot-path cost: everything
+    reports that one process's peak.  Beside it sits the exact
+    ``mem.table_bytes`` the trainer and the service record per rank at
+    the end of a run: the embedding values that rank holds (its column
+    shards, row blocks and hot rows).  Zero hot-path cost: everything
     here is already tracked by the transport, the arena and the kernel
     for their own purposes.
     """

@@ -79,12 +79,19 @@ class SparseEmbeddingTask:
     def loss_and_grad(
         self, weight: np.ndarray, ids: np.ndarray
     ) -> tuple[float, SparseRows]:
+        """Loss and row-sparse gradient of the full table ``weight``."""
         ids = np.asarray(ids, dtype=np.int64)
-        err = weight[ids] - self.targets[ids]
+        return self.rows_loss_and_grad(weight[ids], ids, weight.shape[0])
+
+    def rows_loss_and_grad(
+        self, rows: np.ndarray, ids: np.ndarray, num_rows: int
+    ) -> tuple[float, SparseRows]:
+        """The same, given the looked-up ``rows`` of ``ids`` (a column-
+        sharded table reads them from its row block)."""
+        ids = np.asarray(ids, dtype=np.int64)
+        err = rows - self.targets[ids]
         loss = 0.5 * float(np.mean(err * err))
-        grad = SparseRows(
-            ids.copy(), err / err.size, num_rows=weight.shape[0], coalesced=False
-        )
+        grad = SparseRows(ids.copy(), err / err.size, num_rows=num_rows, coalesced=False)
         return loss, grad
 
 

@@ -140,7 +140,7 @@ def _execute_op(
                 ids + state.group.bounds[table][0]
             )
             # Only the cold blocks travel; hot rows are answered from
-            # the local replica at the same fenced version.
+            # the local hot array at the same fenced version.
             if state.obs.enabled:
                 sent = block.nbytes * (state.comm.world_size - 1)
                 state.obs.count("wire_bytes.serve_lookup", float(sent))
@@ -175,17 +175,17 @@ def _complete_batch(state, table, ids, hot_sel, hot_vals, gathered, requests) ->
     """Rank 0: reassemble full-dimension rows, hand them to waiters.
 
     Cold rows concatenate the gathered column blocks; hot rows come from
-    this rank's replica read — same fenced pass as its cold block, so
+    this rank's hot-array read — same fenced pass as its cold block, so
     the hot values carry this rank's gathered version by construction.
     """
     versions = {int(v) for v, _ in gathered}
     cold = np.concatenate([b for _, b in gathered], axis=1)
     values = np.empty((len(ids), cold.shape[1]), dtype=cold.dtype)
     values[~hot_sel] = cold
-    values[hot_sel] = hot_vals
     version = versions.pop() if len(versions) == 1 else -1
-    if hot_sel.any():
-        state.obs.count("serve.hot_rows", float(hot_sel.sum()))
+    if hot_vals is not None:
+        values[hot_sel] = hot_vals
+        state.obs.count("serve.hot_rows", float(len(hot_vals)))
     if state.row_counts is not None:
         np.add.at(state.row_counts, ids + state.group.bounds[table][0], 1)
     if version < 0:
@@ -226,12 +226,14 @@ def _start_step(state: _WorkerState) -> None:
     if state.row_counts is not None:
         np.add.at(state.row_counts, np.concatenate(gathered), 1)
     with state.obs.span("online_step", resource="compute"):
+        # The refreshed row block holds exactly the rows this step reads.
         group.refresh_rows(gathered[state.comm.rank], all_ids=gathered)
         rank_loss = 0.0
         grads = {}
         for name, table in group.tables.items():
-            loss, grads[name] = state.task.loss_and_grad(
-                table.weight.data, local_ids[name]
+            ids = local_ids[name]
+            loss, grads[name] = state.task.rows_loss_and_grad(
+                table.rows(ids), ids, table.num_embeddings
             )
             rank_loss += loss
         grad = group.stack_grads(grads)
@@ -408,6 +410,8 @@ def _serve_worker(comm, cfg: ServeConfig) -> dict:
             _follow(state)
     finally:
         sched.close()
+    state.obs.take("mem.table_bytes")  # a level, not a sum
+    state.obs.count("mem.table_bytes", float(state.group.table_bytes))
     out: dict[str, Any] = {
         "losses": state.losses,
         "steps_done": state.steps_done,

@@ -79,10 +79,9 @@ class VersionedShardStore:
     """A table group's runtime plus its version fence.
 
     Reads take virtual row ids and return **only this rank's
-    authoritative columns** — the service reassembles full-dimension
-    vectors by AllGathering every rank's block.  The local replica's
-    other columns are refreshed lazily for training forwards and may be
-    stale; serving from the authoritative slice sidesteps that entirely.
+    authoritative columns** of cold rows — the column shard is all a
+    rank stores of them, and the service reassembles full-dimension
+    vectors by AllGathering every rank's block.
     """
 
     def __init__(self, runtime: TableGroupRuntime):
@@ -99,24 +98,25 @@ class VersionedShardStore:
         """One fenced read serving hot rows locally, cold rows sharded.
 
         Returns ``(version, hot_sel, cold_block, hot_values)``: the cold
-        rows' authoritative column block (for the cross-rank AllGather)
+        rows' rows of the column shard (for the cross-rank AllGather)
         and the hot rows' *full-dimension* values straight off the local
-        replica — hot rows are updated identically on every rank, so no
-        lookup bytes travel for them.  Both copies happen inside a
-        single fence pass, so they observe the same version.
+        hot array (``None`` when no id is hot) — hot rows are updated
+        identically on every rank, so no lookup bytes travel for them.
+        Both copies happen inside a single fence pass, so they observe
+        the same version.
         """
         ids = np.asarray(ids, dtype=np.int64)
         rt = self.runtime
-        weight = rt.weight.data
-        cols = rt.my_columns
         hot_sel = rt.hot_mask(ids)
         cold_ids = ids[~hot_sel]
-        hot_ids = ids[hot_sel]
+        hot_slots = (
+            np.searchsorted(rt.hot_ids, ids[hot_sel]) if hot_sel.any() else None
+        )
 
         def copy_blocks():
             return (
-                np.ascontiguousarray(weight[cold_ids][:, cols]),
-                weight[hot_ids].copy(),
+                rt.weight.data[cold_ids],
+                None if hot_slots is None else rt.hot.data[hot_slots],
             )
 
         version, (cold_block, hot_values) = self.fence.read(copy_blocks)
@@ -145,9 +145,9 @@ class VersionedShardStore:
     def repartition(self, comm, new_hot_ids: np.ndarray) -> None:
         """Migrate to a new hot set (collective; sequenced by the service).
 
-        Deliberately *not* a fence write: promotion only rewrites
-        non-authoritative replica bytes to their authoritative values
-        (no observable state changes at this version), and bumping the
+        Deliberately *not* a fence write: migration only moves rows
+        between the hot array and the shard at unchanged values (no
+        observable state changes at this version), and bumping the
         fence would break the ``version == committed steps`` invariant.
         The service sequences this op like any other, so no read runs
         concurrently on this rank.

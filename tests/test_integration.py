@@ -28,8 +28,9 @@ class TestEmbraceTableRuntime:
         def fn(comm):
             rng = np.random.default_rng(seed)
             table = Embedding(vocab, dim, rng=np.random.default_rng(seed))
-            runtime = TableGroupRuntime(comm, {"t": table}, lr=0.01)
+            # Copied before the runtime keeps only this rank's columns.
             reference = Parameter(table.weight.data.copy(), sparse_grad=True)
+            runtime = TableGroupRuntime(comm, {"t": table}, lr=0.01)
             ref_opt = EmbraceAdam([reference], lr=0.01)
             for step in range(steps):
                 # All ranks derive the *same* per-rank gradients.
@@ -73,10 +74,11 @@ class TestEmbraceTableRuntime:
             grad = SparseRows(np.array([2]), np.ones((1, 4)), 10)
             runtime.apply_gradient(grad, np.array([2]), np.array([2]), scale=0.5)
             runtime.refresh_rows(np.array([2]))
-            return table.weight.data[2].copy()
+            return table.rows(np.array([2]))[0]
 
         rows = run_threaded(2, fn)
-        # Both replicas observe the same fresh full-dimension row.
+        # Both ranks' lookups read the same fresh full-dimension row.
+        assert rows[0].shape == (4,)
         np.testing.assert_array_equal(rows[0], rows[1])
 
 

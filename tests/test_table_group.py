@@ -15,7 +15,7 @@ import pytest
 
 from repro.comm import NodeTopology, open_group
 from repro.comm.sched import SchedKnobs
-from repro.engine.embrace_runtime import TableGroupRuntime
+from repro.engine.embrace_runtime import TableGroupRuntime, join_column_shards
 from repro.engine.trainer_real import RealTrainer
 from repro.faults import FaultPlan
 from repro.models.config import DLRM, GNMT8
@@ -205,23 +205,33 @@ class TestGroupRuntime:
         }
 
     def test_members_become_views_of_the_stacked_rows(self):
-        tables = self._tables()
-        before = {name: t.weight.data.copy() for name, t in tables.items()}
+        """Each rank stores its own columns of every member, stacked in
+        one contiguous shard; a member's weight is its row slice of it."""
+        before = {name: t.weight.data.copy() for name, t in self._tables().items()}
 
         def fn(comm):
+            tables = self._tables()  # each rank adopts its own draw
             (group,) = TableGroupRuntime.by_width(comm, tables)
+            cols = group.my_columns
+            shard = group.weight.data
             assert group.num_rows == sum(v for v, _ in SAME_WIDTH)
+            assert shard.shape == (group.num_rows, cols.stop - cols.start)
+            assert shard.flags.c_contiguous
+            own = group.own_columns()
             for name, (lo, hi) in group.bounds.items():
                 data = tables[name].weight.data
-                np.testing.assert_array_equal(data, before[name])
-                assert np.shares_memory(data, group.weight.data)
+                np.testing.assert_array_equal(data, before[name][:, cols])
+                assert np.shares_memory(data, shard)
+                assert np.shares_memory(own[name], shard)  # no copy
                 assert hi - lo == len(data)
             ids = group.stack_ids({"t0": [3], "t1": [0, 5], "t2": [7]})
             assert ids.tolist() == [3, 40, 45, 71]
-            return True
+            return own
 
-        with open_group(1, backend="thread") as g:
-            assert g.run(fn) == [True]
+        with open_group(2, backend="thread") as g:
+            outs = g.run(fn)
+        for name, full in join_column_shards(outs).items():
+            np.testing.assert_array_equal(full, before[name])
 
     def test_group_of_one_adopts_the_table(self):
         tables = self._tables(((16, 4),))
