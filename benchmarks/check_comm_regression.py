@@ -268,10 +268,9 @@ def check_scale(baseline_path: str, tolerance: float) -> list[str]:
 
 
 def check_scenarios(baseline_path: str, tolerance: float) -> list[str]:
-    """Gate the scenario-matrix baseline: per-model gpipe-over-nested
-    and allreduce-over-EmbRace step-time ratio floors, plus
-    bench_scenarios's absolute criteria (every real-backend check
-    bit-identical, nested beating GPipe for EmbRace on enough models)."""
+    """Gate the scenario-matrix baseline: per-model allreduce-over-EmbRace
+    step-time ratio floors, plus bench_scenarios's absolute criterion
+    (every real-backend check bit-identical)."""
     baseline = load_baseline(baseline_path)
     if baseline is None:
         return []
@@ -282,11 +281,8 @@ def check_scenarios(baseline_path: str, tolerance: float) -> list[str]:
         return measure(
             models=tuple(meta["models"]),
             strategies=tuple(meta["strategies"]),
-            schedules=tuple(meta["schedules"]),
             world=meta["world"],
             gpu=meta["gpu"],
-            stages=meta["stages"],
-            microbatches=meta["microbatches"],
             real=meta["real"],
             real_world=meta["real_world"],
             real_steps=meta["real_steps"],
@@ -332,7 +328,7 @@ def main() -> int:
     )
     parser.add_argument(
         "--skip-scenarios", action="store_true",
-        help="skip the scenario-matrix schedule gate",
+        help="skip the scenario-matrix gate",
     )
     parser.add_argument(
         "--tolerance", type=float, default=0.30,

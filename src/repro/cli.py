@@ -10,7 +10,7 @@ Subcommands
 ``tune``        probe this host, fit alpha-beta, auto-tune the schedule
 ``scale``       hybrid mode: real two-level twins + 64..1024 replay ladder
 ``serve``       serve sharded-embedding lookups during online training
-``scenarios``   models x strategies x pipeline schedules in one matrix
+``scenarios``   models x strategies in one matrix
 ``sizes``       print Table 1 (model/embedding sizes)
 """
 
@@ -373,11 +373,8 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
         spec = ScenarioSpec(
             models=tuple(args.models),
             strategies=tuple(args.strategies),
-            schedules=tuple(args.schedules),
             world_size=args.world,
             gpu_kind=args.gpu,
-            n_stages=args.stages,
-            n_microbatches=args.microbatches,
             validate_real=not args.no_real,
             real_world_size=args.real_world,
         )
@@ -533,23 +530,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "scenarios",
-        help="sweep models x strategies x pipeline schedules in one matrix",
+        help="sweep models x strategies in one matrix",
     )
     p.add_argument("--smoke", action="store_true",
-                   help="small CI matrix (3 models x 3 strategies x 3 schedules)")
+                   help="small CI matrix (3 models x 3 strategies)")
     p.add_argument("--models", nargs="+",
                    default=["LM", "GNMT-8", "Transformer", "BERT-base", "DLRM"],
                    choices=[*models, "DLRM"])
     p.add_argument("--strategies", nargs="+",
                    default=["EmbRace", "Horovod-AllReduce", "Horovod-AllGather",
                             "BytePS", "Parallax"])
-    p.add_argument("--schedules", nargs="+",
-                   default=["data_parallel", "gpipe", "1f1b", "nested"],
-                   choices=("data_parallel", "gpipe", "1f1b", "nested"))
     p.add_argument("--gpu", default="rtx3090", choices=("rtx3090", "rtx2080"))
     p.add_argument("--world", type=int, default=8)
-    p.add_argument("--stages", type=int, default=4)
-    p.add_argument("--microbatches", type=int, default=4)
     p.add_argument("--no-real", action="store_true",
                    help="skip the real-backend bit-identity validation")
     p.add_argument("--real-world", type=int, default=4)

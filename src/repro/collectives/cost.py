@@ -161,12 +161,6 @@ class CostModel:
             steps,
         )
 
-    def point_to_point(self, nbytes: float) -> CollectiveCost:
-        """One pairwise transfer of ``nbytes`` (inter-stage activation
-        sends of the pipeline schedules)."""
-        check_non_negative("nbytes", nbytes)
-        return CollectiveCost(self._transfer(nbytes), nbytes, 1)
-
     def parameter_server(
         self,
         payload_bytes: float,

@@ -129,8 +129,9 @@ _REMOVED_FIELDS = {"dense_switch_density": 1.0}
 #: now sends values only, so every rank must split the same way.
 _DROPPED_FIELDS = ("chunk_elems", "max_chunks", "delayed_min_rows")
 
-#: The pipeline fields, which moved to :class:`repro.tune.Candidate`
-#: (the real trainer never ran them): same rule, data-parallel defaults.
+#: The pipeline-parallel fields, which no trainer ran: same rule, the
+#: data-parallel defaults, so a saved pipeline profile never loads as a
+#: data-parallel one.
 _PIPELINE_FIELDS = {"schedule": "data_parallel", "pipeline_stages": 1, "microbatches": 1}
 
 #: The per-lane wire switches ``hierarchical`` replaced (tri-states:
@@ -217,7 +218,7 @@ class SchedKnobs:
             d.pop(key, None)
         for fields, why in (
             (_REMOVED_FIELDS, "the sparse collectives' dense switch was removed"),
-            (_PIPELINE_FIELDS, "pipeline schedules are simulator-only"),
+            (_PIPELINE_FIELDS, "pipeline schedules were removed"),
         ):
             for key, default in fields.items():
                 if key in d:

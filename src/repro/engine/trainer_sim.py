@@ -83,42 +83,3 @@ def simulate_training(
         report=report,
     )
 
-
-def simulate_training_steady(
-    config: ModelConfig,
-    gpu_kind: str,
-    world_size: int,
-    strategy: Strategy,
-    n_steps: int = 4,
-) -> ThroughputResult:
-    """Like :func:`simulate_training` but pipelined over ``n_steps``.
-
-    Measures the *steady-state* per-step time: trailing communications
-    (EmbRace's delayed gradients) overlap the next iteration's backward
-    pass instead of being charged to their own step, matching §4.2.2's
-    intent.  Single-step simulation is a (slightly pessimistic) upper
-    bound; both are exposed so benches can quote either.
-    """
-    from repro.sim.pipeline import steady_state_step_time
-
-    ctx = make_context(config, gpu_kind, world_size)
-    graph = strategy.build_step(ctx)
-    step_time, trace = steady_state_step_time(graph, n_steps=n_steps)
-    single = simulate_step(strategy, ctx)
-    if config.name in PAPER_MODELS:
-        stats = cached_workload(config.name, gpu_kind, world_size)
-    else:
-        from repro.engine.workload import measure_workload
-
-        stats = measure_workload(config, gpu_kind, world_size)
-    tokens = stats.avg_tokens_per_batch * world_size
-    return ThroughputResult(
-        model=config.name,
-        gpu_kind=gpu_kind,
-        world_size=world_size,
-        strategy=strategy.name,
-        tokens_per_sec=tokens / step_time,
-        step_time=step_time,
-        computation_stall=single.computation_stall,
-        report=single,
-    )

@@ -1,11 +1,10 @@
-"""Scenario matrix: models x strategies x pipeline schedules in one run.
+"""Scenario matrix: models x strategies in one run.
 
-:func:`run_matrix` sweeps every combination of benchmark model,
-communication strategy and :mod:`repro.schedule.tabular` schedule on the
-simulator — data-parallel cells through the strategies' own step graphs,
-pipeline cells through the tabular compiler — and optionally validates a
-subset on the real multi-worker backend (overlapped vs. unoverlapped
-runs of exact strategies must produce bit-identical losses).
+:func:`run_matrix` prices every combination of benchmark model and
+communication strategy on the simulator, through the strategies' own
+data-parallel step graphs, and optionally validates a subset on the real
+multi-worker backend (overlapped vs. unoverlapped runs of exact
+strategies must produce bit-identical losses).
 """
 
 from repro.scenarios.matrix import (

@@ -6,12 +6,6 @@ import json
 from dataclasses import dataclass
 
 from repro.models.config import ALL_MODELS
-from repro.schedule.tabular import (
-    SCHEDULE_NAMES,
-    build_schedule,
-    bubble_fraction,
-    compile_strategy_schedule,
-)
 from repro.utils.validation import check_in, check_positive
 
 #: Sim-name -> real-trainer strategy name for the exactly-equivalent
@@ -25,90 +19,70 @@ REAL_TWINS = {
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One matrix: which models x strategies x schedules to sweep.
+    """One matrix: which models x strategies to sweep.
 
-    Pipeline schedules run at ``n_stages`` x ``n_microbatches``; the
-    ``data_parallel`` schedule ignores both.  When ``validate_real`` is
-    set, every (model, strategy) pair whose strategy has a real twin is
-    additionally trained at tiny scale on ``real_world_size`` in-process
-    workers, overlapped and unoverlapped, and the two loss curves must
-    agree bit-for-bit (the scheduler reorders communication, never
-    arithmetic).
+    When ``validate_real`` is set, every (model, strategy) pair whose
+    strategy has a real twin is additionally trained at tiny scale on
+    ``real_world_size`` in-process workers, overlapped and unoverlapped,
+    and the two loss curves must agree bit-for-bit (the scheduler
+    reorders communication, never arithmetic).
     """
 
     models: tuple[str, ...]
     strategies: tuple[str, ...]
-    schedules: tuple[str, ...]
     world_size: int = 8
     gpu_kind: str = "rtx3090"
-    n_stages: int = 4
-    n_microbatches: int = 4
-    sim_steps: int = 4
     validate_real: bool = False
     real_world_size: int = 4
     real_steps: int = 3
 
     def __post_init__(self) -> None:
-        for axis in ("models", "strategies", "schedules"):
+        for axis in ("models", "strategies"):
             if not getattr(self, axis):
                 raise ValueError(f"ScenarioSpec.{axis} must be non-empty")
         for m in self.models:
             check_in("model", m, set(ALL_MODELS))
-        for s in self.schedules:
-            check_in("schedule", s, set(SCHEDULE_NAMES))
         check_positive("world_size", self.world_size)
-        check_positive("n_stages", self.n_stages)
-        check_positive("n_microbatches", self.n_microbatches)
-        if self.sim_steps < 2:
-            raise ValueError(f"sim_steps must be >= 2, got {self.sim_steps}")
 
     @classmethod
     def smoke(cls) -> "ScenarioSpec":
-        """A small matrix for CI: 3 models x 3 strategies x 3 schedules."""
+        """A small matrix for CI: 3 models x 3 strategies."""
         return cls(
             models=("LM", "GNMT-8", "DLRM"),
             strategies=("EmbRace", "Horovod-AllReduce", "Horovod-AllGather"),
-            schedules=("data_parallel", "gpipe", "nested"),
             world_size=4,
-            n_stages=2,
-            n_microbatches=2,
             validate_real=True,
             real_world_size=2,
         )
 
     @classmethod
     def full(cls) -> "ScenarioSpec":
-        """The whole grid at paper scale (5 x 5 x 4 = 100 cells)."""
+        """The whole grid at paper scale (5 x 5 = 25 cells)."""
         return cls(
             models=("LM", "GNMT-8", "Transformer", "BERT-base", "DLRM"),
             strategies=(
                 "EmbRace", "Horovod-AllReduce", "Horovod-AllGather",
                 "BytePS", "Parallax",
             ),
-            schedules=SCHEDULE_NAMES,
             validate_real=True,
         )
 
 
 @dataclass(frozen=True)
 class ScenarioCell:
-    """Simulator verdict for one (model, strategy, schedule) cell."""
+    """Simulator verdict for one (model, strategy) cell."""
 
     model: str
     strategy: str
-    schedule: str
     step_time_s: float
     stall_frac: float
-    bubble_frac: float
 
     def to_dict(self) -> dict:
         return {
             "model": self.model,
             "strategy": self.strategy,
-            "schedule": self.schedule,
             "step_time_s": self.step_time_s,
             "stall_frac": self.stall_frac,
-            "bubble_frac": self.bubble_frac,
         }
 
     @classmethod
@@ -116,10 +90,8 @@ class ScenarioCell:
         return cls(
             model=str(d["model"]),
             strategy=str(d["strategy"]),
-            schedule=str(d["schedule"]),
             step_time_s=float(d["step_time_s"]),
             stall_frac=float(d["stall_frac"]),
-            bubble_frac=float(d["bubble_frac"]),
         )
 
 
@@ -156,23 +128,19 @@ class ScenarioReport:
 
     world_size: int
     gpu_kind: str
-    n_stages: int
-    n_microbatches: int
     cells: tuple[ScenarioCell, ...]
     real_checks: tuple[RealCheck, ...] = ()
 
-    def cell(self, model: str, strategy: str, schedule: str) -> ScenarioCell:
+    def cell(self, model: str, strategy: str) -> ScenarioCell:
         for c in self.cells:
-            if (c.model, c.strategy, c.schedule) == (model, strategy, schedule):
+            if (c.model, c.strategy) == (model, strategy):
                 return c
-        raise KeyError(f"no cell ({model}, {strategy}, {schedule})")
+        raise KeyError(f"no cell ({model}, {strategy})")
 
     def to_dict(self) -> dict:
         return {
             "world_size": self.world_size,
             "gpu_kind": self.gpu_kind,
-            "n_stages": self.n_stages,
-            "n_microbatches": self.n_microbatches,
             "cells": [c.to_dict() for c in self.cells],
             "real_checks": [r.to_dict() for r in self.real_checks],
         }
@@ -182,8 +150,6 @@ class ScenarioReport:
         return cls(
             world_size=int(d["world_size"]),
             gpu_kind=str(d["gpu_kind"]),
-            n_stages=int(d["n_stages"]),
-            n_microbatches=int(d["n_microbatches"]),
             cells=tuple(ScenarioCell.from_dict(c) for c in d["cells"]),
             real_checks=tuple(
                 RealCheck.from_dict(r) for r in d.get("real_checks", ())
@@ -201,19 +167,14 @@ class ScenarioReport:
         from repro.utils.tables import Table
 
         table = Table(
-            ["model", "strategy", "schedule", "step (ms)", "stall", "bubble"],
-            title=(
-                f"scenario matrix @ {self.world_size} x {self.gpu_kind}"
-                f" (pipeline {self.n_stages} stages x "
-                f"{self.n_microbatches} microbatches)"
-            ),
+            ["model", "strategy", "step (ms)", "stall"],
+            title=f"scenario matrix @ {self.world_size} x {self.gpu_kind}",
         )
         for c in self.cells:
             table.add_row([
-                c.model, c.strategy, c.schedule,
+                c.model, c.strategy,
                 f"{c.step_time_s * 1e3:.2f}",
                 f"{c.stall_frac:.3f}",
-                f"{c.bubble_frac:.3f}",
             ])
         lines = [table.render()]
         if self.real_checks:
@@ -227,29 +188,7 @@ class ScenarioReport:
         return "\n".join(lines)
 
 
-def _pipeline_cell(ctx, model, strategy, schedule_name, spec) -> ScenarioCell:
-    from repro.sim.pipeline import steady_state_step_time
-
-    schedule = build_schedule(schedule_name, spec.n_stages, spec.n_microbatches)
-    graph = compile_strategy_schedule(
-        ctx, strategy, schedule, gpu_kind=spec.gpu_kind
-    )
-    step_s, trace = steady_state_step_time(graph, spec.sim_steps)
-    lanes = [f"compute:{s}" for s in range(spec.n_stages)]
-    if spec.n_stages == 1:
-        lanes = ["compute"]
-    stall = sum(trace.computation_stall(lane) for lane in lanes) / len(lanes)
-    return ScenarioCell(
-        model=model,
-        strategy=strategy,
-        schedule=schedule_name,
-        step_time_s=step_s,
-        stall_frac=stall / trace.makespan if trace.makespan > 0 else 0.0,
-        bubble_frac=bubble_fraction(trace, spec.n_stages),
-    )
-
-
-def _data_parallel_cell(ctx, model, strategy) -> ScenarioCell:
+def _cell(ctx, model, strategy) -> ScenarioCell:
     from repro.engine.step_simulator import simulate_step
     from repro.strategies import ALL_STRATEGIES
 
@@ -257,14 +196,12 @@ def _data_parallel_cell(ctx, model, strategy) -> ScenarioCell:
     return ScenarioCell(
         model=model,
         strategy=strategy,
-        schedule="data_parallel",
         step_time_s=report.step_time,
         stall_frac=(
             report.computation_stall / report.step_time
             if report.step_time > 0
             else 0.0
         ),
-        bubble_frac=bubble_fraction(report.trace, 1),
     )
 
 
@@ -298,8 +235,8 @@ def run_matrix(spec: ScenarioSpec, log=None) -> ScenarioReport:
     """Sweep the matrix; see :class:`ScenarioSpec` for the knobs.
 
     Each model's :class:`~repro.strategies.base.StepContext` is built
-    once and shared across its strategies and schedules; ``log`` (e.g.
-    ``print``) receives one progress line per cell.
+    once and shared across its strategies; ``log`` (e.g. ``print``)
+    receives one progress line per cell.
     """
     from repro.engine.trainer_sim import make_context
 
@@ -309,16 +246,9 @@ def run_matrix(spec: ScenarioSpec, log=None) -> ScenarioReport:
     for model in spec.models:
         ctx = make_context(ALL_MODELS[model], spec.gpu_kind, spec.world_size)
         for strategy in spec.strategies:
-            for schedule_name in spec.schedules:
-                if schedule_name == "data_parallel":
-                    cell = _data_parallel_cell(ctx, model, strategy)
-                else:
-                    cell = _pipeline_cell(ctx, model, strategy, schedule_name, spec)
-                cells.append(cell)
-                say(
-                    f"{model} / {strategy} / {schedule_name}: "
-                    f"{cell.step_time_s * 1e3:.2f} ms"
-                )
+            cell = _cell(ctx, model, strategy)
+            cells.append(cell)
+            say(f"{model} / {strategy}: {cell.step_time_s * 1e3:.2f} ms")
             if spec.validate_real and strategy in REAL_TWINS:
                 check = _real_check(model, strategy, spec)
                 checks.append(check)
@@ -329,8 +259,6 @@ def run_matrix(spec: ScenarioSpec, log=None) -> ScenarioReport:
     return ScenarioReport(
         world_size=spec.world_size,
         gpu_kind=spec.gpu_kind,
-        n_stages=spec.n_stages,
-        n_microbatches=spec.n_microbatches,
         cells=tuple(cells),
         real_checks=tuple(checks),
     )

@@ -59,29 +59,6 @@ def vertical_split(
     )
 
 
-class VerticalScheduler:
-    """Stateful per-table splitter driven by a prefetching batch stream.
-
-    ``split(table_name, grad, current_batch, next_batch)`` applies
-    Algorithm 1 using each batch's ``token_ids`` entry for that table.
-    When there is no next batch (end of stream) everything is prior.
-    """
-
-    def split(
-        self,
-        table_name: str,
-        grad: SparseRows,
-        current_batch: Batch,
-        next_batch: Batch | None,
-    ) -> tuple[SparseRows, SparseRows]:
-        current_ids = current_batch.token_ids[table_name]
-        if next_batch is None:
-            coalesced = grad.coalesce()
-            return coalesced, SparseRows.empty(grad.num_rows, grad.dim, dtype=grad.values.dtype)
-        next_ids = next_batch.token_ids[table_name]
-        return vertical_split(grad, current_ids, next_ids)
-
-
 # ---------------------------------------------------------------------- #
 # Empirical gradient-size statistics (Table 3)
 # ---------------------------------------------------------------------- #

@@ -10,7 +10,6 @@ paper's prototype.  The communication resource dequeues ready tasks by
 """
 
 from repro.sim.engine import Simulator
-from repro.sim.pipeline import chain_steps, steady_state_step_time
 from repro.sim.task import Task, TaskGraph
 from repro.sim.resources import Resource
 from repro.sim.executor import execute
@@ -24,6 +23,4 @@ __all__ = [
     "execute",
     "Trace",
     "TraceEntry",
-    "chain_steps",
-    "steady_state_step_time",
 ]

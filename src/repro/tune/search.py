@@ -28,10 +28,9 @@ import numpy as np
 
 from repro.comm.sched import PRIORITY_URGENT, SchedKnobs, pack_buckets
 from repro.comm.sparse import ids_dtype
-from repro.schedule import PRIORITY_DELAYED, PRIORITY_PRIOR, SCHEDULE_NAMES
+from repro.schedule import PRIORITY_DELAYED, PRIORITY_PRIOR
 from repro.sim import TaskGraph, execute
 from repro.tune.fit import TunedProfile
-from repro.utils.validation import check_in
 
 #: Float32 — every gradient this trainer ships.
 DTYPE_BYTES = 4
@@ -39,43 +38,12 @@ DTYPE_BYTES = 4
 
 @dataclass(frozen=True)
 class Candidate:
-    """One point of the search space.
-
-    ``schedule`` / ``pipeline_stages`` / ``microbatches`` are the
-    pipeline dimension, priced only by the simulator: the
-    ``"data_parallel"`` default is the overlapped step ``RealTrainer``
-    runs; ``"gpipe"`` / ``"1f1b"`` / ``"nested"`` compile a
-    :class:`~repro.schedule.tabular.TabularSchedule` of
-    ``pipeline_stages`` stages x ``microbatches`` microbatches.
-    """
+    """One point of the search space: the scheduler knobs plus the
+    sparse strategy, as :class:`~repro.engine.trainer_real.RealTrainer`
+    runs them."""
 
     knobs: SchedKnobs = field(default_factory=SchedKnobs)
     strategy: str = "embrace"
-    schedule: str = "data_parallel"
-    pipeline_stages: int = 1
-    microbatches: int = 1
-
-    def __post_init__(self):
-        check_in("schedule", self.schedule, SCHEDULE_NAMES)
-        for name in ("pipeline_stages", "microbatches"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValueError(
-                    f"{name} must be an int >= 1, got {value!r}"
-                )
-        if not self.pipelined and (
-            self.pipeline_stages != 1 or self.microbatches != 1
-        ):
-            raise ValueError(
-                "data_parallel schedule requires pipeline_stages == 1 and "
-                f"microbatches == 1, got {self.pipeline_stages} stages x "
-                f"{self.microbatches} microbatches"
-            )
-
-    @property
-    def pipelined(self) -> bool:
-        """True for a pipeline schedule (simulator-only)."""
-        return self.schedule != "data_parallel"
 
     def label(self) -> str:
         k = self.knobs
@@ -89,8 +57,6 @@ class Candidate:
             parts.append(f"repart={k.repartition_interval}")
         if not k.hierarchical:
             parts.append("flat")
-        if self.pipelined:
-            parts.append(f"{self.schedule}@{self.pipeline_stages}x{self.microbatches}")
         return " ".join(parts)
 
 
@@ -106,21 +72,11 @@ class SearchSpace:
     #: both in the grid to search flat-vs-hierarchical.
     hier: tuple[bool, ...] = (True,)
     strategy: tuple[str, ...] = ("embrace",)
-    #: Pipeline-parallel axes (simulator-only): a ``schedule`` other than
-    #: ``data_parallel`` compiles the corresponding
-    #: :class:`~repro.schedule.TabularSchedule` instead of the flat
-    #: overlapped step graph.  ``data_parallel`` entries normalize the
-    #: stage/microbatch axes to 1x1, so mixing it with pipeline grids
-    #: does not multiply the candidate count.
-    schedule: tuple[str, ...] = ("data_parallel",)
-    pipeline_stages: tuple[int, ...] = (2,)
-    microbatches: tuple[int, ...] = (2,)
 
     def __post_init__(self):
         for name in (
             "bucket_elems", "hot_fraction", "repartition_interval",
             "hier", "strategy",
-            "schedule", "pipeline_stages", "microbatches",
         ):
             if not getattr(self, name):
                 raise ValueError(f"SearchSpace.{name} must be non-empty")
@@ -133,29 +89,20 @@ class SearchSpace:
 
     def candidates(self) -> list[Candidate]:
         """The grid in deterministic (itertools.product) order; validation
-        happens in each :class:`~repro.comm.SchedKnobs` and
-        :class:`Candidate`."""
-        out = []
-        seen: set[Candidate] = set()
-        for be, hf, ri, hi, st, sc, ps, mb in itertools.product(
-            self.bucket_elems, self.hot_fraction,
-            self.repartition_interval, self.hier, self.strategy,
-            self.schedule, self.pipeline_stages, self.microbatches,
-        ):
-            if sc == "data_parallel":
-                ps, mb = 1, 1
-            cand = Candidate(
+        happens in each :class:`~repro.comm.SchedKnobs`."""
+        return [
+            Candidate(
                 knobs=SchedKnobs(
                     bucket_elems=be, hot_fraction=hf, repartition_interval=ri,
                     hierarchical=hi,
                 ),
                 strategy=st,
-                schedule=sc, pipeline_stages=ps, microbatches=mb,
             )
-            if cand not in seen:  # data_parallel collapses the stage axes
-                seen.add(cand)
-                out.append(cand)
-        return out
+            for be, hf, ri, hi, st in itertools.product(
+                self.bucket_elems, self.hot_fraction,
+                self.repartition_interval, self.hier, self.strategy,
+            )
+        ]
 
 
 # --------------------------------------------------------------------- #
@@ -384,85 +331,6 @@ class PredictedRun:
     n_steps: int
 
 
-def _pipeline_costs(cost, workload: MeasuredWorkload, candidate: Candidate):
-    """Distill a :class:`MeasuredWorkload` into per-stage
-    :class:`~repro.schedule.ScheduleCosts` for the tabular compiler.
-
-    The measured fused ``fwd_bwd`` span is split 1:2 into forward and
-    backward (the usual one-pass vs two-pass ratio) and spread evenly
-    across stages and microbatches; dense gradient volume splits evenly
-    across stages; every embedding table lives on stage 0 (the repo's
-    embedding-first block order).  Activation sends are priced at pure
-    link latency — the workload model does not record activation sizes.
-    """
-    from repro.schedule.tabular import ScheduleCosts
-
-    p, m = candidate.pipeline_stages, candidate.microbatches
-    fwd_total = workload.fwd_bwd_s / 3.0
-    bwd_total = workload.fwd_bwd_s - fwd_total
-    dense_elems = sum(size for _, size in workload.dense_param_sizes)
-    dense_b = dense_elems * DTYPE_BYTES / p
-    prior_b = sum(t.prior_bytes for t in workload.tables)
-    delayed_b = sum(t.delayed_bytes for t in workload.tables)
-    coalesced_b = sum(t.coalesced_bytes for t in workload.tables)
-    densified_b = sum(t.dense_bytes for t in workload.tables)
-    dense_s = [cost.allreduce(dense_b).seconds] * p
-    sparse = [0.0] * p
-    prior = [0.0] * p
-    delayed = [0.0] * p
-    if candidate.strategy == "embrace":
-        sparse[0] = cost.alltoall(coalesced_b).seconds
-        prior[0] = cost.alltoall(prior_b).seconds
-        delayed[0] = cost.alltoall(delayed_b).seconds
-    elif candidate.strategy == "allgather":
-        sparse[0] = cost.allgather(coalesced_b).seconds
-    else:  # "allreduce": densified tables ride stage 0's dense lane
-        dense_s[0] = cost.allreduce(dense_b + densified_b).seconds
-    return ScheduleCosts(
-        n_stages=p,
-        n_microbatches=m,
-        fwd_s=tuple(fwd_total / (p * m) for _ in range(p)),
-        bwd_s=tuple(bwd_total / (p * m) for _ in range(p)),
-        act_send_s=tuple(
-            cost.point_to_point(0.0).seconds for _ in range(p - 1)
-        ),
-        dense_s=tuple(dense_s),
-        sparse_s=tuple(sparse),
-        prior_s=tuple(prior),
-        delayed_s=tuple(delayed),
-        opt_s=tuple(workload.optimizer_s / p for _ in range(p)),
-        opt_delayed_s=tuple(0.0 for _ in range(p)),
-    )
-
-
-def _predict_pipeline(
-    cost, workload: MeasuredWorkload, candidate: Candidate, n_steps: int
-) -> PredictedRun:
-    """Pipeline-schedule candidates: compile the table, chain, execute.
-
-    The knob-independent ``step_overhead_s`` is added on top of the
-    simulated step, same as the host task in the data-parallel graph.
-    """
-    from repro.schedule.tabular import build_schedule, compile_schedule
-    from repro.sim.pipeline import chain_steps
-
-    p = candidate.pipeline_stages
-    schedule = build_schedule(candidate.schedule, p, candidate.microbatches)
-    graph = compile_schedule(schedule, _pipeline_costs(cost, workload, candidate))
-    trace = execute(chain_steps(graph, n_steps))
-    makespan = trace.makespan + n_steps * workload.step_overhead_s
-    lanes = ["compute"] if p == 1 else [f"compute:{s}" for s in range(p)]
-    stall = sum(trace.computation_stall(lane) for lane in lanes) / len(lanes)
-    stall += n_steps * workload.step_overhead_s
-    return PredictedRun(
-        candidate=candidate,
-        step_time_s=makespan / n_steps,
-        stall_frac=stall / makespan if makespan > 0 else 0.0,
-        makespan_s=makespan,
-        n_steps=n_steps,
-    )
-
-
 def predict_candidate(
     profile: TunedProfile,
     workload: MeasuredWorkload,
@@ -489,8 +357,6 @@ def predict_candidate(
     cost = profile.cost_model(world_size=world_size)
     if world_size is not None and world_size != workload.world_size:
         workload = workload.scaled_to(world_size)
-    if candidate.pipelined:
-        return _predict_pipeline(cost, workload, candidate, n_steps)
     k = candidate.knobs
     hier = k.hierarchical and cost.cluster.multi_node
     dedup = workload.node_dedup

@@ -166,8 +166,7 @@ def validate_candidates(
     backend: str,
     top_k: int = 2,
 ) -> TuneReport:
-    """Replay default + the top-k ranked data-parallel candidates
-    (pipeline schedules have no real twin); build the report."""
+    """Replay default + the top-k ranked candidates; build the report."""
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     world = profile.world_size
@@ -175,7 +174,7 @@ def validate_candidates(
     for p in ranked:
         if len(to_run) > top_k:
             break
-        if not p.candidate.pipelined and p.candidate not in to_run:
+        if p.candidate not in to_run:
             to_run.append(p.candidate)
     validated = []
     for cand in to_run:

@@ -138,19 +138,3 @@ class TestSimulatedTraining:
         assert rep.step_time >= rep.compute_time
         assert rep.computation_stall >= 0
         assert 0 <= rep.overlap_ratio <= 1
-
-
-class TestSteadyStateTraining:
-    def test_steady_state_at_least_single_step(self):
-        from repro.engine.trainer_sim import simulate_training_steady
-
-        single = simulate_training(LM, "rtx3090", 16, EmbRace())
-        steady = simulate_training_steady(LM, "rtx3090", 16, EmbRace())
-        assert steady.tokens_per_sec >= single.tokens_per_sec - 1e-9
-
-    def test_embrace_still_wins_steady_state(self):
-        from repro.engine.trainer_sim import simulate_training_steady
-
-        emb = simulate_training_steady(GNMT8, "rtx3090", 16, EmbRace())
-        ag = simulate_training_steady(GNMT8, "rtx3090", 16, HorovodAllGather())
-        assert emb.tokens_per_sec > ag.tokens_per_sec

@@ -80,17 +80,6 @@ class TestExamples:
         assert "torn batches (version-mixed reads): 0" in out
         assert "0 mismatched" in out
 
-    def test_scenario_study(self):
-        out = run_example(
-            "scenario_study.py",
-            "--models", "LM", "DLRM",
-            "--strategies", "EmbRace", "Horovod-AllReduce",
-            "--world", "4", "--stages", "2", "--microbatches", "2",
-        )
-        assert "stage 0" in out  # the rendered schedule grids
-        assert "nested wins" in out
-        assert "real-backend checks all bit-identical: True" in out
-
     def test_autotune_study(self, tmp_path):
         out_json = tmp_path / "tuned.json"
         out = run_example(

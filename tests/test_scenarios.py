@@ -1,4 +1,4 @@
-"""Tests for repro.scenarios: the model x strategy x schedule matrix."""
+"""Tests for repro.scenarios: the model x strategy matrix."""
 
 import pytest
 
@@ -15,10 +15,7 @@ def tiny_spec(**overrides):
     kw = dict(
         models=("LM",),
         strategies=("EmbRace", "Horovod-AllReduce"),
-        schedules=("data_parallel", "gpipe", "nested"),
         world_size=4,
-        n_stages=2,
-        n_microbatches=2,
         validate_real=False,
     )
     kw.update(overrides)
@@ -29,23 +26,15 @@ class TestSpec:
     def test_smoke_and_full_validate(self):
         assert len(ScenarioSpec.smoke().models) == 3
         full = ScenarioSpec.full()
-        assert len(full.models) * len(full.strategies) * len(full.schedules) == 100
+        assert len(full.models) * len(full.strategies) == 25
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError, match="model"):
             tiny_spec(models=("GPT-17",))
 
-    def test_unknown_schedule_rejected(self):
-        with pytest.raises(ValueError, match="schedule"):
-            tiny_spec(schedules=("zigzag",))
-
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             tiny_spec(strategies=())
-
-    def test_sim_steps_floor(self):
-        with pytest.raises(ValueError, match="sim_steps"):
-            tiny_spec(sim_steps=1)
 
 
 class TestMatrix:
@@ -54,42 +43,33 @@ class TestMatrix:
         return run_matrix(tiny_spec())
 
     def test_every_cell_present(self, report):
-        assert len(report.cells) == 1 * 2 * 3
+        assert len(report.cells) == 1 * 2
         for strategy in ("EmbRace", "Horovod-AllReduce"):
-            for schedule in ("data_parallel", "gpipe", "nested"):
-                cell = report.cell("LM", strategy, schedule)
-                assert cell.step_time_s > 0
-                assert 0.0 <= cell.stall_frac <= 1.0
-                assert 0.0 <= cell.bubble_frac <= 1.0
+            cell = report.cell("LM", strategy)
+            assert cell.step_time_s > 0
+            assert 0.0 <= cell.stall_frac <= 1.0
 
     def test_missing_cell_raises(self, report):
         with pytest.raises(KeyError):
-            report.cell("LM", "EmbRace", "1f1b")
+            report.cell("LM", "BytePS")
 
     def test_embrace_beats_allreduce_everywhere(self, report):
-        for schedule in ("data_parallel", "gpipe", "nested"):
-            em = report.cell("LM", "EmbRace", schedule).step_time_s
-            ar = report.cell("LM", "Horovod-AllReduce", schedule).step_time_s
-            assert em < ar
-
-    def test_nested_not_slower_than_gpipe_for_embrace(self, report):
-        ne = report.cell("LM", "EmbRace", "nested").step_time_s
-        gp = report.cell("LM", "EmbRace", "gpipe").step_time_s
-        assert ne <= gp + 1e-12
+        em = report.cell("LM", "EmbRace").step_time_s
+        ar = report.cell("LM", "Horovod-AllReduce").step_time_s
+        assert em < ar
 
     def test_report_round_trip(self, report):
         assert ScenarioReport.from_json(report.to_json()) == report
 
     def test_render_mentions_every_cell(self, report):
         text = report.render()
-        assert "LM" in text and "EmbRace" in text and "nested" in text
+        assert "LM" in text and "EmbRace" in text and "Horovod-AllReduce" in text
 
 
 class TestRealValidation:
     def test_real_twin_bit_identical(self):
         spec = tiny_spec(
             strategies=("EmbRace",),
-            schedules=("data_parallel",),
             validate_real=True,
             real_world_size=2,
             real_steps=3,
@@ -102,10 +82,8 @@ class TestRealValidation:
 
     def test_round_trip_preserves_checks(self):
         report = ScenarioReport(
-            world_size=4, gpu_kind="rtx3090", n_stages=2, n_microbatches=2,
-            cells=(
-                ScenarioCell("LM", "EmbRace", "gpipe", 1e-3, 0.1, 0.2),
-            ),
+            world_size=4, gpu_kind="rtx3090",
+            cells=(ScenarioCell("LM", "EmbRace", 1e-3, 0.1),),
             real_checks=(RealCheck("LM", "EmbRace", True, 0.0),),
         )
         assert ScenarioReport.from_json(report.to_json()) == report
@@ -118,12 +96,11 @@ class TestCli:
         code = main([
             "scenarios",
             "--models", "LM",
-            "--strategies", "EmbRace",
-            "--schedules", "data_parallel", "gpipe",
-            "--world", "4", "--stages", "2", "--microbatches", "2",
+            "--strategies", "EmbRace", "Horovod-AllReduce",
+            "--world", "4",
             "--no-real",
         ])
         assert code == 0
         out = capsys.readouterr().out
         assert "scenario matrix" in out
-        assert "gpipe" in out
+        assert "Horovod-AllReduce" in out

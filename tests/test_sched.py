@@ -4,8 +4,9 @@ Covers the scheduler's contract: priority order with FIFO ties, urgent
 items preempting queued dense chunks, caller-driven progress keeping
 every rank on one global execution order, bit-identical inline
 (synchronous) mode, error propagation through handles, failing fast on
-close and on nested waits, the facade's symmetric-only surface, and
-composition with the fault injector.
+close and on nested waits, the facade's symmetric-only surface,
+composition with the fault injector, and the real trainer's overlap
+moving stall in the simulator's direction.
 """
 
 import sys
@@ -22,7 +23,10 @@ from repro.comm import (
     run_threaded,
 )
 from repro.comm.sched import _dense_chunk_bounds
+from repro.engine.trainer_sim import make_context
 from repro.faults import FaultPlan, run_threaded_with_faults
+from repro.models import LM
+from repro.strategies import ALL_STRATEGIES
 
 
 class TestChunkBounds:
@@ -497,3 +501,49 @@ class TestZeroCopyUnderScheduler:
             assert np.array_equal(reduced, reference[rank][0])
             assert np.array_equal(shard.indices, reference[rank][1].indices)
             assert np.array_equal(shard.values, reference[rank][1].values)
+
+
+class TestRealParity:
+    def test_sim_and_real_agree_on_overlap_direction(self):
+        """Parity with the real backend on the one schedule both layers
+        execute (data_parallel): overlapping communication must not
+        increase the measured stall, exactly as the simulator predicts
+        EmbRace stalls no more than the synchronous AllReduce."""
+        from repro.comm import open_group
+        from repro.engine.step_simulator import simulate_step
+        from repro.engine.trainer_real import RealTrainer
+        from repro.models.config import ALL_MODELS
+
+        ctx = make_context(LM, "rtx3090", 8)
+        sim = {
+            name: simulate_step(ALL_STRATEGIES[name](), ctx)
+            for name in ("EmbRace", "Horovod-AllReduce")
+        }
+        assert (
+            sim["EmbRace"].computation_stall
+            <= sim["Horovod-AllReduce"].computation_stall + 1e-9
+        )
+
+        config = ALL_MODELS["LM"].tiny()
+        stall = {}
+        for overlap in (True, False):
+            with open_group(2, backend="process", trace=True) as g:
+                result = RealTrainer(
+                    config,
+                    strategy="embrace",
+                    world_size=2,
+                    steps=4,
+                    seed=0,
+                    overlap=overlap,
+                    group=g,
+                ).train()
+            bundle = result.trace
+            stall[overlap] = (
+                sum(bundle.computation_stall(r) for r in range(2))
+                / (2 * bundle.trace.makespan)
+            )
+        for frac in stall.values():
+            assert 0.0 <= frac <= 1.0
+        # Generous tolerance: tiny CPU runs are noisy, but overlap must
+        # not make the stall dramatically worse.
+        assert stall[True] <= stall[False] + 0.15

@@ -6,13 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data import BatchIterator, SyntheticCorpus, Vocab
-from repro.data.batching import Batch
 from repro.models import GNMT8, LM, block_specs
 from repro.schedule import (
     PRIORITY_DELAYED,
     PRIORITY_PRIOR,
     EmbeddingGradStats,
-    VerticalScheduler,
     horizontal_priorities,
     measure_grad_stats,
     partition_tensor,
@@ -95,28 +93,6 @@ class TestVerticalSplit:
         )
         # Every prior row is in the next batch.
         assert set(prior.indices) <= set(nxt)
-
-
-class TestVerticalScheduler:
-    def _batch(self, ids):
-        arr = np.array([ids])
-        return Batch(arr, arr, len(ids), token_ids={"embedding": np.unique(arr)})
-
-    def test_uses_table_ids(self):
-        sched = VerticalScheduler()
-        grad = sparse([2, 3, 4])
-        cur = self._batch([2, 3, 4])
-        nxt = self._batch([3, 9])
-        prior, delayed = sched.split("embedding", grad, cur, nxt)
-        assert prior.indices.tolist() == [3]
-        assert sorted(delayed.indices.tolist()) == [2, 4]
-
-    def test_no_next_batch_all_prior(self):
-        sched = VerticalScheduler()
-        grad = sparse([2, 3])
-        prior, delayed = sched.split("embedding", grad, self._batch([2, 3]), None)
-        assert prior.nnz_rows == 2
-        assert delayed.nnz_rows == 0
 
 
 class TestGradStats:

@@ -9,13 +9,12 @@ import pytest
 
 from repro.comm import SchedKnobs
 from repro.comm.sched import pack_buckets
-from repro.engine.run import RunConfig, run
+from repro.engine.run import RunConfig
 from repro.engine.trainer_real import RealTrainer
 from repro.models.config import GNMT8
 from repro.tune import (
     SMOKE_SIZES_BYTES,
     Candidate,
-    LinkFit,
     ProbeSample,
     SearchSpace,
     TunedProfile,
@@ -117,7 +116,7 @@ def make_profile(world=4, beta=40e-6, bandwidth=2.5e9, **kw):
 
 
 #: A profile as written while ``SchedKnobs`` had twelve fields: per-lane
-#: ``hier_*`` switches and the simulator-only pipeline fields.
+#: ``hier_*`` switches and the since-removed pipeline fields.
 TWELVE_FIELD_PROFILE_JSON = """{
   "backend": "process",
   "knobs": {
@@ -336,8 +335,16 @@ class TestSchedKnobs:
         {"microbatches": 4},
     ])
     def test_saved_pipeline_schedule_is_refused(self, saved):
-        with pytest.raises(ValueError, match="simulator-only"):
+        with pytest.raises(ValueError, match="pipeline schedules were removed"):
             SchedKnobs.from_dict(dict(SchedKnobs().to_dict(), **saved))
+
+    def test_real_trainer_rejects_pipeline_schedules(self):
+        saved = dict(
+            SchedKnobs().to_dict(),
+            schedule="1f1b", pipeline_stages=2, microbatches=2,
+        )
+        with pytest.raises(ValueError, match="pipeline schedules were removed"):
+            RealTrainer(GNMT8.tiny(), world_size=2, knobs=saved)
 
     @pytest.mark.parametrize("lanes, hierarchical", [
         ((None, None, None), True),
@@ -376,6 +383,16 @@ class TestSearchSpace:
         assert [c.knobs.bucket_elems for c in cands] == [1024, 4096]
         assert {c.knobs.repartition_interval for c in cands} == {7}
         assert cands == space.candidates()
+
+    def test_axes_are_what_the_trainer_runs(self):
+        """Five axes, one per executed setting: no pipeline dimension."""
+        assert [f.name for f in dataclasses.fields(SearchSpace)] == [
+            "bucket_elems", "hot_fraction", "repartition_interval", "hier",
+            "strategy",
+        ]
+        assert [f.name for f in dataclasses.fields(Candidate)] == [
+            "knobs", "strategy",
+        ]
 
     def test_smoke_grid_small(self):
         assert len(SearchSpace.smoke().candidates()) <= 4
@@ -614,97 +631,3 @@ class TestPipeline:
         out = capsys.readouterr().out
         assert "fitted alpha-beta links" in out
         assert "winner" in out
-
-
-class TestScheduleAxis:
-    """The pipeline-schedule dimension of the search space."""
-
-    def make_candidate(self, schedule="1f1b", stages=2, microbatches=2):
-        return dataclasses.replace(
-            default_candidate(),
-            schedule=schedule,
-            pipeline_stages=stages,
-            microbatches=microbatches,
-        )
-
-    def test_data_parallel_axes_deduped(self):
-        """data_parallel collapses the stage/microbatch axes to 1x1, so
-        the grid holds one data-parallel point plus the pipelined ones."""
-        space = SearchSpace(
-            bucket_elems=(8192,),
-            schedule=("data_parallel", "1f1b"),
-            pipeline_stages=(2, 4), microbatches=(2, 4),
-        )
-        cands = space.candidates()
-        assert len(cands) == 1 + 4
-        dp = [c for c in cands if c.schedule == "data_parallel"]
-        assert len(dp) == 1
-        assert dp[0].pipeline_stages == dp[0].microbatches == 1
-
-    def test_label_names_the_schedule(self):
-        assert "1f1b@2x4" in self.make_candidate(microbatches=4).label()
-        assert "@" not in default_candidate().label()
-
-    def test_knob_validation(self):
-        with pytest.raises(ValueError, match="schedule"):
-            dataclasses.replace(default_candidate(), schedule="zigzag")
-        with pytest.raises(ValueError, match="data_parallel"):
-            dataclasses.replace(
-                default_candidate(), schedule="data_parallel", pipeline_stages=2,
-            )
-        with pytest.raises(ValueError, match="microbatches"):
-            self.make_candidate(microbatches=0)
-        assert "schedule" not in SchedKnobs().to_dict()
-
-    def test_pipeline_prediction_routes_and_orders(self):
-        profile = make_profile()
-        workload = make_workload()
-        runs = {
-            name: predict_candidate(
-                profile, workload, self.make_candidate(schedule=name), n_steps=4
-            )
-            for name in ("gpipe", "1f1b", "nested")
-        }
-        for run in runs.values():
-            assert run.step_time_s > 0
-            assert run.stall_frac >= 0
-        assert runs["1f1b"].step_time_s <= runs["gpipe"].step_time_s + 1e-12
-        assert runs["nested"].step_time_s <= runs["gpipe"].step_time_s + 1e-12
-
-    def test_data_parallel_prediction_unchanged_by_axes(self):
-        """Adding the schedule axes must not perturb the existing
-        data-parallel prediction path."""
-        profile = make_profile()
-        workload = make_workload()
-        base = predict_candidate(profile, workload, default_candidate(), n_steps=4)
-        again = predict_candidate(
-            profile, workload,
-            self.make_candidate(schedule="data_parallel", stages=1, microbatches=1),
-            n_steps=4,
-        )
-        assert again.step_time_s == pytest.approx(base.step_time_s, rel=1e-12)
-
-    def test_real_trainer_rejects_pipeline_schedules(self):
-        saved = dict(
-            SchedKnobs().to_dict(),
-            schedule="1f1b", pipeline_stages=2, microbatches=2,
-        )
-        with pytest.raises(ValueError, match="simulator-only"):
-            RealTrainer(GNMT8.tiny(), world_size=2, knobs=saved)
-
-    def test_validation_replays_only_data_parallel(self):
-        """A pipeline candidate ranked into the top-k keeps its
-        prediction but is not replayed: it has no real twin."""
-        from repro.tune import validate_candidates
-        from repro.tune.search import PredictedRun
-
-        gpipe = self.make_candidate(schedule="gpipe")
-        profile, workload = make_profile(world=2), make_workload(world=2)
-        ranked = [PredictedRun(gpipe, 1e-3, 0.1, 3e-3, 3)]
-        report = validate_candidates(
-            profile, workload, GNMT8.tiny(), ranked,
-            steps=3, seed=3, backend="thread", top_k=1,
-        )
-        assert report.ranked[0].candidate == gpipe
-        assert [v.candidate for v in report.validated] == [default_candidate()]
-        assert not report.winner.candidate.pipelined
