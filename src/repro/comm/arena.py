@@ -1,15 +1,15 @@
 """Preallocated scratch-buffer arena for the sparse wire path.
 
 Sparse collectives need scratch — the hot-row lane's presence masks and
-owner accumulators, owned copies of received recursive-doubling parts.
-Allocating those with ``np.empty`` per call puts a malloc (and
-eventually a page fault) on every hop of every step.  :class:`BufferArena` keeps a pool of
-reusable byte buffers bucketed by power-of-two size class (the same
-scheme as :class:`~repro.comm.shm.SegmentPool`, but process-local):
-``take()`` hands out an ndarray view of a pooled buffer, ``put()``
-returns it.  Steady state — once one step has populated every size
-class a collective draws from — performs **zero numpy allocations** on
-the wire path (gated by ``benchmarks/check_comm_regression.py``).
+owner accumulators, the narrow wire copies of row ids.  Allocating those
+with ``np.empty`` per call puts a malloc (and eventually a page fault) on
+every hop of every step.  :class:`BufferArena` keeps a pool of reusable
+byte buffers bucketed by power-of-two size class (the same scheme as
+:class:`~repro.comm.shm.SegmentPool`, but process-local): ``take()``
+hands out an ndarray view of a pooled buffer, ``put()`` returns it.
+Steady state — once one step has populated every size class a
+collective draws from — performs **zero numpy allocations** on the wire
+path (gated by ``benchmarks/check_comm_regression.py``).
 
 Starvation is never an error: a request larger than
 :attr:`BufferArena.max_bytes`, or arriving when the pool's capacity cap

@@ -278,7 +278,13 @@ class Communicator:
         return obj
 
     def allgather(self, obj: Any) -> list[Any]:
-        """Ring allgather: returns ``[obj_rank0, ..., obj_rankN-1]``."""
+        """One-shot allgather: returns ``[obj_rank0, ..., obj_rankN-1]``.
+
+        An :meth:`alltoall` of ``obj`` to every peer: one dependent hop
+        instead of the ring's ``N-1``, in the same ``N-1`` messages per
+        rank.  Each rank sends its own object where the ring forwarded
+        its peers', so the bytes summed over ranks are the ring's.
+        """
         obs, t0 = self._traced("allgather")
         try:
             return self._allgather(obj)
@@ -287,20 +293,12 @@ class Communicator:
                 obs.coll_end("allgather", t0)
 
     def _allgather(self, obj: Any) -> list[Any]:
-        size = self.world_size
-        out: list[Any] = [None] * size
-        out[self.rank] = obj
-        current = obj
-        right = (self.rank + 1) % size
-        left = (self.rank - 1) % size
-        for step in range(size - 1):
-            current = self.sendrecv(right, current, left)
-            out[(self.rank - step - 1) % size] = current
-        return out
+        return self._alltoall([obj] * self.world_size)
 
     def alltoall(self, objs: list[Any]) -> list[Any]:
         """Personalized exchange: ``objs[j]`` goes to rank ``j``; returns
-        the list received (index = source rank)."""
+        the list received (index = source rank).  One-shot: all ``N-1``
+        sends, then all receives, so one dependent hop."""
         obs, t0 = self._traced("alltoall")
         try:
             return self._alltoall(objs)
@@ -309,16 +307,19 @@ class Communicator:
                 obs.coll_end("alltoall", t0)
 
     def _alltoall(self, objs: list[Any]) -> list[Any]:
-        if len(objs) != self.world_size:
-            raise ValueError(
-                f"alltoall needs {self.world_size} slots, got {len(objs)}"
-            )
-        out: list[Any] = [None] * self.world_size
-        out[self.rank] = objs[self.rank]
-        for step in range(1, self.world_size):
-            dst = (self.rank + step) % self.world_size
-            src = (self.rank - step) % self.world_size
-            out[src] = self.sendrecv(dst, objs[dst], src)
+        size, rank = self.world_size, self.rank
+        if len(objs) != size:
+            raise ValueError(f"alltoall needs {size} slots, got {len(objs)}")
+        # All sends, then all receives: the process transport's
+        # back-pressure rule keeps this deadlock-free (``comm.process``).
+        for step in range(1, size):
+            dst = (rank + step) % size
+            self.send(dst, objs[dst])
+        out: list[Any] = [None] * size
+        out[rank] = objs[rank]
+        for step in range(1, size):
+            src = (rank - step) % size
+            out[src] = self.recv(src)
         return out
 
     def allreduce(
@@ -333,7 +334,11 @@ class Communicator:
         sum is forwarded the moment it is formed — on zero-copy
         transports the reduction lands straight in the outgoing wire
         buffer (:meth:`send_sum`) and received chunks land straight in
-        their final position (:meth:`recv_into`).
+        their final position (:meth:`recv_into`).  An array of fewer
+        elements than ranks (a loss scalar, a counter vector) leaves
+        some ring chunk empty; it is gathered in one hop and folded in
+        the ring's order instead (:meth:`_gather_fold`), with the same
+        bits.
 
         ``out``, when given, receives the result (shape, dtype, and
         C-contiguity must match the input) — reusing one buffer across
@@ -371,6 +376,9 @@ class Communicator:
         result = out if out is not None else np.empty(array.shape, array.dtype)
         b = ring_chunk_bounds(flat_in.size, size)
         flat_out = result.reshape(-1)
+        if flat_in.size < size:
+            self._gather_fold(flat_in, flat_out, b)
+            return result
         right = (self.rank + 1) % size
         left = (self.rank - 1) % size
         # Reduce-scatter: partial sums only exist in flight; nothing is
@@ -399,6 +407,32 @@ class Communicator:
             )
             self.recv_into(left, flat_out[b[recv_idx] : b[recv_idx + 1]])
         return result
+
+    def _gather_fold(
+        self, flat_in: np.ndarray, flat_out: np.ndarray, b: list[int]
+    ) -> None:
+        """AllReduce of fewer elements than ranks, in one dependent hop.
+
+        Some ring chunk is empty here, so the ring spends ``2(N-1)``
+        hops on a few elements.  Instead every rank gathers every input
+        and folds each chunk ``c`` in the ring's own order,
+        ``((x_c + x_{c+1}) + ...) + x_{c-1}`` (ranks mod N) — the sums
+        the reduce-scatter forms — so the result is bit-identical.
+        """
+        size = self.world_size
+        parts = [
+            np.asarray(p).reshape(-1)
+            for p in self._allgather(self.snapshot(flat_in))
+        ]
+        folded = []
+        for c in range(size):
+            lo, hi = b[c], b[c + 1]
+            acc = parts[c][lo:hi].copy()
+            for k in range(1, size):
+                np.add(acc, parts[(c + k) % size][lo:hi], out=acc)
+            folded.append(acc)
+        # Written only after every input is read: ``out`` may alias it.
+        np.concatenate(folded, out=flat_out)
 
     def allreduce_mean(self, array: np.ndarray) -> np.ndarray:
         """Sum-allreduce divided by world size (gradient averaging)."""

@@ -60,7 +60,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.comm.backend import Communicator, ring_chunk_bounds
+from repro.comm.backend import Communicator
 
 #: Priority of facade collectives the training thread immediately waits
 #: on (loss averaging, next-id gathers, refresh AlltoAlls): they block
@@ -72,11 +72,6 @@ PRIORITY_URGENT = -100.0
 #: every training transfer — prior sparse exchanges included — but never
 #: a facade collective the training thread is already blocked on.
 PRIORITY_SERVE = -50.0
-
-#: :meth:`CommScheduler.allreduce_chunks`' split: at most
-#: ``_MAX_CHUNKS`` items of about ``_CHUNK_ELEMS`` elements each.
-_CHUNK_ELEMS = 65536
-_MAX_CHUNKS = 8
 
 #: Elements per dense gradient bucket: consecutive dense parameters (in
 #: backward order) are flattened together until a bucket reaches this
@@ -244,16 +239,6 @@ class SchedKnobs:
         return cls(**d)
 
 
-def _dense_chunk_bounds(n: int) -> list[int]:
-    """Flat split offsets for a dense tensor of ``n`` elements.
-
-    A deterministic function of ``n`` alone, so every rank (and both
-    overlap modes) partitions — and therefore reduces — identically.
-    """
-    parts = max(1, min(_MAX_CHUNKS, -(-n // _CHUNK_ELEMS)))
-    return ring_chunk_bounds(n, parts)
-
-
 class SchedulerClosed(RuntimeError):
     """Work submitted to a closed or aborted :class:`CommScheduler`."""
 
@@ -379,33 +364,23 @@ class CommScheduler:
     def allreduce_chunks(
         self, flat: np.ndarray, priority: float = 0.0, label: str = ""
     ) -> list[CommHandle]:
-        """Submit a dense sum-AllReduce of ``flat`` as up to eight chunks.
+        """Submit a dense sum-AllReduce of ``flat`` as one item.
 
-        ``flat`` must be 1-D C-contiguous; each chunk is reduced in
-        place (``allreduce(view, out=view)``), so the array holds the
-        global sum once every returned handle is waited.  Chunk bounds
-        depend on the element count only — both overlap modes and all
-        ranks reduce identically.
-
-        The trainer reduces each dense bucket as one item.  The split
-        stays for the ``comm_step`` workload of ``benchmarks/e2e``, whose
-        one round of an EmbRace step's collectives reduces its dense
-        buffer this way.
+        ``flat`` must be 1-D C-contiguous and is reduced in place
+        (``allreduce(flat, out=flat)``), so it holds the global sum once
+        the returned handle is waited.  Returns a one-element list: the
+        ``comm_step`` workload of ``benchmarks/e2e`` waits on every
+        handle it gets.  A split would buy pre-emption at chunk
+        granularity, which nothing uses (communication never runs beside
+        compute), for ``2(N-1)`` more messages per chunk.
         """
         if flat.ndim != 1 or not flat.flags.c_contiguous:
             raise ValueError("allreduce_chunks requires a 1-D contiguous array")
-        bounds = _dense_chunk_bounds(flat.size)
-        handles = []
-        for i in range(len(bounds) - 1):
-            view = flat[bounds[i] : bounds[i + 1]]
 
-            def run(comm: Communicator, view=view) -> None:
-                comm.allreduce(view, out=view)
+        def run(comm: Communicator) -> None:
+            comm.allreduce(flat, out=flat)
 
-            handles.append(
-                self.submit(run, priority=priority, label=f"{label}#c{i}")
-            )
-        return handles
+        return [self.submit(run, priority=priority, label=label)]
 
     # -- progress ---------------------------------------------------------- #
     def flush(self) -> None:

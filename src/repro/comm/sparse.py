@@ -4,8 +4,8 @@
   path: every rank receives every peer's raw COO gradient;
 * :func:`allreduce_sparse_via_allgather` — gather + deterministic
   rank-ordered sum (what the baseline's optimizer consumes);
-* :func:`allreduce_sparse_adaptive` — the same sum over a
-  recursive-doubling sparse allgather (log N hops);
+* :func:`allreduce_sparse_adaptive` — the name the strategies call
+  that same sum by (one dependent hop over the one-shot allgather);
 * :func:`alltoall_column_shards` — EmbRace's hybrid path: each rank
   sends each peer the *column slice* that peer owns, and receives the
   slices of its own columns from everyone (one AlltoAll of §4.1.1),
@@ -15,8 +15,7 @@
   :class:`RowSetMismatch` instead of summing wrong rows).
 
 Every sparse message is a plain ``(indices, values)`` pair — or a bare
-value block when the receiver knows the rows, or, on the
-recursive-doubling path, ``(parts, union)`` — so ``payload_nbytes`` /
+value block when the receiver knows the rows — so ``payload_nbytes`` /
 ``obs.count_bytes`` account exactly the arrays that travel.  Row ids
 travel in :func:`ids_dtype` of the row space — ``int32`` up to 2**31
 rows — which both ends derive from ``num_rows``, so no tag travels;
@@ -27,14 +26,13 @@ Determinism contract: every collective here reproduces the canonical
 rank-ordered sum **bit for bit**: locally-coalesced parts merged
 left-to-right per row via
 :meth:`~repro.tensors.SparseRows.merge_coalesced` (the historical
-``np.add.at`` scatter grouping).  The adaptive path carries the
-per-rank parts unsummed and performs one final rank-ordered merge.
+``np.add.at`` scatter grouping).
 
 Allocation contract: steady state, the wire path performs zero numpy
 allocations — outgoing column slices are strided views packed at byte
 capture, received parts are pinned transport views, and the scratch
-the narrow id copies, recursive-doubling and hot-row paths need comes
-from a :class:`~repro.comm.arena.BufferArena` (``arena=None`` uses the
+the narrow id copies and the hot-row path need comes from a
+:class:`~repro.comm.arena.BufferArena` (``arena=None`` uses the
 process-wide :func:`~repro.comm.arena.default_arena`) — gated by
 ``benchmarks/check_comm_regression.py``.  The final merge that builds
 the caller-owned result is compute, not wire, and allocates normally.
@@ -47,7 +45,7 @@ import numpy as np
 from repro.comm.arena import BufferArena, default_arena
 from repro.comm.backend import Communicator
 from repro.obs.instrument import traced_collective
-from repro.tensors import SparseRows, sorted_union
+from repro.tensors import SparseRows
 
 
 #: Row spaces up to this size send their ids as int32 (ids < 2**31).
@@ -149,17 +147,6 @@ def column_slices(dim: int, world_size: int) -> list[slice]:
     return slices
 
 
-def _merge_unions(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sorted-unique union of two sorted-unique index sets (vectorized)."""
-    merged = sorted_union([a, b])
-    # Micro-assert: the final merge_coalesced(union=) assumes the merged
-    # set stays sorted-unique at every hop.
-    assert merged.size == 0 or bool(np.all(np.diff(merged) > 0)), (
-        "merged index union is not sorted-unique"
-    )
-    return merged
-
-
 def _check_fold_groups(fold_groups, world: int) -> tuple[int, ...] | None:
     if fold_groups is None:
         return None
@@ -210,9 +197,10 @@ def allgather_sparse(comm: Communicator, grad: SparseRows) -> list[SparseRows]:
     """Gather every rank's sparse gradient (Horovod-AllGather semantics)."""
     arena = default_arena()
     idx = narrow_ids(comm, grad.indices, grad.num_rows, arena)
-    gathered = comm.allgather((idx, grad.values, grad.num_rows))
+    # Every rank shares the row space, so ``num_rows`` never travels.
+    gathered = comm.allgather((idx, grad.values))
     parts = [
-        SparseRows(i, vals, rows, coalesced=False) for i, vals, rows in gathered
+        SparseRows(i, vals, grad.num_rows, coalesced=False) for i, vals in gathered
     ]
     arena.put(idx)  # every part above holds its own int64 copy
     return parts
@@ -240,88 +228,16 @@ def allreduce_sparse_via_allgather(comm: Communicator, grad: SparseRows) -> Spar
 
 
 @traced_collective("allreduce_sparse_adaptive")
-def allreduce_sparse_adaptive(
-    comm: Communicator,
-    grad: SparseRows,
-    *,
-    arena: BufferArena | None = None,
-) -> SparseRows:
-    """Sparse allreduce by recursive doubling.
+def allreduce_sparse_adaptive(comm: Communicator, grad: SparseRows) -> SparseRows:
+    """Sparse allreduce: :func:`allreduce_sparse_via_allgather` itself.
 
-    Power-of-two worlds run ``log2(N)`` hops: each hop exchanges the
-    accumulated rank-ordered part list, plus the sorted-unique union of
-    its indices, with the partner block.  After the last hop every rank
-    holds every rank's locally-coalesced part in rank order and finishes
-    with one :meth:`~repro.tensors.SparseRows.merge_coalesced` over the
-    tracked union.  Non-power-of-two worlds fall back to the
-    ring-allgather reference.  Either way the result is bit-identical
-    to :func:`allreduce_sparse_via_allgather`.
-
-    ``arena`` supplies the copies of received parts on transports whose
-    receive views die at the next communication call.
+    The one-shot allgather under it takes one dependent hop, which no
+    multi-hop scheme (recursive doubling: ``log2 N`` hops, shipping
+    part lists and index unions) beats on a latency-bound transport.
+    The name stays for the strategies and benchmarks that call it; the
+    result is bit-identical to the reference by construction.
     """
-    grad = grad.coalesce()
-    world, rank = comm.world_size, comm.rank
-    if world == 1:
-        return grad
-    if world & (world - 1):  # non-power-of-two: reference ring allgather
-        return allreduce_sparse_via_allgather(comm, grad)
-    if arena is None:
-        arena = default_arena()
-    num_rows, dim = grad.num_rows, grad.dim
-    vdtype = grad.values.dtype
-    taken: list[np.ndarray] = []  # every arena buffer, returned at the end
-
-    # Locally-coalesced (indices, values) parts in rank order, plus the
-    # sorted-unique union of their indices.  Part indices are kept in
-    # the wire type (the final merge widens each part once); ids are
-    # never written after they are made, so they go out unsnapshotted.
-    own_idx = narrow_ids(comm, grad.indices, num_rows, arena)
-    if own_idx is not grad.indices:
-        taken.append(own_idx)
-    parts: list[tuple[np.ndarray, np.ndarray]] = [(own_idx, grad.values)]
-    union = grad.indices
-    hop = 1
-    while hop < world:
-        partner = rank ^ hop
-        i_am_low = not (rank & hop)  # my block covers the lower rank range
-        wire_union = narrow_ids(comm, union, num_rows, arena)
-        if wire_union is not union:
-            taken.append(wire_union)
-        comm.send(
-            partner,
-            ([(i, comm.snapshot(v)) for i, v in parts], wire_union),
-        )
-        their_parts, their_union = comm.recv_view(partner)
-        # On snapshot-free transports the received arrays may alias
-        # transport memory that dies at the next comm call — copy those
-        # into arena scratch; elsewhere the arrays are already owned.
-        if comm.SEND_SNAPSHOTS:
-            copied = []
-            for p_idx, p_vals in their_parts:
-                c_idx = arena.take(len(p_idx), p_idx.dtype)
-                c_vals = arena.take(p_vals.shape, vdtype)
-                taken += (c_idx, c_vals)
-                c_idx[...] = p_idx
-                c_vals[...] = p_vals
-                copied.append((c_idx, c_vals))
-            their_parts = copied
-            their_union = np.asarray(their_union).copy()
-        parts = parts + their_parts if i_am_low else their_parts + parts
-        union = _merge_unions(union, np.asarray(their_union))
-        hop *= 2
-
-    if sum(len(i) for i, _ in parts) == 0:
-        result = grad  # every rank was empty; grad is the coalesced empty
-    else:
-        # The union was tracked hop by hop, so the finish is a straight
-        # merge of the sorted per-rank runs (bit-identical to the
-        # rank-ordered concat + coalesce, several times cheaper).
-        result = SparseRows.merge_coalesced(
-            parts, num_rows, dim, dtype=vdtype, union=union
-        )
-    arena.put(*taken)
-    return result
+    return allreduce_sparse_via_allgather(comm, grad)
 
 
 @traced_collective("alltoall_column_shards")

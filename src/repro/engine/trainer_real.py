@@ -4,8 +4,8 @@ Three communication strategies, all *actually executed* over the real
 collectives in :mod:`repro.comm`:
 
 * ``"allgather"`` — the Horovod-AllGather baseline: dense gradients ring-
-  AllReduced, sparse gradients AllGathered (recursive doubling on
-  power-of-two worlds) and summed on every replica;
+  AllReduced, sparse gradients AllGathered (one-shot: every rank sends
+  each peer its part) and summed on every replica;
 * ``"allreduce"`` — the Horovod-AllReduce baseline: sparse gradients are
   *densified* to full-table arrays and ring-AllReduced (the §2.2
   "communicate and sum all data including zeros" regime — the wire-byte
@@ -647,8 +647,8 @@ class RealTrainer:
                 if self.strategy == "allgather":
                     for name, table in tables.items():
                         grad = table.weight.grad
-                        # Recursive-doubling allgather, bit-identical to
-                        # allreduce_sparse_via_allgather.  Submitted as
+                        # The one-shot AllGather and rank-ordered merge
+                        # of allreduce_sparse_via_allgather.  Submitted as
                         # one urgent work item: the collective's
                         # point-to-point hops must run on the communicator
                         # the item is given, not the facade.

@@ -106,7 +106,6 @@ class SparseRows:
         dim: int,
         *,
         dtype,
-        union: np.ndarray | None = None,
     ) -> "SparseRows":
         """Merge sorted-unique ``(indices, values)`` runs into one tensor.
 
@@ -115,10 +114,9 @@ class SparseRows:
 
         Each part is a sorted run (an already-coalesced gradient);
         positions come from a ``searchsorted`` into the merged index
-        ``union`` (computed here unless the caller already tracked it)
-        and values accumulate part by part in list order.  Per output
-        row the first contribution is *assigned* (so ``-0.0`` survives)
-        and later ones add **left-to-right in part order** — the
+        union and values accumulate part by part in list order.  Per
+        output row the first contribution is *assigned* (so ``-0.0``
+        survives) and later ones add **left-to-right in part order** — the
         ``np.add.at`` scatter grouping, which the sparse collectives
         define as the canonical cross-rank sum.  Note this is not
         always ``concat(parts).coalesce()`` to the last bit: for rows
@@ -133,7 +131,7 @@ class SparseRows:
         union from the written mask — with a bit-identical result.
         """
         total = sum(len(idx) for idx, _ in parts)
-        if union is None and total * 4 >= num_rows:
+        if total * 4 >= num_rows:
             # Dense-accumulator finish: when the parts cover a sizable
             # fraction of the row space, scatter by raw row index into a
             # (num_rows, dim) scratch — no searchsorted, and the union
@@ -152,8 +150,7 @@ class SparseRows:
                 written[idx] = True
             rows = np.flatnonzero(written)
             return cls(rows, acc[rows], num_rows, coalesced=True)
-        if union is None:
-            union = sorted_union([idx for idx, _ in parts])
+        union = sorted_union([idx for idx, _ in parts])
         if len(union) == 0:
             return cls.empty(num_rows, dim, dtype=dtype)
         out = np.empty((len(union), dim), dtype=dtype)

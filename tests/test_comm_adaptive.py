@@ -1,8 +1,8 @@
 """Sparse collectives: bit-identity, wire accounting, arena.
 
-* recursive-doubling sparse allreduce bit-identical to
+* ``allreduce_sparse_adaptive`` bit-identical to
   ``allreduce_sparse_via_allgather`` on the thread and process backends;
-* world sizes 1 / 2 / 4 plus the non-power-of-two fallback (3);
+* world sizes 1 / 2 / 3 / 4;
 * drops + delays from a seeded :class:`~repro.faults.plan.FaultPlan`;
 * arena starvation: an arena smaller than the payload falls back to
   plain allocation with a counter bump, never a crash;
@@ -94,7 +94,7 @@ class TestBitIdentity:
             assert np.array_equal(ref.values, ada.values)
 
     def test_non_power_of_two_falls_back(self):
-        # World 3 routes through the ring-allgather reference path.
+        # World 3, like every world, runs the allgather reference.
         for ref, ada in run_threaded(3, run_both):
             assert np.array_equal(ref.indices, ada.indices)
             assert np.array_equal(ref.values, ada.values)

@@ -1,12 +1,12 @@
 """The priority-scheduled communication engine (repro.comm.sched).
 
-Covers the scheduler's contract: priority order with FIFO ties, urgent
-items preempting queued dense chunks, caller-driven progress keeping
-every rank on one global execution order, bit-identical inline
-(synchronous) mode, error propagation through handles, failing fast on
-close and on nested waits, the facade's symmetric-only surface,
-composition with the fault injector, and the real trainer's overlap
-moving stall in the simulator's direction.
+Covers the scheduler's contract: priority order with FIFO ties,
+caller-driven progress keeping every rank on one global execution
+order, bit-identical inline (synchronous) mode, error propagation
+through handles, failing fast on close and on nested waits, the
+facade's symmetric-only surface, composition with the fault injector,
+and the real trainer's overlap moving stall in the simulator's
+direction.
 """
 
 import sys
@@ -22,28 +22,10 @@ from repro.comm import (
     SchedulerClosed,
     run_threaded,
 )
-from repro.comm.sched import _dense_chunk_bounds
 from repro.engine.trainer_sim import make_context
 from repro.faults import FaultPlan, run_threaded_with_faults
 from repro.models import LM
 from repro.strategies import ALL_STRATEGIES
-
-
-class TestChunkBounds:
-    def test_small_tensor_is_one_chunk(self):
-        assert _dense_chunk_bounds(1000) == [0, 1000]
-
-    def test_large_tensor_splits(self):
-        bounds = _dense_chunk_bounds(200_000)
-        assert bounds[0] == 0 and bounds[-1] == 200_000
-        assert len(bounds) == 5  # ceil(200000/65536) = 4 chunks
-
-    def test_max_chunks_cap(self):
-        bounds = _dense_chunk_bounds(10_000_000)
-        assert len(bounds) == 9
-
-    def test_deterministic_in_size_only(self):
-        assert _dense_chunk_bounds(123_456) == _dense_chunk_bounds(123_456)
 
 
 class TestPriorityOrder:
@@ -70,29 +52,6 @@ class TestPriorityOrder:
         results, order = run_threaded(1, worker)[0]
         assert results == [0 + i for i in range(5)]
         assert order == ["item4", "item1", "item3", "item2", "item0"]
-
-    def test_urgent_item_preempts_queued_dense_chunks(self):
-        """An item submitted *after* a chunked dense reduce overtakes the
-        chunks still in the queue — preemption at chunk granularity."""
-
-        def worker(comm):
-            sched = CommScheduler(comm)
-            try:
-                flat = np.arange(4 * 65536, dtype=np.float64)
-                handles = sched.allreduce_chunks(
-                    flat, priority=5.0, label="dense"
-                )
-                urgent = sched.submit(lambda c: "now", priority=-1.0, label="prior")
-                assert urgent.wait(30) == "now"
-                assert not any(h.done() for h in handles)
-                for h in handles:
-                    h.wait(30)
-                return sched.executed_labels
-            finally:
-                sched.close()
-
-        order = run_threaded(1, worker)[0]
-        assert order == ["prior"] + [f"dense#c{i}" for i in range(4)]
 
 
 class TestGlobalOrder:
@@ -130,7 +89,7 @@ class TestGlobalOrder:
             try:
                 flat = np.full(200_000, float(comm.rank + 1))
                 handles = sched.allreduce_chunks(flat)
-                assert len(handles) == 4
+                assert len(handles) == 1
                 for h in handles:
                     h.wait(30)
                 return flat
